@@ -18,13 +18,23 @@ from repro.network.topology import Topology
 from repro.rng import RngLike, ensure_rng
 
 
+def _per_node_edges(targets: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Edge rows ``(u, targets[u, j])``, node-major then column order,
+    dropping the slots where *keep* is False.
+
+    The row order is the edges' insertion order, which fixes the
+    adjacency order of :attr:`Topology.graph` (see there).
+    """
+    n, k = targets.shape
+    sources = np.broadcast_to(np.arange(n)[:, None], (n, k))
+    pairs = np.stack([sources, targets], axis=-1)
+    return pairs.reshape(-1, 2) if keep is None else pairs[keep]
+
+
 def _grid_coords(rows: int, cols: int) -> np.ndarray:
     """Unit-square coordinates for a rows×cols grid, row-major node ids."""
-    coords = np.zeros((rows * cols, 2), dtype=np.float64)
-    for r in range(rows):
-        for c in range(cols):
-            coords[r * cols + c] = (c / max(cols - 1, 1), r / max(rows - 1, 1))
-    return coords
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    return np.column_stack([c / max(cols - 1, 1), r / max(rows - 1, 1)])
 
 
 def mesh(rows: int, cols: int | None = None) -> Topology:
@@ -37,16 +47,14 @@ def mesh(rows: int, cols: int | None = None) -> Topology:
         cols = rows
     if rows < 1 or cols < 1:
         raise TopologyError(f"mesh dimensions must be >= 1, got {rows}x{cols}")
-    g = nx.Graph()
-    g.add_nodes_from(range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(u, u + 1)
-            if r + 1 < rows:
-                g.add_edge(u, u + cols)
-    return Topology(g, name=f"mesh-{rows}x{cols}", coords=_grid_coords(rows, cols))
+    u = np.arange(rows * cols)
+    r, c = np.divmod(u, cols)
+    edges = _per_node_edges(
+        np.column_stack([u + 1, u + cols]), np.column_stack([c + 1 < cols, r + 1 < rows])
+    )
+    return Topology(
+        edges, name=f"mesh-{rows}x{cols}", coords=_grid_coords(rows, cols), n_nodes=rows * cols
+    )
 
 
 def torus(rows: int, cols: int | None = None) -> Topology:
@@ -59,14 +67,12 @@ def torus(rows: int, cols: int | None = None) -> Topology:
         cols = rows
     if rows < 3 or cols < 3:
         raise TopologyError(f"torus dimensions must be >= 3, got {rows}x{cols}")
-    g = nx.Graph()
-    g.add_nodes_from(range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            g.add_edge(u, r * cols + (c + 1) % cols)
-            g.add_edge(u, ((r + 1) % rows) * cols + c)
-    return Topology(g, name=f"torus-{rows}x{cols}", coords=_grid_coords(rows, cols))
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    right, down = r * cols + (c + 1) % cols, (r + 1) % rows * cols + c
+    edges = _per_node_edges(np.column_stack([right, down]))
+    return Topology(
+        edges, name=f"torus-{rows}x{cols}", coords=_grid_coords(rows, cols), n_nodes=rows * cols
+    )
 
 
 def hypercube(dim: int) -> Topology:
@@ -80,45 +86,39 @@ def hypercube(dim: int) -> Topology:
     if dim < 1:
         raise TopologyError(f"hypercube dimension must be >= 1, got {dim}")
     n = 1 << dim
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for u in range(n):
-        for b in range(dim):
-            v = u ^ (1 << b)
-            if v > u:
-                g.add_edge(u, v)
+    u = np.arange(n)
+    flips = u[:, None] ^ (1 << np.arange(dim))
+    edges = _per_node_edges(flips, flips > u[:, None])
 
     half = dim // 2
     lo_bits, hi_bits = half, dim - half
     lo_n, hi_n = 1 << lo_bits, 1 << hi_bits
 
-    def gray_rank(x: int) -> int:
-        # position of Gray code x along the Gray sequence
-        r = 0
-        while x:
+    def gray_rank(x: np.ndarray) -> np.ndarray:
+        # position of Gray code x along the Gray sequence (prefix XOR)
+        r = x.copy()
+        x = x >> 1
+        while x.any():
             r ^= x
             x >>= 1
         return r
 
-    coords = np.zeros((n, 2), dtype=np.float64)
-    for u in range(n):
-        lo = u & (lo_n - 1)
-        hi = u >> lo_bits
-        coords[u] = (
-            gray_rank(lo) / max(lo_n - 1, 1),
-            gray_rank(hi) / max(hi_n - 1, 1),
-        )
-    return Topology(g, name=f"hypercube-{dim}", coords=coords)
+    coords = np.column_stack([
+        gray_rank(u & (lo_n - 1)) / max(lo_n - 1, 1),
+        gray_rank(u >> lo_bits) / max(hi_n - 1, 1),
+    ])
+    return Topology(edges, name=f"hypercube-{dim}", coords=coords, n_nodes=n)
 
 
 def ring(n: int) -> Topology:
     """Cycle of *n* >= 3 nodes, embedded on the unit circle."""
     if n < 3:
         raise TopologyError(f"ring needs at least 3 nodes, got {n}")
-    g = nx.cycle_graph(n)
+    u = np.arange(n)
+    edges = _per_node_edges(((u + 1) % n)[:, None])
     theta = 2 * np.pi * np.arange(n) / n
     coords = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Topology(g, name=f"ring-{n}", coords=coords)
+    return Topology(edges, name=f"ring-{n}", coords=coords, n_nodes=n)
 
 
 def star(n: int) -> Topology:

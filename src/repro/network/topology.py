@@ -1,13 +1,13 @@
 """Topology: the interconnection graph ``G(V, E)`` (paper §4.2).
 
-Nodes are the integers ``0 .. n-1``. The class keeps three synchronised
-views of the same graph:
+Nodes are the integers ``0 .. n-1``. The class is built from an edge
+array and keeps three views of the same graph:
 
-* a :class:`networkx.Graph` for algorithms that want one (diameter,
-  colorings, layouts),
 * array form — an ``(m, 2)`` edge array, per-node neighbor arrays and
   a flat :class:`CSRAdjacency` export — for the vectorised hot paths of
-  the balancers,
+  the balancers and for BFS over SciPy's sparse graph routines,
+* a :class:`networkx.Graph`, built on first use, for the few algorithms
+  that want one (edge colorings, spring layouts),
 * a 2-D embedding (the paper's ``M2: V(G) → R²``) used for the load
   surface, for locality metrics and for ASCII rendering.
 
@@ -23,8 +23,14 @@ from typing import Iterable, Mapping
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from repro.exceptions import TopologyError
+
+#: largest number of BFS sources handed to one ``shortest_path`` call by
+#: the eccentricity bounding pass (bounds the ``(k, n)`` working set).
+_MAX_BFS_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -79,53 +85,67 @@ class Topology:
     Parameters
     ----------
     graph:
-        Connected undirected graph whose nodes are exactly
-        ``range(n)``. Self-loops are rejected.
+        Either an ``(m, 2)`` integer edge array over nodes
+        ``0..n_nodes-1`` — the form the regular builders emit — or a
+        connected undirected :class:`networkx.Graph` whose nodes are
+        exactly ``range(n)``, which is converted to an edge array on
+        entry. Self-loops and repeated edges are rejected.
     name:
         Human-readable identifier (used in benchmark tables).
     coords:
         Optional mapping/array of 2-D coordinates per node (the ``M2``
         embedding). When omitted a spring layout is computed lazily.
+    n_nodes:
+        Number of nodes; required with an edge array (a one-node
+        network has no edge to infer it from).
     """
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | np.ndarray,
         name: str = "custom",
         coords: Mapping[int, Iterable[float]] | np.ndarray | None = None,
+        n_nodes: int | None = None,
     ):
-        n = graph.number_of_nodes()
-        if n == 0:
+        node_order = None
+        if isinstance(graph, np.ndarray):
+            if n_nodes is None:
+                raise TopologyError("an edge-array topology needs n_nodes")
+            n = int(n_nodes)
+            edge_seq = graph.astype(np.int64).reshape(-1, 2)
+        else:
+            n = graph.number_of_nodes()
+            if n > 0 and set(graph.nodes) != set(range(n)):
+                raise TopologyError(
+                    "graph nodes must be exactly 0..n-1; relabel before wrapping"
+                )
+            edge_seq = np.asarray(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+            nodes = list(graph.nodes)
+            if nodes != list(range(n)):
+                node_order = nodes
+        if n < 1:
             raise TopologyError("topology must have at least one node")
-        if set(graph.nodes) != set(range(n)):
-            raise TopologyError("graph nodes must be exactly 0..n-1; relabel before wrapping")
-        if any(u == v for u, v in graph.edges):
+        if edge_seq.size and (edge_seq.min() < 0 or edge_seq.max() >= n):
+            raise TopologyError(f"edge endpoints must be nodes 0..{n - 1}")
+        if (edge_seq[:, 0] == edge_seq[:, 1]).any():
             raise TopologyError("self-loops are not allowed")
-        if n > 1 and not nx.is_connected(graph):
-            raise TopologyError("topology must be connected")
 
-        self._graph = nx.freeze(graph.copy())
+        canon = np.sort(edge_seq, axis=1)
+        edges = canon[np.lexsort((canon[:, 1], canon[:, 0]))]
+        if (edges[1:] == edges[:-1]).all(axis=1).any():
+            raise TopologyError("repeated edges are not allowed")
+
         self.name = name
         self.n_nodes = n
-
-        edges = np.asarray(
-            sorted((min(u, v), max(u, v)) for u, v in graph.edges), dtype=np.int64
-        ).reshape(-1, 2)
         self.edges = edges
         self.n_edges = edges.shape[0]
+        # Insertion order of the lazy networkx view (see `graph`).
+        self._edge_seq = edge_seq
+        self._node_order = node_order
 
-        # Per-node neighbor arrays (sorted), and degree vector.
-        nbr: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            nbr[u].append(int(v))
-            nbr[v].append(int(u))
-        self._neighbors = [np.asarray(sorted(ns), dtype=np.int64) for ns in nbr]
-        self.degree = np.asarray([len(ns) for ns in nbr], dtype=np.int64)
-
-        # Edge lookup: (min, max) -> edge index, for per-edge attribute arrays.
-        self._edge_index: dict[tuple[int, int], int] = {
-            (int(u), int(v)): k for k, (u, v) in enumerate(edges)
-        }
+        self.degree = self.csr.degrees()
+        if n > 1 and connected_components(self._sparse, directed=False)[0] != 1:
+            raise TopologyError("topology must be connected")
 
         if coords is not None:
             arr = np.zeros((n, 2), dtype=np.float64)
@@ -146,10 +166,22 @@ class Topology:
     # Views
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def graph(self) -> nx.Graph:
-        """The (frozen) networkx view of the topology."""
-        return self._graph
+        """The (frozen) networkx view of the topology, built on first use.
+
+        Its adjacency order is part of the contract: order-sensitive
+        consumers such as the greedy edge coloring of
+        :func:`~repro.baselines.dimension_exchange.edge_coloring` depend
+        on it. The view is the ``copy()`` of a graph that received the
+        nodes and then the edges in the order they were given at
+        construction — exactly what wrapping that networkx graph always
+        produced.
+        """
+        g = nx.Graph()
+        g.add_nodes_from(range(self.n_nodes) if self._node_order is None else self._node_order)
+        g.add_edges_from(self._edge_seq.tolist())
+        return nx.freeze(g.copy())
 
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor ids of *node* (read-only array)."""
@@ -165,7 +197,7 @@ class Topology:
         not supply natural coordinates.
         """
         if self._coords is None:
-            pos = nx.spring_layout(self._graph, seed=0)
+            pos = nx.spring_layout(self.graph, seed=0)
             self._coords = np.asarray([pos[i] for i in range(self.n_nodes)], dtype=np.float64)
         return self._coords
 
@@ -211,6 +243,23 @@ class Topology:
         return CSRAdjacency(indptr, cols, eids, rows)
 
     @cached_property
+    def _neighbors(self) -> list[np.ndarray]:
+        """Per-node neighbor arrays: read-only views into ``csr.indices``."""
+        return np.split(self.csr.indices, self.csr.indptr[1:-1])
+
+    @cached_property
+    def _edge_index(self) -> dict[tuple[int, int], int]:
+        """Edge lookup: (min, max) -> edge index, for per-edge attribute arrays."""
+        return {(u, v): k for k, (u, v) in enumerate(self.edges.tolist())}
+
+    @cached_property
+    def _sparse(self) -> csr_matrix:
+        """The adjacency as a SciPy sparse matrix, for the csgraph routines."""
+        csr = self.csr
+        data = np.ones(csr.n_slots, dtype=np.int8)
+        return csr_matrix((data, csr.indices, csr.indptr), shape=(self.n_nodes, self.n_nodes))
+
+    @cached_property
     def adjacency(self) -> np.ndarray:
         """Dense boolean adjacency matrix, shape ``(n, n)``."""
         a = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
@@ -226,15 +275,91 @@ class Topology:
 
     @cached_property
     def hop_distances(self) -> np.ndarray:
-        """All-pairs unweighted hop distances, shape ``(n, n)`` (int16)."""
+        """All-pairs unweighted hop distances, shape ``(n, n)`` (int32).
+
+        Quadratic in time and memory; scenario construction avoids it
+        (see :meth:`distances_from`, :attr:`peripheral_node`).
+        """
         from repro.network.routing import hop_distances
 
         return hop_distances(self)
 
+    def distances_from(self, sources: Iterable[int]) -> np.ndarray:
+        """Hop distances from each of *sources* to every node.
+
+        Shape ``(k, n)``, int32: row ``i`` equals
+        ``hop_distances[sources[i]]``, from one BFS per source instead of
+        the all-pairs matrix.
+        """
+        idx = np.asarray(sources, dtype=np.int64).reshape(-1)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_nodes):
+            raise TopologyError(f"sources out of range [0, {self.n_nodes})")
+        d = shortest_path(self._sparse, method="D", unweighted=True, directed=False, indices=idx)
+        return d.reshape(idx.shape[0], self.n_nodes).astype(np.int32)
+
     @cached_property
+    def _periphery(self) -> tuple[int, int]:
+        return self._extreme_eccentricity(largest=True)
+
+    @cached_property
+    def _center(self) -> tuple[int, int]:
+        return self._extreme_eccentricity(largest=False)
+
+    @property
+    def peripheral_node(self) -> int:
+        """Lowest-index node of maximum eccentricity: ``argmax`` of the
+        row maxima of :attr:`hop_distances`, computed without it."""
+        return self._periphery[0]
+
+    @property
+    def central_node(self) -> int:
+        """Lowest-index node of minimum eccentricity: ``argmin`` of the
+        row maxima of :attr:`hop_distances`, computed without it."""
+        return self._center[0]
+
+    @property
     def diameter(self) -> int:
-        """Graph diameter in hops."""
-        return int(self.hop_distances.max())
+        """Graph diameter in hops (the eccentricity of :attr:`peripheral_node`)."""
+        return self._periphery[1]
+
+    def _extreme_eccentricity(self, largest: bool) -> tuple[int, int]:
+        """``(node, eccentricity)`` of the lowest-index node of maximum
+        (*largest*) or minimum eccentricity, by eccentricity bounding
+        (Takes & Kosters, CIKM 2011).
+
+        A BFS from ``s`` gives ``s``'s exact eccentricity ``e_s`` and, by
+        the triangle inequality, bounds every node ``v``:
+        ``max(d_s(v), e_s − d_s(v)) <= ecc(v) <= d_s(v) + e_s``. Sources
+        run in batches of doubling size (at most :data:`_MAX_BFS_BATCH`
+        rows per call) until the bounds pin the answer. For the maximum
+        that is: ``max lb == max ub =: D`` and the lowest-index ``v``
+        with ``ub(v) >= D`` has ``lb(v) == D`` — every lower-index node
+        is then provably below ``D``. The minimum is the mirror image,
+        run here on the negated bounds. On graphs where every node looks
+        the same (torus, hypercube) the bounds only close once every
+        node has been a source: the all-pairs BFS count, no more.
+        """
+        n = self.n_nodes
+        lb = np.zeros(n, dtype=np.int32)
+        ub = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
+        unused = np.ones(n, dtype=bool)
+        batch = 1
+        while True:
+            # Maximise in (lo, hi) space: the negated bounds for the minimum.
+            lo, hi = (lb, ub) if largest else (-ub, -lb)
+            sources = _pick_sources(lo, hi, unused, batch)
+            d = self.distances_from(sources)
+            ecc = d.max(axis=1, keepdims=True)
+            np.maximum(lb, np.maximum(d.max(axis=0), (ecc - d).max(axis=0)), out=lb)
+            np.minimum(ub, (d + ecc).min(axis=0), out=ub)
+            unused[sources] = False
+            lo, hi = (lb, ub) if largest else (-ub, -lb)
+            best = lo.max()
+            if hi.max() == best:
+                v = int(np.argmax(hi >= best))
+                if lo[v] == best:
+                    return v, abs(int(best))
+            batch = min(2 * batch, _MAX_BFS_BATCH)
 
     @cached_property
     def max_degree(self) -> int:
@@ -257,3 +382,21 @@ class Topology:
 
     def __hash__(self) -> int:
         return hash((self.n_nodes, self.edges.tobytes()))
+
+
+def _pick_sources(lo: np.ndarray, hi: np.ndarray, unused: np.ndarray, k: int) -> np.ndarray:
+    """The next *k* BFS sources of the bounding pass (which maximises).
+
+    Alternates the two kinds of useful source, as Takes & Kosters do:
+    half the batch is the nodes that could still be the answer (largest
+    upper bound), the rest the nodes at the opposite extreme (smallest
+    lower bound), whose BFS rows tighten everyone else's bounds. Ties go
+    to the lowest index.
+    """
+    cand = np.flatnonzero(unused)
+    if cand.shape[0] <= k:
+        return cand
+    top = cand[np.argsort(-hi[cand], kind="stable")[: (k + 1) // 2]]
+    rest = np.setdiff1d(cand, top, assume_unique=True)
+    low = rest[np.argsort(lo[rest], kind="stable")[: k // 2]]
+    return np.concatenate([top, low])

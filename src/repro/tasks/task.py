@@ -98,6 +98,42 @@ class TaskSystem:
             self._floor_dirty.add(node)
         return tid
 
+    def add_tasks(self, loads, nodes) -> list[int]:
+        """Create one task per ``(loads[i], nodes[i])`` pair; returns the ids.
+
+        The result equals calling :meth:`add_task` pair by pair — same
+        ids, and per-node sums accumulated in task order, so
+        :attr:`node_loads` is bit-identical — but the whole batch is
+        validated first: an invalid pair raises the :class:`TaskError`
+        that loop would have raised for it, and nothing is created.
+        """
+        loads = np.asarray(loads, dtype=np.float64).reshape(-1)
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        if loads.shape != nodes.shape:
+            raise TaskError(f"got {loads.shape[0]} loads for {nodes.shape[0]} nodes")
+        bad = np.flatnonzero((loads <= 0) | (nodes < 0) | (nodes >= self._n_nodes))
+        if bad.shape[0]:
+            load, node = float(loads[bad[0]]), int(nodes[bad[0]])
+            if load <= 0:
+                raise TaskError(f"task load must be positive, got {load}")
+            raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
+        start, k = self._count, loads.shape[0]
+        while start + k > self._loads.shape[0]:
+            self._grow()
+        end = start + k
+        self._loads[start:end] = loads
+        self._location[start:end] = nodes
+        self._alive[start:end] = True
+        self._count = end
+        self._n_alive += k
+        np.add.at(self._node_loads, nodes, loads)  # unbuffered: task order
+        node_list = nodes.tolist()
+        for tid, node in enumerate(node_list, start):
+            self._node_tasks[node].add(tid)
+        if self._floor is not None:
+            self._floor_dirty.update(node_list)
+        return list(range(start, end))
+
     def remove_task(self, tid: int) -> None:
         """Remove (complete) task *tid* (also legal while in transit)."""
         self._check(tid)

@@ -28,19 +28,20 @@ from repro.tasks.task import TaskSystem
 
 
 def _create(system: TaskSystem, nodes: np.ndarray, sizes: np.ndarray) -> list[int]:
-    return [system.add_task(float(s), int(v)) for v, s in zip(nodes, sizes)]
+    return system.add_tasks(sizes, nodes)
 
 
 def _far_apart_centers(system: TaskSystem, k: int) -> list[int]:
     """*k* pairwise-far nodes: greedy k-center on hop distances,
-    seeded at a peripheral node (shared by :func:`multi_hotspot` and
+    seeded at the peripheral node (shared by :func:`multi_hotspot` and
     :func:`clustered`, so the two "far-apart centres" placements can
-    never diverge)."""
-    hd = system.topology.hop_distances
-    chosen = [int(np.argmax(hd.max(axis=1)))]  # a peripheral node
-    while len(chosen) < min(k, system.topology.n_nodes):
-        d_to_chosen = hd[:, chosen].min(axis=1)
-        chosen.append(int(np.argmax(d_to_chosen)))
+    never diverge). One BFS per centre, no all-pairs matrix."""
+    topo = system.topology
+    chosen = [topo.peripheral_node]
+    nearest = np.full(topo.n_nodes, np.iinfo(np.int32).max, dtype=np.int32)
+    while len(chosen) < min(k, topo.n_nodes):
+        nearest = np.minimum(nearest, topo.distances_from(chosen[-1:])[0])
+        chosen.append(int(np.argmax(nearest)))
     return chosen
 
 
@@ -57,10 +58,8 @@ def single_hotspot(
     sits mid-mesh rather than in a corner unless requested.
     """
     rng = ensure_rng(rng)
-    topo = system.topology
     if node is None:
-        ecc = topo.hop_distances.max(axis=1)
-        node = int(np.argmin(ecc))
+        node = system.topology.central_node
     sizes = load_sizes(n_tasks, rng, **size_kwargs)
     return _create(system, np.full(n_tasks, node), sizes)
 
@@ -145,9 +144,8 @@ def gaussian_blob(
     rng = ensure_rng(rng)
     topo = system.topology
     if center is None:
-        ecc = topo.hop_distances.max(axis=1)
-        center = int(np.argmin(ecc))
-    d = topo.hop_distances[center].astype(np.float64)
+        center = topo.central_node
+    d = topo.distances_from([center])[0].astype(np.float64)
     p = np.exp(-0.5 * (d / sigma_hops) ** 2)
     p /= p.sum()
     nodes = rng.choice(topo.n_nodes, size=n_tasks, p=p)
@@ -177,7 +175,7 @@ def clustered(
     rng = ensure_rng(rng)
     topo = system.topology
     centers = _far_apart_centers(system, n_clusters)
-    d = topo.hop_distances[centers].astype(np.float64)  # (k, n) hops
+    d = topo.distances_from(centers).astype(np.float64)  # (k, n) hops
     p = np.exp(-0.5 * (d / sigma_hops) ** 2).sum(axis=0)
     p /= p.sum()
     nodes = rng.choice(topo.n_nodes, size=n_tasks, p=p)

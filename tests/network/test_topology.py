@@ -58,6 +58,33 @@ class TestConstruction:
         np.testing.assert_allclose(t.coords[1], [1.0, 2.0])
 
 
+class TestEdgeArrayConstruction:
+    def test_same_topology_as_graph_input(self):
+        t = Topology(np.array([[1, 2], [0, 1]]), n_nodes=3)
+        assert t == Topology(nx.path_graph(3))
+        np.testing.assert_array_equal(t.edges, [[0, 1], [1, 2]])
+
+    def test_single_node(self):
+        t = Topology(np.empty((0, 2), dtype=np.int64), n_nodes=1)
+        assert (t.n_nodes, t.n_edges, t.diameter, t.central_node) == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "edges, n_nodes",
+        [
+            ([[0, 1], [1, 2]], None),  # node count missing
+            ([[0, 1], [1, 2]], 0),
+            ([[0, 1], [1, 3]], 3),  # endpoint out of range
+            ([[0, 1], [-1, 2]], 3),
+            ([[0, 1], [1, 1]], 2),  # self-loop
+            ([[0, 1], [1, 0]], 2),  # repeated edge
+            ([[0, 1], [2, 3]], 4),  # disconnected
+        ],
+    )
+    def test_rejects_malformed_edge_arrays(self, edges, n_nodes):
+        with pytest.raises(TopologyError):
+            Topology(np.array(edges), n_nodes=n_nodes)
+
+
 class TestQueries:
     def test_neighbors_sorted(self, mesh4):
         # Node 5 of a 4x4 mesh: neighbors 1, 4, 6, 9.
