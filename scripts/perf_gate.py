@@ -2,29 +2,14 @@
 """CI perf-regression gate: fresh measurement vs the committed baseline.
 
 Re-runs the ``benchmarks/bench_perf.py`` measurement and fails (exit 1)
-if any tracked rate — scalar or vectorised rounds/sec at each curve
-point, the long-run record-throughput rates (full and summary
-recording at N=1024 over 2000 rounds), the null/counters-probe rates
-at N=1024, the scalar/batched event engines' events/sec in both
-async regimes (hotspot transient and steady-state serving), or the
-runner's fully-cached grid-dispatch rates (``grid_dispatch_rps``, the
-indexed metric-level replay, next to its per-spec JSON baseline), or
-the replicate-batching specs/sec pair (``batch_sps`` batched next to
-its per-seed ``batch_solo_sps`` baseline) —
-regresses more than ``MAX_REGRESSION`` against
-``benchmarks/results/BENCH_engine.json``, or if the vectorised
-speedup drops below the acceptance floor at N ≥ 1024, or if the
-events-fast steady-state speedup drops below its ≥10x floor, or if
-the indexed dispatch path drops below its ≥5x floor over the per-spec
-JSON replay, or if the replicate-batched engine drops below its ≥3x
-floor over the per-seed loop, or if
-summary recording lags full recording by more than the bench's floor,
-or if the counters probe costs more than its ≤5% overhead ceiling
-(machine-independent checks; the recording and async floors also ride
-inside ``measure()`` itself, while the probe ceiling is enforced here
-per attempt so one noisy measurement earns a retry, not a crash). A failing attempt is retried (up to
-``ATTEMPTS`` total) to absorb runner noise: one quiet pass is proof
-the code can still reach the rate.
+if any tracked rate regresses more than ``MAX_REGRESSION`` against
+``benchmarks/results/BENCH_engine.json``, or if any machine-independent
+bound fails (speedup floors, the counters-probe overhead ceiling). Both
+come from the bench's section registry (``bench_perf.SECTIONS``): each
+section declares its tracked rates and its bounds, so this script names
+no section itself. A failing attempt is retried (up to ``ATTEMPTS``
+total) to absorb runner noise: one quiet pass is proof the code can
+still reach the rate.
 
 Run from the repository root: ``python scripts/perf_gate.py``.
 Refresh the baseline after intentional perf changes with
@@ -34,8 +19,8 @@ Absolute rates are hardware-dependent, so they are only compared when
 the committed baseline comes from the same machine class as the gate
 run (the baseline records whether it was measured under CI; see
 ``environment.ci`` in the JSON). Against a foreign-class baseline the
-gate still enforces the machine-independent speedup floor — both
-engines slow down together on a slower runner — and prints a notice to
+gate still enforces the machine-independent bounds — both sides of
+each ratio slow down together on a slower runner — and prints a notice to
 refresh the baseline from the gating machine class (re-run the
 benchmark on a CI runner and commit the JSON), which arms the absolute
 checks. ``PERF_GATE_MAX_REGRESSION`` (default 0.30) widens the absolute
@@ -58,6 +43,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
+from bench_perf import bound_failures, measure, tracked_rates  # noqa: E402
+
 BASELINE = ROOT / "benchmarks" / "results" / "BENCH_engine.json"
 #: a rate may drop to this fraction below the committed baseline before
 #: we fail (overridable per environment, see module docstring).
@@ -66,37 +53,6 @@ ATTEMPTS = 3
 #: per-rate delta report, written on success *and* failure so CI can
 #: always upload it as an artifact.
 SUMMARY = pathlib.Path(os.environ.get("PERF_GATE_SUMMARY", "perf-gate-summary.txt"))
-
-
-def tracked_rates(payload: dict) -> dict[str, float]:
-    """The gated metrics, flattened to comparable names."""
-    rates = {}
-    for pt in payload["curve"]["points"]:
-        rates[f"scalar_rps@N={pt['n_nodes']}"] = pt["scalar_rps"]
-        rates[f"fast_rps@N={pt['n_nodes']}"] = pt["fast_rps"]
-    rt = payload.get("record_throughput")
-    if rt is not None:  # absent only in pre-recorder baselines
-        rates[f"record_full_rps@N={rt['n_nodes']}"] = rt["full_rps"]
-        rates[f"record_summary_rps@N={rt['n_nodes']}"] = rt["summary_rps"]
-    po = payload.get("probe_overhead")
-    if po is not None:  # absent only in pre-telemetry baselines
-        rates[f"probe_null_rps@N={po['n_nodes']}"] = po["null_rps"]
-        rates[f"probe_counters_rps@N={po['n_nodes']}"] = po["counters_rps"]
-    gd = payload.get("grid_dispatch")
-    if gd is not None:  # absent only in pre-backend baselines
-        rates["grid_dispatch_rps"] = gd["fast_rps"]
-        rates["grid_dispatch_baseline_rps"] = gd["baseline_rps"]
-    bt = payload.get("batch_throughput")
-    if bt is not None:  # absent only in pre-batching baselines
-        rates["batch_sps"] = bt["batch_sps"]
-        rates["batch_solo_sps"] = bt["solo_sps"]
-    for tag, section in (("events", payload["events"]),
-                         ("events_steady", payload.get("events_steady"))):
-        if section is None:
-            continue  # absent only in pre-events-fast baselines
-        rates[f"{tag}_scalar_eps"] = section["scalar"]["events_per_sec"]
-        rates[f"{tag}_fast_eps"] = section["fast"]["events_per_sec"]
-    return rates
 
 
 def same_machine_class(baseline: dict, fresh: dict) -> bool:
@@ -108,15 +64,6 @@ def same_machine_class(baseline: dict, fresh: dict) -> bool:
 
 def check(baseline: dict, fresh: dict) -> list[str]:
     """Failure descriptions (empty = the attempt passes the gate)."""
-    from bench_perf import (
-        ASYNC_SPEEDUP_FLOOR,
-        BATCH_SPEEDUP_FLOOR,
-        DISPATCH_SPEEDUP_FLOOR,
-        PROBE_OVERHEAD_CEILING,
-        SPEEDUP_FLOOR,
-        SPEEDUP_FROM_N,
-    )
-
     failures = []
     if same_machine_class(baseline, fresh):
         base_rates = tracked_rates(baseline)
@@ -133,41 +80,11 @@ def check(baseline: dict, fresh: dict) -> list[str]:
     else:
         print(
             "perf-gate: baseline was measured on a different machine class "
-            "(environment.ci mismatch) — gating the speedup floor only. "
-            "Refresh benchmarks/results/BENCH_engine.json from this machine "
-            "class to arm the absolute-rate checks."
+            "(environment.ci mismatch) — gating the machine-independent "
+            "bounds only. Refresh benchmarks/results/BENCH_engine.json from "
+            "this machine class to arm the absolute-rate checks."
         )
-    for pt in fresh["curve"]["points"]:
-        if pt["n_nodes"] >= SPEEDUP_FROM_N and pt["speedup"] < SPEEDUP_FLOOR:
-            failures.append(
-                f"speedup@N={pt['n_nodes']}: {pt['speedup']:.1f}x < "
-                f"{SPEEDUP_FLOOR}x acceptance floor"
-            )
-    steady = fresh["events_steady"]["speedup"]
-    if steady < ASYNC_SPEEDUP_FLOOR:
-        failures.append(
-            f"events_steady speedup: {steady:.1f}x < "
-            f"{ASYNC_SPEEDUP_FLOOR}x acceptance floor"
-        )
-    overhead = fresh["probe_overhead"]["overhead"]
-    if overhead > PROBE_OVERHEAD_CEILING:
-        failures.append(
-            f"counters-probe overhead: {overhead:.3f}x > "
-            f"{PROBE_OVERHEAD_CEILING}x ceiling"
-        )
-    dispatch = fresh["grid_dispatch"]["speedup"]
-    if dispatch < DISPATCH_SPEEDUP_FLOOR:
-        failures.append(
-            f"grid-dispatch speedup: {dispatch:.1f}x < "
-            f"{DISPATCH_SPEEDUP_FLOOR}x acceptance floor"
-        )
-    batch = fresh["batch_throughput"]["speedup"]
-    if batch < BATCH_SPEEDUP_FLOOR:
-        failures.append(
-            f"replicate-batch speedup: {batch:.1f}x < "
-            f"{BATCH_SPEEDUP_FLOOR}x acceptance floor"
-        )
-    return failures
+    return failures + bound_failures(fresh)
 
 
 def delta_summary(baseline: dict, fresh: dict) -> tuple[str, list[str]]:
@@ -222,9 +139,6 @@ def main() -> int:
         print(f"perf-gate: no baseline at {BASELINE}", file=sys.stderr)
         return 1
     baseline = json.loads(BASELINE.read_text())
-
-    from bench_perf import measure
-
     fresh: dict = {}
     last_failures: list[str] = []
     for attempt in range(1, ATTEMPTS + 1):

@@ -8,12 +8,13 @@ use :func:`repro.runner.run_grid` instead, whose
 :func:`~repro.runner.merge.outcomes_to_sweep` merge produces the same
 :class:`SweepResult` rows.
 
-Execution routes through the parallel runner's process map
-(:func:`repro.runner.pool.map_tasks`): the default ``workers=1`` is a
-plain in-process loop whose results are bit-identical to the historical
-serial harness, while ``workers > 1`` fans the (point × repetition)
-evaluations across processes — the experiment function must then be
-picklable (defined at module level).
+Execution routes through the runner's execution backends
+(:func:`repro.runner.backends.resolve_backend`): the default
+``workers=1`` is a plain in-process loop whose results are bit-identical
+to the historical serial harness, while ``workers > 1`` fans the
+(point × repetition) evaluations across the shared persistent pool —
+the experiment function must then be picklable (defined at module
+level).
 """
 
 from __future__ import annotations
@@ -99,14 +100,14 @@ def run_sweep(
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
 
     # Imported lazily: repro.runner.merge imports this module.
-    from repro.runner.pool import map_tasks
+    from repro.runner.backends import resolve_backend
 
     jobs = [
         (experiment, parameter, value, seed_for(base_seed, k, r))
         for k, value in enumerate(values)
         for r in range(repetitions)
     ]
-    metrics_flat = map_tasks(_evaluate, jobs, workers=workers)
+    metrics_flat, _ = resolve_backend(None, workers).map_timed(_evaluate, jobs)
 
     result = SweepResult(parameter=parameter)
     for k, value in enumerate(values):

@@ -44,15 +44,14 @@ validated at parse time (unknown components or parameters fail before
 anything runs).
 
 ``run``, ``compare`` and ``run-grid`` all accept ``--engine
-{rounds,rounds-fast,rounds-batch,events,events-fast,fluid}``:
+{rounds,rounds-fast,events,events-fast,fluid}``:
 ``rounds`` is the
 paper's synchronous protocol, ``rounds-fast`` the same protocol through
 the vectorised large-N fast path (:class:`repro.sim.FastSimulator` —
-identical records, so prefer it for big meshes), ``rounds-batch`` an
-alias for ``rounds-fast`` that additionally asks the runner to group
-seed replicates into one :class:`repro.sim.BatchSimulator` run
-(bit-identical per seed, shared cache keys; ``run-grid``/``tune``/
-``leaderboard`` also take an explicit ``--batch-replicates N``),
+identical records, so prefer it for big meshes; ``run-grid``/``tune``/
+``leaderboard`` take ``--batch-replicates N`` to run its seed
+replicates as one :class:`repro.sim.BatchSimulator` run, bit-identical
+per seed with shared cache keys),
 ``events`` the
 discrete-event asynchronous engine (:class:`repro.sim.EventSimulator`),
 ``events-fast`` the same asynchronous protocol through batched wake
@@ -358,7 +357,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         # BatchSimulator run under the counters probe (the per-lane
         # Chrome trace has no joint-loop equivalent), then the first
         # lane's telemetry — including the batch.* counters — printed.
-        if args.engine not in ("rounds-fast", "rounds-batch"):
+        if args.engine != "rounds-fast":
             print(
                 "error: --batch-replicates profiles the rounds-fast "
                 f"engine only, got {args.engine!r}",
@@ -643,9 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", choices=sorted(ENGINES), default="rounds",
                        help="execution model: synchronous rounds, the "
                             "vectorized rounds-fast path (identical results, "
-                            "built for large N), rounds-batch (rounds-fast "
-                            "plus runner-level seed-replicate batching — "
-                            "bit-identical per seed), the asynchronous "
+                            "built for large N), the asynchronous "
                             "discrete-event engine, its batched events-fast "
                             "twin (identical records), or the divisible-load "
                             "fluid engine (fluid-* algorithms only)")

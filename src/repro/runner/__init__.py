@@ -10,13 +10,12 @@ computed results from an on-disk cache:
   shared with the CLI.
 * :mod:`worker <repro.runner.worker>` — spec execution (the pure
   function spec → result that runs inside workers).
-* :mod:`pool <repro.runner.pool>` — ordered parallel map over
-  processes (also used by :func:`repro.analysis.sweep.run_sweep`);
-  :func:`map_tasks_timed` adds an in-worker per-task clock.
 * :mod:`backends <repro.runner.backends>` — pluggable execution
   backends behind one :class:`ExecutionBackend` contract: ``serial``
   (in-process reference loop) and ``pool`` (persistent, chunked
-  worker pool reused across grids and tune sessions).
+  worker pool reused across grids, tune sessions and
+  :func:`repro.analysis.sweep.run_sweep`), plus
+  :func:`resolve_workers`.
 * :mod:`cache <repro.runner.cache>` — content-addressed JSON result
   store with an append-only ``index.jsonl`` sidecar (O(entries)
   metadata: fast stats, per-engine filters, metric-level replays);
@@ -53,6 +52,7 @@ from repro.runner.backends import (
     SerialBackend,
     make_backend,
     resolve_backend,
+    resolve_workers,
     shutdown_backends,
 )
 from repro.runner.cache import ResultCache
@@ -63,7 +63,6 @@ from repro.runner.merge import (
     outcomes_to_sweep,
     spec_value,
 )
-from repro.runner.pool import map_tasks, map_tasks_timed, resolve_workers
 from repro.runner.registry import FACTORIES, FLUID_FACTORIES, make_balancer
 from repro.runner.runner import RunnerMetrics, RunOutcome, run_grid
 from repro.runner.sink import METRIC_FIELDS, ColumnarResultLog
@@ -96,8 +95,6 @@ __all__ = [
     "grid_seeds",
     "make_backend",
     "make_balancer",
-    "map_tasks",
-    "map_tasks_timed",
     "metrics_to_rows",
     "outcomes_to_rows",
     "outcomes_to_sweep",

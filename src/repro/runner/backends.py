@@ -1,11 +1,12 @@
 """Pluggable execution backends: where grid tasks actually run.
 
-The runner used to hard-wire its fan-out to a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` per :func:`run_grid`
-call — fine for one big grid, wasteful for the tuning loop's hundreds
-of small evaluation batches, where every batch re-pays worker spawn
-(cold interpreter + full ``repro`` import per process). This module
-generalises the execution seam behind :class:`ExecutionBackend`:
+The one place process-pool mechanics live. Every fan-out in the repo —
+:func:`~repro.runner.runner.run_grid`, the tuning loop and the generic
+sweep harness (:func:`repro.analysis.sweep.run_sweep`) — resolves a
+backend here and calls :meth:`ExecutionBackend.map_timed`, so a
+tuning session's hundreds of small evaluation batches share one set of
+warm workers instead of re-paying worker spawn (cold interpreter + full
+``repro`` import per process) per batch. The seam:
 
 * :class:`SerialBackend` — the in-process loop, bit-identical to the
   historical ``workers <= 1`` path. The reference implementation.
@@ -33,7 +34,9 @@ A future distributed backend (SSH / work queue, following psim's
 unchanged — nothing above this seam knows how tasks travel.
 
 Module-level helpers (:class:`_ChunkCall`) are picklable by reference,
-as the pool transport requires.
+as the pool transport requires; task functions handed to a pool must be
+module-level too. This module must stay import-light — it is imported
+inside worker processes and by :mod:`repro.analysis.sweep`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence, TypeVar
 
 from repro.exceptions import ConfigurationError
-from repro.runner.pool import resolve_workers
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,14 +57,37 @@ R = TypeVar("R")
 OnResult = Callable[[int, R, float], None]
 
 
+def resolve_workers(workers: int | None) -> int:
+    """Normalise a worker count (None/0 -> all cores, floor 1).
+
+    A non-empty ``PPLB_WORKERS`` environment variable *pins* the width
+    for every entry point that resolves through here (the runner, the
+    sweep harness, the execution backends, tuning) — so CI and the
+    smoke scripts can fix parallelism without threading a flag through
+    every call site. Semantics match the argument: ``0`` means one per
+    core, anything else is used directly (floor 1).
+    """
+    env = os.environ.get("PPLB_WORKERS")
+    if env:
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigurationError(
+                f"PPLB_WORKERS must be an integer (0 = one per core), "
+                f"got {env!r}"
+            ) from None
+    if workers is None or workers == 0:
+        return max(os.cpu_count() or 1, 1)
+    return max(int(workers), 1)
+
+
 class _ChunkCall:
     """Picklable chunk task: run *fn* over a slice of items, timed.
 
     Returns ``(worker_pid, [(result, task_seconds), ...])`` — the PID
     is how the parent counts *actual* process spawns (a reused worker
     keeps its PID), and the per-item clock runs inside the worker, so
-    the timings exclude queueing and transport exactly like
-    :class:`~repro.runner.pool._TimedCall`.
+    the timings exclude queueing and transport.
     """
 
     __slots__ = ("fn", "items")
@@ -83,8 +108,9 @@ class _ChunkCall:
 class ExecutionBackend:
     """The execution seam: ordered, timed, fail-fast parallel map.
 
-    Subclasses implement :meth:`map_timed`; everything else
-    (:meth:`stats`, :meth:`close`) has safe defaults. Backends are
+    Subclasses implement :meth:`map_timed` (counting into the
+    ``_map_calls``/``_tasks``/``_chunks`` counters :meth:`stats`
+    reports); everything else has safe defaults. Backends are
     long-lived — one instance may serve many ``run_grid`` calls — and
     :meth:`close` must be idempotent.
     """
@@ -92,9 +118,18 @@ class ExecutionBackend:
     #: registry name (what ``--backend`` selects).
     name = "abstract"
 
+    def __init__(self) -> None:
+        self._map_calls = 0
+        self._tasks = 0
+        self._chunks = 0
+
     def workers(self) -> int:
         """Parallel width this backend executes with (>= 1)."""
         return 1
+
+    def workers_spawned(self) -> int:
+        """Worker processes created so far (0 for in-process backends)."""
+        return 0
 
     def map_timed(
         self,
@@ -113,10 +148,10 @@ class ExecutionBackend:
         return {
             "backend": self.name,
             "workers": self.workers(),
-            "workers_spawned": 0,
-            "map_calls": 0,
-            "tasks": 0,
-            "chunks": 0,
+            "workers_spawned": self.workers_spawned(),
+            "map_calls": self._map_calls,
+            "tasks": self._tasks,
+            "chunks": self._chunks,
         }
 
     def close(self) -> None:
@@ -132,10 +167,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-
-    def __init__(self) -> None:
-        self._map_calls = 0
-        self._tasks = 0
 
     def map_timed(self, fn, items, on_result=None):
         items = list(items)
@@ -153,16 +184,6 @@ class SerialBackend(ExecutionBackend):
             seconds.append(elapsed)
         return results, seconds
 
-    def stats(self) -> dict[str, object]:
-        return {
-            "backend": self.name,
-            "workers": 1,
-            "workers_spawned": 0,
-            "map_calls": self._map_calls,
-            "tasks": self._tasks,
-            "chunks": 0,
-        }
-
 
 class PoolBackend(ExecutionBackend):
     """Persistent process pool with chunked task submission.
@@ -171,7 +192,7 @@ class PoolBackend(ExecutionBackend):
     ----------
     workers:
         Pool width (``0``/``None`` = one per core, via
-        :func:`~repro.runner.pool.resolve_workers`, so the
+        :func:`resolve_workers`, so the
         ``PPLB_WORKERS`` env override applies here too).
     chunk_size:
         Items per submitted chunk; default splits each call into
@@ -193,16 +214,18 @@ class PoolBackend(ExecutionBackend):
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
+        super().__init__()
         self._workers = resolve_workers(workers)
         self._chunk_size = chunk_size
         self._executor: ProcessPoolExecutor | None = None
         self._pids_seen: set[int] = set()
-        self._map_calls = 0
-        self._tasks = 0
-        self._chunks = 0
 
     def workers(self) -> int:
         return self._workers
+
+    def workers_spawned(self) -> int:
+        # A reused worker keeps its PID, so distinct PIDs are spawns.
+        return len(self._pids_seen)
 
     def _chunk_bounds(self, n: int) -> list[tuple[int, int]]:
         """Contiguous ``[start, stop)`` slices covering ``range(n)``."""
@@ -260,16 +283,6 @@ class PoolBackend(ExecutionBackend):
             raise
         return results, seconds
 
-    def stats(self) -> dict[str, object]:
-        return {
-            "backend": self.name,
-            "workers": self._workers,
-            "workers_spawned": len(self._pids_seen),
-            "map_calls": self._map_calls,
-            "tasks": self._tasks,
-            "chunks": self._chunks,
-        }
-
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
@@ -297,9 +310,7 @@ def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
         raise ConfigurationError(
             f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
         )
-    if cls is SerialBackend:
-        return SerialBackend()
-    return cls(workers=workers)
+    return cls() if cls is SerialBackend else cls(workers=workers)
 
 
 def resolve_backend(
@@ -321,10 +332,6 @@ def resolve_backend(
     width = resolve_workers(workers)
     if backend is None:
         backend = SerialBackend.name if width <= 1 else PoolBackend.name
-    if backend not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; available: {sorted(_BACKENDS)}"
-        )
     if backend == SerialBackend.name:
         width = 1
     key = (backend, width)

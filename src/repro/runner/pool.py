@@ -1,163 +1,10 @@
-"""Minimal ordered parallel map over processes.
+"""Import path kept for :func:`resolve_workers`.
 
-The one place process-pool mechanics live. :func:`map_tasks` is
-deliberately tiny: results come back in input order, ``workers <= 1``
-degrades to a plain in-process loop (bit-identical to historical serial
-behaviour, and the default everywhere), and worker exceptions propagate
-to the caller. Both the spec-level grid runner and the generic sweep
-harness (:func:`repro.analysis.sweep.run_sweep`) fan out through here.
-
-Parallel callables must be picklable (module-level functions); payloads
-should be plain data. This module must stay import-light — it is
-imported inside worker processes and by :mod:`repro.analysis.sweep`.
+The worker-count resolver and the one process pool both live in
+:mod:`repro.runner.backends`; fan out through
+:func:`~repro.runner.backends.resolve_backend`.
 """
 
-from __future__ import annotations
+from repro.runner.backends import resolve_workers
 
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-class _TimedCall:
-    """Picklable task wrapper returning ``(result, in-task seconds)``.
-
-    A class (not a closure) so the pool can pickle it by reference as
-    long as the wrapped ``fn`` itself is picklable; the clock runs
-    inside the worker process, so the measurement is pure task time —
-    queueing and transport are excluded.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[T], R]):
-        self.fn = fn
-
-    def __call__(self, item: T) -> tuple[R, float]:
-        t0 = time.perf_counter()
-        result = self.fn(item)
-        return result, time.perf_counter() - t0
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a worker count (None/0 -> all cores, floor 1).
-
-    A non-empty ``PPLB_WORKERS`` environment variable *pins* the width
-    for every entry point that resolves through here (the runner, the
-    sweep harness, the execution backends, tuning) — so CI and the
-    smoke scripts can fix parallelism without threading a flag through
-    every call site. Semantics match the argument: ``0`` means one per
-    core, anything else is used directly (floor 1).
-    """
-    env = os.environ.get("PPLB_WORKERS")
-    if env:
-        from repro.exceptions import ConfigurationError
-
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"PPLB_WORKERS must be an integer (0 = one per core), "
-                f"got {env!r}"
-            ) from None
-    if workers is None or workers == 0:
-        return max(os.cpu_count() or 1, 1)
-    return max(int(workers), 1)
-
-
-def map_tasks(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: int = 1,
-    on_result: Callable[[int, R], None] | None = None,
-) -> list[R]:
-    """Apply *fn* to every item, in order; optionally fan out.
-
-    Parameters
-    ----------
-    fn:
-        The task body. For ``workers > 1`` it must be picklable
-        (defined at module level).
-    items:
-        Inputs, one task each.
-    workers:
-        ``1`` (the default) runs serially in-process (no pool, no
-        pickling); ``N > 1`` uses a
-        :class:`~concurrent.futures.ProcessPoolExecutor` with ``N``
-        workers; ``0``/``None`` means one worker per core.
-    on_result:
-        Optional callback ``(index, result)`` fired as each task
-        finishes (serial: immediately after each call; parallel: in
-        completion order). Results are *returned* in input order either
-        way.
-
-    Returns
-    -------
-    list
-        ``[fn(item) for item in items]`` — input order, exceptions
-        re-raised.
-    """
-    items = list(items)
-    if not items:
-        return []
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(items) == 1:
-        out: list[R] = []
-        for i, item in enumerate(items):
-            result = fn(item)
-            if on_result is not None:
-                on_result(i, result)
-            out.append(result)
-        return out
-
-    results: dict[int, R] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        try:
-            for future in as_completed(futures):
-                i = futures[future]
-                results[i] = future.result()  # re-raises worker exceptions
-                if on_result is not None:
-                    on_result(i, results[i])
-        except BaseException:
-            # Fail fast: drop all queued (not-yet-started) tasks so the
-            # error surfaces after at most the in-flight ones finish,
-            # not after the whole remaining grid runs.
-            pool.shutdown(cancel_futures=True)
-            raise
-    return [results[i] for i in range(len(items))]
-
-
-def map_tasks_timed(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: int = 1,
-    on_result: Callable[[int, R, float], None] | None = None,
-) -> tuple[list[R], list[float]]:
-    """:func:`map_tasks` plus a per-task in-worker wall clock.
-
-    Same ordering/exception semantics as :func:`map_tasks`; each task is
-    additionally timed *inside* the executing process (serial: around
-    the direct call), so the second return value is what the work itself
-    cost, independent of pool queueing. ``on_result`` (if given) fires
-    as ``(index, result, task_seconds)``.
-
-    Returns
-    -------
-    (results, task_seconds):
-        Both in input order, ``len(items)`` each.
-    """
-    items = list(items)
-    seconds: list[float] = [0.0] * len(items)
-
-    def unpack(i: int, pair: tuple[R, float]) -> None:
-        seconds[i] = pair[1]
-        if on_result is not None:
-            on_result(i, pair[0], pair[1])
-
-    pairs = map_tasks(_TimedCall(fn), items, workers=workers, on_result=unpack)
-    return [pair[0] for pair in pairs], seconds
+__all__ = ["resolve_workers"]

@@ -202,23 +202,21 @@ def _replicate_tasks(
 ) -> list[list[int]]:
     """Partition pending spec indices into execution tasks.
 
-    Specs that are identical up to ``seed`` — same canonical dict minus
-    the seed field — and eligible for replicate batching (rounds-fast
-    engine, null probe, and either ``batch_replicates > 1`` or a
-    spec-level ``rounds-batch`` request) are grouped into one batched
-    task of at most ``batch_replicates`` replicates (unbounded for
-    spec-level requests without a grid-level cap). Everything else
-    stays a singleton task. Group membership follows pending order, so
-    tasks — and therefore batches — are deterministic for a given grid.
+    With ``batch_replicates > 1``, specs that are identical up to
+    ``seed`` — same canonical dict minus the seed field — and eligible
+    for replicate batching (rounds-fast engine, null probe) are grouped
+    into one batched task of at most ``batch_replicates`` replicates.
+    Everything else stays a singleton task. Group membership follows
+    pending order, so tasks — and therefore batches — are deterministic
+    for a given grid.
     """
-    cap = batch_replicates if batch_replicates and batch_replicates > 1 else None
+    if not batch_replicates or batch_replicates <= 1:
+        return [[i] for i in pending]
     tasks: list[list[int]] = []
     open_group: dict[str, list[int]] = {}
     for i in pending:
         spec = specs[i]
-        wanted = cap is not None or getattr(spec, "batch_requested", False)
-        if not (wanted and spec.engine == "rounds-fast"
-                and spec.probe == "null"):
+        if spec.engine != "rounds-fast" or spec.probe != "null":
             tasks.append([i])
             continue
         d = spec.to_dict()
@@ -230,7 +228,7 @@ def _replicate_tasks(
             open_group[key] = group
             tasks.append(group)
         group.append(i)
-        if cap is not None and len(group) >= cap:
+        if len(group) >= batch_replicates:
             del open_group[key]
     return tasks
 
@@ -297,9 +295,9 @@ def run_grid(
         replicate's result is bit-identical to its solo execution, so
         per-spec outcomes, cache entries, index lines and sink rows are
         exactly what the unbatched path produces — batched and solo
-        runs share cache keys and interoperate freely. Specs built with
-        ``engine="rounds-batch"`` opt in at spec level even when this
-        is None (then a group spans all matching replicates).
+        runs share cache keys and interoperate freely. This is the one
+        switch for replicate batching; ``None`` (the default) or ``1``
+        runs every spec solo.
 
     Returns
     -------
@@ -367,7 +365,7 @@ def run_grid(
     # of one spec family may ride together as one batched task; each
     # replicate still lands as its own outcome/cache entry/sink row,
     # bit-identical to a solo execution.
-    spawned_before = int(exec_backend.stats().get("workers_spawned", 0))
+    spawned_before = exec_backend.workers_spawned()
     if pending:
         started = time.perf_counter()
         tasks = _replicate_tasks(specs, pending, batch_replicates)
@@ -420,12 +418,9 @@ def run_grid(
         )
 
     if metrics is not None:
-        stats = exec_backend.stats()
         metrics.workers = exec_backend.workers()
         metrics.backend = exec_backend.name
-        metrics.workers_spawned = (
-            int(stats.get("workers_spawned", 0)) - spawned_before
-        )
+        metrics.workers_spawned = exec_backend.workers_spawned() - spawned_before
         metrics.total = total
         metrics.cache_hits = total - len(pending)
         metrics.cache_misses = len(pending)

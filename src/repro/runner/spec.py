@@ -33,14 +33,10 @@ from repro.exceptions import ConfigurationError
 from repro.rng import seed_for
 
 #: execution models a spec may request (see :mod:`repro.runner.worker`).
-#: ``rounds-batch`` is an *alias*, not a distinct model: it requests the
-#: ``rounds-fast`` protocol with replicate batching in the runner, and
-#: canonicalises to ``rounds-fast`` at construction so the cache key —
-#: and therefore every cached result — is shared with plain
-#: ``rounds-fast`` runs (the batched engine is bit-identical per seed).
-ENGINES = frozenset(
-    {"rounds", "rounds-fast", "events", "events-fast", "fluid", "rounds-batch"}
-)
+#: Replicate batching is not an engine: it is an execution strategy the
+#: runner applies to ``rounds-fast`` specs under
+#: ``run_grid(..., batch_replicates=N)``.
+ENGINES = frozenset({"rounds", "rounds-fast", "events", "events-fast", "fluid"})
 
 
 @dataclass
@@ -84,13 +80,8 @@ class RunSpec:
         :class:`~repro.sim.EventSimulator`), ``"events-fast"`` (the
         same asynchronous protocol through
         :class:`~repro.sim.EventFastSimulator`'s batched wake waves
-        and columnar event buffers — identical records),
-        ``"rounds-batch"`` (an alias for ``"rounds-fast"`` that
-        additionally asks the runner to group seed replicates into one
-        :class:`~repro.sim.BatchSimulator` run; canonicalised to
-        ``"rounds-fast"`` at construction — same canonical JSON, same
-        cache key — with the request kept as the non-serialised
-        ``batch_requested`` flag) or ``"fluid"`` (the
+        and columnar event buffers — identical records) or
+        ``"fluid"`` (the
         divisible-load :class:`~repro.sim.FluidSimulator`; requires a
         fluid algorithm). The fluid engine is a *projection*: it
         simulates the scenario's initial per-node load surface in the
@@ -136,15 +127,6 @@ class RunSpec:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; available: {sorted(ENGINES)}"
             )
-        # "rounds-batch" asks the *runner* to group seed replicates into
-        # one batched simulation; per replicate the records are
-        # bit-identical to rounds-fast, so the spec canonicalises to
-        # rounds-fast — identical canonical JSON, identical cache key,
-        # and batched/solo caches interoperate. The request survives as
-        # a non-serialised flag the runner's grouping pass reads.
-        self.batch_requested = self.engine == "rounds-batch"
-        if self.batch_requested:
-            self.engine = "rounds-fast"
         # Canonicalise the recorder spec (e.g. "thin:05" -> "thin:5") so
         # equivalent specs share one cache key; raises on unknown specs.
         from repro.sim.recording import recorder_tag

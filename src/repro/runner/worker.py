@@ -32,9 +32,7 @@ identical up to ``seed`` becomes one :class:`~repro.sim.BatchSimulator`
 run — the scenario topology is built once and shared across the lanes,
 and each lane's result is bit-identical to what :func:`execute_spec`
 would have produced for that seed alone (the batched engine's
-contract). ``execute_task_payload`` is the pool entry point that
-dispatches between the two shapes, so one ``map_timed`` call carries a
-mix of plain and batched tasks.
+contract). ``execute_batch_payload`` is its pool-side wrapper.
 """
 
 from __future__ import annotations
@@ -67,13 +65,14 @@ _ENGINE_CLASSES = {
 
 def execute_spec(spec: RunSpec) -> SimulationResult:
     """Run one spec to completion and return its result."""
-    scenario = build_scenario(spec.scenario, seed=spec.seed, **spec.scenario_kwargs)
-    balancer = make_balancer(spec.algorithm, **spec.algorithm_kwargs)
     if spec.engine == "fluid":
+        scenario = build_scenario(
+            spec.scenario, seed=spec.seed, **spec.scenario_kwargs
+        )
         sim = FluidSimulator(
             scenario.topology,
             scenario.system.node_loads,
-            balancer,
+            make_balancer(spec.algorithm, **spec.algorithm_kwargs),
             links=scenario.links,
             seed=spec.seed,
             recorder=spec.recorder,
@@ -90,8 +89,20 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
             f"unknown engine {spec.engine!r}; available: "
             f"{sorted([*_ENGINE_CLASSES, 'fluid'])}"
         )
-    # Scenario-carried extras are defaults; explicit sim_kwargs win (a
-    # spec may legitimately override e.g. node_speeds or dynamic).
+    return _task_simulator(spec, engine_cls).run(max_rounds=spec.max_rounds)
+
+
+def _task_simulator(spec: RunSpec, engine_cls, topology=None):
+    """Build *spec*'s scenario and balancer into a task-engine instance.
+
+    Scenario-carried extras are defaults; explicit ``sim_kwargs`` win (a
+    spec may legitimately override e.g. ``node_speeds`` or ``dynamic``).
+    A *topology* passed in is shared instead of rebuilt.
+    """
+    scenario = build_scenario(
+        spec.scenario, seed=spec.seed, topology=topology, **spec.scenario_kwargs
+    )
+    balancer = make_balancer(spec.algorithm, **spec.algorithm_kwargs)
     sim_kwargs: dict = {
         "links": scenario.links,
         "dynamic": scenario.dynamic,
@@ -101,8 +112,7 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
         "probe": spec.probe,
         **spec.sim_kwargs,
     }
-    sim = engine_cls(scenario.topology, scenario.system, balancer, **sim_kwargs)
-    return sim.run(max_rounds=spec.max_rounds)
+    return engine_cls(scenario.topology, scenario.system, balancer, **sim_kwargs)
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
@@ -121,7 +131,6 @@ def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
     """
     if not specs:
         raise ConfigurationError("execute_batch needs at least one spec")
-    first = specs[0]
     for spec in specs:
         if spec.engine != "rounds-fast":
             raise ConfigurationError(
@@ -129,30 +138,13 @@ def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
                 f"got {spec.engine!r}"
             )
     if len(specs) == 1:
-        return [execute_spec(first)]
+        return [execute_spec(specs[0])]
     sims = []
     topology = None
     for spec in specs:
-        scenario = build_scenario(
-            spec.scenario, seed=spec.seed, topology=topology,
-            **spec.scenario_kwargs,
-        )
-        if topology is None:
-            topology = scenario.topology
-        balancer = make_balancer(spec.algorithm, **spec.algorithm_kwargs)
-        sim_kwargs: dict = {
-            "links": scenario.links,
-            "dynamic": scenario.dynamic,
-            "node_speeds": scenario.node_speeds,
-            "seed": spec.seed,
-            "recorder": spec.recorder,
-            "probe": spec.probe,
-            **spec.sim_kwargs,
-        }
-        sims.append(FastSimulator(
-            scenario.topology, scenario.system, balancer, **sim_kwargs
-        ))
-    return BatchSimulator(sims).run(max_rounds=first.max_rounds)
+        sims.append(_task_simulator(spec, FastSimulator, topology))
+        topology = sims[0].topology
+    return BatchSimulator(sims).run(max_rounds=specs[0].max_rounds)
 
 
 def execute_payload(spec_dict: dict) -> dict:
@@ -165,13 +157,3 @@ def execute_batch_payload(item: dict) -> dict:
     ``{"results": [...]}`` out (payloads in spec order)."""
     specs = [RunSpec.from_dict(d) for d in item["specs"]]
     return {"results": [r.to_dict() for r in execute_batch(specs)]}
-
-
-def execute_task_payload(item: dict) -> dict:
-    """Pool entry point for mixed grids: dispatches a plain spec dict to
-    :func:`execute_payload` and a ``{"__batch__": True, "specs": [...]}``
-    task to :func:`execute_batch_payload`, so one ``map_timed`` pass
-    carries both shapes."""
-    if item.get("__batch__"):
-        return execute_batch_payload(item)
-    return execute_payload(item)

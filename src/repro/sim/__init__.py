@@ -23,7 +23,7 @@ start; balancers observe the state and order one-hop migrations.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-
   family theory checks.
 * :class:`BatchSimulator` — S independent seed replicates of one
-  scenario as a single vectorised simulation (``engine="rounds-batch"``
+  scenario as a single vectorised simulation (``batch_replicates=N``
   through the runner): Phase-A hop scores and Phase-B screens are
   batched across the replicate axis over one shared CSR adjacency,
   while per-replicate RNG streams stay untouched — each replicate's

@@ -1,4 +1,4 @@
-"""Replicate-batched simulation: the ``rounds-batch`` engine.
+"""Replicate-batched simulation behind ``run_grid(..., batch_replicates=N)``.
 
 :class:`BatchSimulator` runs S independent replicates of one scenario —
 same topology, same algorithm config, different seeds — through the

@@ -1,8 +1,7 @@
 """Replicate batching through the runner: transparent seed grouping.
 
-``run_grid(..., batch_replicates=N)`` (or specs built with
-``engine="rounds-batch"``) must be *invisible* in every output the
-runner produces: per-spec outcomes in input order, cache entries byte-
+``run_grid(..., batch_replicates=N)`` — the one batching switch — must
+be *invisible* in every output the runner produces: per-spec outcomes in input order, cache entries byte-
 identical to serial execution (modulo the measured ``wall_time_s``
 inside the payload — the one execution-varying field), index sidecar
 lines that answer metric-level replays, and cache keys shared with
@@ -113,19 +112,23 @@ class TestBatchedGrid:
         tasks = _replicate_tasks(mixed, range(len(mixed)), 4)
         assert [len(t) for t in tasks] == [2, 1, 1, 1, 1]
 
-    def test_spec_level_opt_in_via_rounds_batch_engine(self):
-        specs = _specs(seeds=3, engine="rounds-batch")
-        assert all(s.engine == "rounds-fast" and s.batch_requested
-                   for s in specs)
+    def test_batch_replicates_batches_whole_cell(self):
+        specs = _specs(seeds=3)
         spy = _SpyBackend()
-        batched = run_grid(specs, backend=spy)
+        batched = run_grid(specs, backend=spy, batch_replicates=3)
         assert len(spy.items) == 1 and spy.items[0].get("__batch__")
-        solo = run_grid(_specs(seeds=3))
+        solo = run_grid(specs)
         for b, s in zip(batched, solo):
             db, ds = b.result.to_dict(), s.result.to_dict()
             db.pop("wall_time_s")
             ds.pop("wall_time_s")
             assert db == ds
+
+    @pytest.mark.parametrize("batch_replicates", [None, 0, 1])
+    def test_batch_replicates_off_keeps_every_spec_solo(self, batch_replicates):
+        specs = _specs(seeds=3)
+        tasks = _replicate_tasks(specs, range(len(specs)), batch_replicates)
+        assert tasks == [[0], [1], [2]]
 
     def test_no_batching_without_request(self):
         specs = _specs(seeds=3)
@@ -144,19 +147,13 @@ class TestBatchedGrid:
         assert all(o.result is not None for o in outcomes)
 
 
-class TestRoundsBatchSpec:
-    def test_engine_alias_canonicalises_and_shares_cache_key(self):
-        batch = RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=2,
-                        max_rounds=50, engine="rounds-batch")
-        fast = RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=2,
-                       max_rounds=50, engine="rounds-fast")
-        assert batch.engine == "rounds-fast"
-        assert batch.batch_requested and not fast.batch_requested
-        assert batch.to_dict() == fast.to_dict()
-        assert batch.key() == fast.key()
-        # Round-tripping serialises as rounds-fast (no batch request).
-        rebuilt = RunSpec.from_dict(batch.to_dict())
-        assert rebuilt.engine == "rounds-fast" and not rebuilt.batch_requested
+class TestBatchingIsNotAnEngine:
+    def test_rounds_batch_engine_name_rejected(self):
+        # Batching is requested per grid (batch_replicates), never per
+        # spec: the retired alias fails like any unknown engine.
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=2,
+                    max_rounds=50, engine="rounds-batch")
 
 
 class TestExpandGridOrder:

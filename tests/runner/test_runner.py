@@ -8,8 +8,10 @@ import pytest
 import repro.runner.runner as runner_mod
 from repro.analysis import run_sweep
 from repro.runner import (
+    PoolBackend,
     ResultCache,
     RunSpec,
+    SerialBackend,
     expand_grid,
     outcomes_to_rows,
     outcomes_to_sweep,
@@ -170,22 +172,22 @@ def _touch_or_fail(job):
 
 class TestPoolFailFast:
     def test_worker_exception_cancels_queued_tasks(self, tmp_path):
-        from repro.runner.pool import map_tasks
-
         jobs = [(str(tmp_path), i) for i in range(40)]
-        with pytest.raises(RuntimeError, match="poison"):
-            map_tasks(_touch_or_fail, jobs, workers=2)
+        backend = PoolBackend(workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="poison"):
+                backend.map_timed(_touch_or_fail, jobs)
+        finally:
+            backend.close()
         # The poison task fails almost immediately; queued tasks must be
         # cancelled rather than all 39 running to completion first.
         executed = len(list(tmp_path.glob("*.done")))
         assert executed < 39, f"{executed} tasks ran after the failure"
 
     def test_serial_exception_propagates_immediately(self, tmp_path):
-        from repro.runner.pool import map_tasks
-
         jobs = [(str(tmp_path), i) for i in [0, 1, 2]]
         with pytest.raises(RuntimeError, match="poison"):
-            map_tasks(_touch_or_fail, jobs, workers=1)
+            SerialBackend().map_timed(_touch_or_fail, jobs)
         assert not list(tmp_path.glob("*.done"))
 
 

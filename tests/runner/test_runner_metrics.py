@@ -18,8 +18,8 @@ from repro.runner import (
     RunnerMetrics,
     RunSpec,
     expand_grid,
+    SerialBackend,
     grid_seeds,
-    map_tasks_timed,
     metrics_to_rows,
     run_grid,
 )
@@ -126,21 +126,22 @@ class TestRunnerMetrics:
                [s.label() for s in specs]
 
 
-class TestMapTasksTimed:
+class TestSerialMapTimed:
     def test_serial_returns_results_and_times(self):
-        results, seconds = map_tasks_timed(abs, [-3, -2, 1])
+        results, seconds = SerialBackend().map_timed(abs, [-3, -2, 1])
         assert results == [3, 2, 1]
         assert len(seconds) == 3 and all(s >= 0 for s in seconds)
 
     def test_callback_receives_task_seconds(self):
         seen = []
-        map_tasks_timed(abs, [-1, -2],
-                        on_result=lambda i, r, s: seen.append((i, r, s)))
+        SerialBackend().map_timed(
+            abs, [-1, -2], on_result=lambda i, r, s: seen.append((i, r, s))
+        )
         assert [(i, r) for i, r, _ in seen] == [(0, 1), (1, 2)]
         assert all(s >= 0 for _, _, s in seen)
 
     def test_empty_input(self):
-        assert map_tasks_timed(abs, []) == ([], [])
+        assert SerialBackend().map_timed(abs, []) == ([], [])
 
 
 class TestCacheStrayFiles:

@@ -154,7 +154,7 @@ class TestCacheStats:
         assert rc == 2
         err = capsys.readouterr().err
         assert ("error: unknown engine 'warp'; available: "
-                "['events', 'events-fast', 'fluid', 'rounds', 'rounds-batch', 'rounds-fast']"
+                "['events', 'events-fast', 'fluid', 'rounds', 'rounds-fast']"
                 ) in err
 
 
