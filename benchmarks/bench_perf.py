@@ -310,7 +310,7 @@ def _batch_throughput() -> dict:
 
     Simulator construction stays outside both timers (it is identical
     work on both sides); the ``BatchSimulator`` wrapper itself is timed
-    — its stacking cost is real batch-path overhead.
+    — its per-lane skip test is real batch-path overhead.
     """
 
     def build(name: str, seed: int, topology=None):

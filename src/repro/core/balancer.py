@@ -104,7 +104,6 @@ class _StepState:
     __slots__ = (
         "system", "topo", "cache", "friction", "e", "up", "rng",
         "t", "h", "inv_s", "used", "migrations", "on_change", "probe",
-        "batch",
     )
 
     def __init__(self, ctx: BalanceContext, cache, friction, inv_s: np.ndarray):
@@ -130,54 +129,6 @@ class _StepState:
         # so the default (null-probe) hot path pays one None check.
         probe = ctx.probe
         self.probe = probe if probe is not None and probe.enabled else None
-        # Cross-replicate precompute from the batched engine, or None.
-        self.batch = ctx.batch
-
-
-class BatchHints:
-    """Cross-replicate precompute for one round, from the batched engine.
-
-    The replicate-batched engine (:class:`repro.sim.batch.
-    BatchSimulator`) evaluates the Phase-A hop scores and the Phase-B
-    initiation screen for *all* replicates of a batch in single stacked
-    array expressions, then hands each balancer its replicate's slice
-    through ``ctx.batch``. Every hinted array is bitwise equal to what
-    the balancer's own fast path would have computed (same operands,
-    same operation order — the same argument that lets ``_phase_a_fast``
-    feed ``pre`` into ``_phase_a_decide``), so consuming a hint can
-    never change a decision or the RNG stream.
-
-    Phase-A hints carry the flat CSR-segment arrays for the predicted
-    active-particle wave (``a_tids`` in decision order); the balancer
-    validates the prediction against its actual wave and silently
-    recomputes on mismatch (``a_stale`` flips so the engine can count
-    the fallback). The Phase-B hint ``b_ok`` is the screen's admission
-    mask over the cache's flat (node, neighbor) pairs; it is only valid
-    while the round's surface is untouched, so the balancer consumes it
-    only when Phase A produced no migrations.
-    """
-
-    __slots__ = (
-        "a_tids", "a_cur", "a_offsets", "a_flat_js", "a_flat_eids",
-        "a_drops", "a_hops", "a_feas", "b_ok",
-        "a_used", "b_used", "a_stale",
-    )
-
-    def __init__(self, a_tids=None, a_cur=None, a_offsets=None,
-                 a_flat_js=None, a_flat_eids=None, a_drops=None,
-                 a_hops=None, a_feas=None, b_ok=None):
-        self.a_tids = a_tids
-        self.a_cur = a_cur
-        self.a_offsets = a_offsets
-        self.a_flat_js = a_flat_js
-        self.a_flat_eids = a_flat_eids
-        self.a_drops = a_drops
-        self.a_hops = a_hops
-        self.a_feas = a_feas
-        self.b_ok = b_ok
-        self.a_used = False
-        self.b_used = False
-        self.a_stale = False
 
 
 class ParticlePlaneBalancer(Balancer):
@@ -269,16 +220,7 @@ class ParticlePlaneBalancer(Balancer):
         if self._cache is None or self._cache.topology is not ctx.topology:
             self.reset(ctx)
         cfg = self.config
-        if cfg.speed_aware and ctx.node_speeds is not None:
-            inv_s = 1.0 / np.asarray(ctx.node_speeds, dtype=np.float64)
-        else:
-            # Read-only in every decision body, so one shared array
-            # serves all rounds of the homogeneous case.
-            inv_s = self._inv_s_ones
-            if inv_s is None or inv_s.shape[0] != ctx.topology.n_nodes:
-                inv_s = np.ones(ctx.topology.n_nodes)
-                self._inv_s_ones = inv_s
-        s = _StepState(ctx, self._cache, self._friction, inv_s)
+        s = _StepState(ctx, self._cache, self._friction, self.inverse_speeds(ctx))
         probe = s.probe
         if probe is not None:
             initiated0 = self.stats["initiated"]
@@ -307,6 +249,21 @@ class ParticlePlaneBalancer(Balancer):
             probe.incr("balancer.settled", int(self.stats["settled"] - settled0))
             probe.incr("balancer.hops", int(self.stats["hops"] - hops0))
         return s.migrations
+
+    def inverse_speeds(self, ctx: BalanceContext) -> np.ndarray:
+        """``1/s_i`` per node: the effective-surface divisor of a round.
+
+        With engine-supplied speeds and ``speed_aware`` on, the surface
+        is ``h_i/s_i``; otherwise every entry is exactly 1. Read-only in
+        every decision body, so one shared ones-array serves all rounds
+        of the homogeneous case.
+        """
+        if self.config.speed_aware and ctx.node_speeds is not None:
+            return 1.0 / np.asarray(ctx.node_speeds, dtype=np.float64)
+        inv_s = self._inv_s_ones
+        if inv_s is None or inv_s.shape[0] != ctx.topology.n_nodes:
+            inv_s = self._inv_s_ones = np.ones(ctx.topology.n_nodes)
+        return inv_s
 
     # ------------------------- scalar phases -------------------------- #
 
@@ -637,54 +594,31 @@ class ParticlePlaneBalancer(Balancer):
             return
 
         n_act = len(active)
-        hint = s.batch
-        hinted = (
-            hint is not None
-            and hint.a_flat_js is not None
-            and len(hint.a_tids) == n_act
-            and all(hint.a_tids[p] == active[p][0] for p in range(n_act))
+        cur = np.fromiter(
+            (system.location_of(tid) for tid, _ in active), np.int64, count=n_act
         )
-        if hint is not None and hint.a_flat_js is not None and not hinted:
-            hint.a_stale = True
-        if hinted:
-            # The batched engine predicted this exact wave and already
-            # gathered its score arrays inside one cross-replicate
-            # expression — bitwise equal to the block below (see
-            # BatchHints), so the decisions and RNG stream cannot move.
-            cur = hint.a_cur
-            offsets = hint.a_offsets
-            flat_js = hint.a_flat_js
-            flat_eids = hint.a_flat_eids
-            drops_flat = hint.a_drops
-            hop_flat = hint.a_hops
-            feas_flat = hint.a_feas
-            hint.a_used = True
-        else:
-            cur = np.fromiter(
-                (system.location_of(tid) for tid, _ in active), np.int64, count=n_act
-            )
-            hstar = np.fromiter((st.hstar for _, st in active), np.float64, count=n_act)
-            mu_k = self._batch_mu_k(s, active, cur)
+        hstar = np.fromiter((st.hstar for _, st in active), np.float64, count=n_act)
+        mu_k = self._batch_mu_k(s, active, cur)
 
-            # Flat (particle, neighbor) segments gathered from the CSR rows
-            # of each particle's current node.
-            starts = cache.indptr[cur]
-            counts = cache.indptr[cur + 1] - starts
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            slot = (
-                np.arange(offsets[-1], dtype=np.int64)
-                - np.repeat(offsets[:-1], counts)
-                + np.repeat(starts, counts)
-            )
-            flat_js = cache.flat_nbrs[slot]
-            flat_eids = cache.flat_eids[slot]
-            # Same operands and operation order as the inline body — bitwise
-            # equal scores (see _phase_a_decide).
-            drops_flat = np.repeat(cfg.c0 * mu_k, counts) * s.e[flat_eids]
-            hop_flat = np.repeat(hstar, counts) - drops_flat - s.h[flat_js]
-            # No link is reserved yet at Phase-A start, so `up & ~used`
-            # reduces to `up` for every clean particle.
-            feas_flat = s.up[flat_eids] & (hop_flat > 0.0)
+        # Flat (particle, neighbor) segments gathered from the CSR rows
+        # of each particle's current node.
+        starts = cache.indptr[cur]
+        counts = cache.indptr[cur + 1] - starts
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        slot = (
+            np.arange(offsets[-1], dtype=np.int64)
+            - np.repeat(offsets[:-1], counts)
+            + np.repeat(starts, counts)
+        )
+        flat_js = cache.flat_nbrs[slot]
+        flat_eids = cache.flat_eids[slot]
+        # Same operands and operation order as the inline body — bitwise
+        # equal scores (see _phase_a_decide).
+        drops_flat = np.repeat(cfg.c0 * mu_k, counts) * s.e[flat_eids]
+        hop_flat = np.repeat(hstar, counts) - drops_flat - s.h[flat_js]
+        # No link is reserved yet at Phase-A start, so `up & ~used`
+        # reduces to `up` for every clean particle.
+        feas_flat = s.up[flat_eids] & (hop_flat > 0.0)
 
         affected = np.zeros(s.topo.n_nodes, dtype=bool)
 
@@ -735,19 +669,36 @@ class ParticlePlaneBalancer(Balancer):
             count=cur.shape[0],
         )
 
-    def _phase_b_fast(self, s: _StepState) -> None:
-        """Phase B restricted to nodes that can possibly act.
+    def initiation_screen(
+        self, system, h: np.ndarray, inv_s: np.ndarray, e: np.ndarray,
+        free: np.ndarray,
+    ) -> np.ndarray:
+        """The Phase-B screen: which (node, neighbor) pairs may initiate.
 
-        The screen: a node may initiate only if some up, unreserved link
-        clears ``(h_i − h_j − l·(1/s_i + 1/s_j))/e_ij > µs`` for one of
-        its ``candidates_per_node`` largest tasks. The slope is monotone
+        Returns a mask over the bound topology's flat CSR slots. A node
+        may initiate only if some *free* (up, unreserved) link clears
+        ``(h_i − h_j − l·(1/s_i + 1/s_j))/e_ij > µs`` for one of its
+        ``candidates_per_node`` largest tasks. The slope is monotone
         decreasing in the moved load and ``µs ≥ mu_s_base`` always
         (dependency/resource terms are non-negative, participation only
         scales up), so evaluating every link of every node at the node's
         *candidate floor* load against ``mu_s_base`` — one whole-graph
         array expression — is a sound over-approximation, in floating
         point too (every step of the expression is weakly monotone).
-        Screened-out nodes are exactly the nodes the scalar sweep would
+        An all-False mask on an idle balancer therefore proves the step
+        returns no orders, changes no state and draws no RNG.
+        """
+        cache = self._cache
+        floor = system.candidate_floor(self.config.candidates_per_node)
+        ok = free[cache.flat_eids]
+        ok &= corrected_slopes_flat(h, floor, inv_s, e, cache) > self.config.mu_s_base
+        return ok
+
+    def _phase_b_fast(self, s: _StepState) -> None:
+        """Phase B restricted to nodes that can possibly act.
+
+        Only nodes admitted by :meth:`initiation_screen` are visited;
+        screened-out nodes are exactly the nodes the scalar sweep would
         visit without effect or RNG use. Decisions during the sweep can
         re-enable a neighborhood, so every touched node later in the
         height order is re-queued through a position heap; nodes that
@@ -773,20 +724,7 @@ class ParticlePlaneBalancer(Balancer):
             return  # no links: no initiation anywhere, no surface change
         if probe is not None:
             probe.incr("screen.waves")
-        hint = s.batch
-        if hint is not None and hint.b_ok is not None and not s.migrations:
-            # The batched engine screened this replicate inside one
-            # stacked expression over the pre-step surface. No Phase-A
-            # migration happened, so `h` is untouched and `used` is
-            # all-False — the hinted mask is bitwise equal to the
-            # expression below (see BatchHints).
-            ok = hint.b_ok
-            hint.b_used = True
-        else:
-            floor = s.system.candidate_floor(self.config.candidates_per_node)
-            opt = corrected_slopes_flat(h, floor, s.inv_s, s.e, cache)
-            ok = s.up[cache.flat_eids] & ~s.used[cache.flat_eids]
-            ok &= opt > self.config.mu_s_base
+        ok = self.initiation_screen(s.system, h, s.inv_s, s.e, s.up & ~s.used)
         if not ok.any():
             if probe is not None:
                 probe.incr("screen.waves_skipped")

@@ -108,14 +108,6 @@ class BalanceContext:
         — decisions evaluated, screen hits, RNG draws — but must gate
         every emission on ``probe.enabled`` (and must never let the
         probe change a decision or the RNG stream).
-    batch:
-        Optional cross-replicate precompute hints
-        (:class:`~repro.core.balancer.BatchHints`) supplied by the
-        replicate-batched engine (:class:`repro.sim.batch.
-        BatchSimulator`). The same strict contract as ``fast`` applies:
-        hints may only replace work the balancer would have computed to
-        bitwise-equal values, never change a decision or the RNG
-        stream. Balancers that do not understand the hints ignore them.
     """
 
     topology: "Topology"
@@ -131,7 +123,6 @@ class BalanceContext:
     awake: Optional[np.ndarray] = None
     fast: bool = False
     probe: Optional["Probe"] = None
-    batch: Optional[object] = None
 
 
 class Balancer(abc.ABC):

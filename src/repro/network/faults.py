@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.network.links import LinkAttributes
@@ -108,12 +109,14 @@ class FaultModel:
             self._transient_down[:] = False
 
     def _would_disconnect(self, down: dict[int, int | None]) -> bool:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.topology.n_nodes))
-        for k, (u, v) in enumerate(self.topology.edges):
-            if k not in down:
-                g.add_edge(int(u), int(v))
-        return not nx.is_connected(g)
+        """Whether the links surviving the *down* edge ids leave the
+        network disconnected (the check ``Topology`` runs at build)."""
+        n = self.topology.n_nodes
+        alive = np.ones(self.topology.n_edges, dtype=bool)
+        alive[list(down)] = False
+        u, v = self.topology.edges[alive].T
+        graph = coo_matrix((np.ones(u.shape[0]), (u, v)), shape=(n, n))
+        return connected_components(graph, directed=False)[0] != 1
 
     # ------------------------------------------------------------------ #
 

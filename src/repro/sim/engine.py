@@ -308,9 +308,8 @@ class Simulator(TaskStateMixin, RoundDriver):
         """Pre-step round work: faults → deliver → churn. Returns ``up``.
 
         Split out of :meth:`play_round` so a caller coordinating several
-        simulators (replicate batching) can advance every replicate to
-        the balancer-step boundary, precompute cross-replicate work, and
-        then feed each balancer individually — with the exact same
+        simulators (replicate batching) can stop at the balancer-step
+        boundary and decide whether to step — with the exact same
         sequence of state mutations a solo :meth:`play_round` performs.
         """
         if self.fault_model is not None:

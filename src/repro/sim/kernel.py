@@ -259,9 +259,9 @@ class SimulationLoop:
         ``state.r`` past it and flips ``state.done`` on convergence or
         round-budget exhaustion. *summ* lets a caller hand in this
         round's :func:`imbalance_summary` of ``driver.observed_loads()``
-        when it already computed it (the replicate-batched engine stacks
-        the reduction across replicates); the values must be bitwise
-        equal to what the kernel would compute itself.
+        when it already computed it (the replicate-batched engine replays
+        a frozen lane's summary); the values must be bitwise equal to
+        what the kernel would compute itself.
         """
         driver = self.driver
         crit = driver.criteria

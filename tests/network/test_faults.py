@@ -1,10 +1,11 @@
 """Unit tests for repro.network.faults."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, TopologyError
-from repro.network import FaultModel, LinkAttributes, ring
+from repro.network import FaultModel, LinkAttributes, builders, ring
 
 
 class TestTransientFaults:
@@ -87,3 +88,47 @@ class TestPermanentFaults:
     def test_any_faults_possible_with_permanent(self, mesh4):
         fm = FaultModel(LinkAttributes.uniform(mesh4), permanent={3: [(0, 1)]})
         assert fm.any_faults_possible
+
+
+class TestDisconnectCheckDifferential:
+    """``_would_disconnect`` against networkx's ``is_connected`` oracle
+    on every builder family, over seeded random kill sets."""
+
+    TOPOLOGIES = [
+        builders.mesh(4, 5),
+        builders.torus(4),
+        builders.hypercube(4),
+        builders.ring(9),
+        builders.star(7),
+        builders.complete(6),
+        builders.tree(2, 3),
+        builders.kary_ncube(3, 2),
+        builders.random_connected(20, avg_degree=3.0, seed=5),
+        builders.mesh(1, 1),
+    ]
+
+    @staticmethod
+    def _oracle(topo, down):
+        g = nx.Graph()
+        g.add_nodes_from(range(topo.n_nodes))
+        g.add_edges_from(
+            (int(u), int(v))
+            for k, (u, v) in enumerate(topo.edges)
+            if k not in down
+        )
+        return not nx.is_connected(g)
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.name)
+    def test_matches_networkx(self, topo):
+        fm = FaultModel(LinkAttributes.uniform(topo), rng=0)
+        rng = np.random.default_rng(20261017)
+        outcomes = set()
+        for _ in range(40):
+            size = int(rng.integers(0, topo.n_edges + 1))
+            kill = rng.choice(topo.n_edges, size=size, replace=False)
+            down = {int(e): None for e in kill}
+            expected = self._oracle(topo, down)
+            assert fm._would_disconnect(down) == expected
+            outcomes.add(expected)
+        if topo.n_nodes > 1:
+            assert outcomes == {True, False}, "kill sets never crossed the cut"

@@ -19,6 +19,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro.core.balancer import ParticlePlaneBalancer
 from repro.exceptions import ConfigurationError
 from repro.runner.registry import make_balancer
 from repro.sim import BatchSimulator, FastSimulator
@@ -140,6 +141,34 @@ class TestBatchEquivalence:
             criteria=no_exit,
         ):
             _assert_identical(batch, solo)
+
+    def test_frozen_horizon_skips_balancer_steps(self, monkeypatch):
+        # The batch saves work only by skipping provably no-op steps, and
+        # the equivalence checks above stay green if skipping stops — so
+        # count the balancer steps on both sides of the same horizon.
+        calls = []
+        step = ParticlePlaneBalancer.step
+
+        def counting_step(self, ctx):
+            calls.append(ctx.round_index)
+            return step(self, ctx)
+
+        monkeypatch.setattr(ParticlePlaneBalancer, "step", counting_step)
+        no_exit = ConvergenceCriteria(quiet_rounds=10**9, min_rounds=0)
+        seeds, rounds = [0, 1, 2], 300
+        sims = []
+        for seed in seeds:
+            topology = sims[0].topology if sims else None
+            sims.append(_build_sim("mesh-hotspot", "pplb", seed,
+                                   topology=topology, criteria=no_exit))
+        BatchSimulator(sims).run(max_rounds=rounds)
+        batched = len(calls)
+        calls.clear()
+        for seed in seeds:
+            _build_sim("mesh-hotspot", "pplb", seed,
+                       criteria=no_exit).run(max_rounds=rounds)
+        assert len(calls) == len(seeds) * rounds
+        assert batched < len(calls)
 
     def test_probed_lanes_keep_identical_decision_counters(self):
         # Probes observe, never steer — in a batch too. Records and the
