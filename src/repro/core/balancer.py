@@ -48,11 +48,15 @@ feasibility and every Phase-B initiation slope as whole-graph CSR array
 expressions, then runs the *identical* per-decision code only where it
 can matter: particles whose neighborhood changed since the batch, and
 nodes that either passed the (provably sound, load-floor based) screen
-or were touched by an earlier decision of the same round. Skipped work
-is exactly the work the scalar path would have done with no effect and
-no RNG consumption — which is why the fast path reproduces the scalar
-trajectory bit for bit (property-tested in
-``tests/sim/test_fast_equivalence.py``).
+or were touched by an earlier decision of the same round — and, of
+those, only nodes that still pass the same screen rule against the
+surface and link reservations at the moment the sweep reaches them.
+Skipped work is exactly the work the scalar path would have done with
+no effect and no RNG consumption — which is why the fast path
+reproduces the scalar trajectory bit for bit (property-tested in
+``tests/sim/test_fast_equivalence.py``). Candidate tasks and their
+loads come straight from :class:`~repro.tasks.TaskSystem`'s per-node
+load-ordered index (:meth:`~repro.tasks.TaskSystem.largest_loads_at`).
 """
 
 from __future__ import annotations
@@ -463,11 +467,9 @@ class ParticlePlaneBalancer(Balancer):
         eids_l = s.cache.eids_l[i]
         small = len(js_l) <= _SMALL_DEG
         departures = 0
-        for tid in system.largest_tasks_at(i, cfg.candidates_per_node):
-            tid = int(tid)
+        for tid, load in system.largest_loads_at(i, cfg.candidates_per_node):
             if tid in self._motion:
                 continue
-            load = system.load_of(tid)
             if small:
                 # Scalar path — the same IEEE operations in the same
                 # order as the array expressions in the else-branch, so
@@ -670,34 +672,59 @@ class ParticlePlaneBalancer(Balancer):
         )
 
     def initiation_screen(
-        self, system, h: np.ndarray, inv_s: np.ndarray, e: np.ndarray,
-        free: np.ndarray,
+        self, floor: np.ndarray, h: np.ndarray, inv_s: np.ndarray,
+        e: np.ndarray, free: np.ndarray,
     ) -> np.ndarray:
         """The Phase-B screen: which (node, neighbor) pairs may initiate.
 
-        Returns a mask over the bound topology's flat CSR slots. A node
-        may initiate only if some *free* (up, unreserved) link clears
-        ``(h_i − h_j − l·(1/s_i + 1/s_j))/e_ij > µs`` for one of its
-        ``candidates_per_node`` largest tasks. The slope is monotone
-        decreasing in the moved load and ``µs ≥ mu_s_base`` always
-        (dependency/resource terms are non-negative, participation only
-        scales up), so evaluating every link of every node at the node's
-        *candidate floor* load against ``mu_s_base`` — one whole-graph
-        array expression — is a sound over-approximation, in floating
-        point too (every step of the expression is weakly monotone).
-        An all-False mask on an idle balancer therefore proves the step
-        returns no orders, changes no state and draws no RNG.
+        Returns a mask over the bound topology's flat CSR slots. *floor*
+        is ``system.candidate_floor(candidates_per_node)``. The screen's
+        rule: node *i* may initiate only if some *free* (up, unreserved)
+        link clears
+
+            ((h_i − h_j) − floor_i·(1/s_i + 1/s_j))/e_ij  >  mu_s_base
+
+        (operations in that order). A real candidate clears
+        ``(h_i − h_j − l·(1/s_i + 1/s_j))/e_ij > µs`` instead; the slope
+        is monotone decreasing in the moved load ``l ≥ floor_i`` and
+        ``µs ≥ mu_s_base`` always (dependency/resource terms are
+        non-negative, participation only scales up), so the rule is a
+        sound over-approximation, in floating point too (every step of
+        the expression is weakly monotone). An all-False mask on an
+        idle balancer therefore proves the step returns no orders,
+        changes no state and draws no RNG. :meth:`_may_initiate` applies
+        the same rule to one node.
         """
         cache = self._cache
-        floor = system.candidate_floor(self.config.candidates_per_node)
         ok = free[cache.flat_eids]
         ok &= corrected_slopes_flat(h, floor, inv_s, e, cache) > self.config.mu_s_base
         return ok
 
+    def _may_initiate(self, s: _StepState, i: int, floor_i: float) -> bool:
+        """:meth:`initiation_screen`'s rule for node *i* alone, right now.
+
+        Reads the current private surface and reservations, so it may
+        be asked again at any point of the sweep; placements do not
+        change inside a step, so the step's candidate floor stays valid.
+        """
+        h = s.h
+        inv_s = s.inv_s
+        e = s.e
+        up = s.up
+        used = s.used
+        hi = h[i]
+        isi = inv_s[i]
+        mu = self.config.mu_s_base
+        for j, eid in zip(s.cache.nbrs_l[i], s.cache.eids_l[i]):
+            if up[eid] and not used[eid]:
+                if ((hi - h[j]) - floor_i * (isi + inv_s[j])) / e[eid] > mu:
+                    return True
+        return False
+
     def _phase_b_fast(self, s: _StepState) -> None:
         """Phase B restricted to nodes that can possibly act.
 
-        Only nodes admitted by :meth:`initiation_screen` are visited;
+        Only nodes admitted by :meth:`initiation_screen` are queued;
         screened-out nodes are exactly the nodes the scalar sweep would
         visit without effect or RNG use. Decisions during the sweep can
         re-enable a neighborhood, so every touched node later in the
@@ -705,6 +732,14 @@ class ParticlePlaneBalancer(Balancer):
         were empty at the sort but received load mid-phase are handled
         by walking the zero-height tail in order, as the scalar loop
         does.
+
+        Every node the sweep reaches — static pick, re-queue or tail —
+        is re-screened with :meth:`_may_initiate` just before its visit,
+        against the surface and reservations of that moment: earlier
+        decisions of the sweep mostly *lower* a node's chances (a
+        departure drops ``h_i``, an arrival raises ``h_j``, a reserved
+        link is gone), and a node that fails the rule now is a visit
+        the scalar sweep makes with no effect and no RNG draw.
 
         When the screen admits *no* node at all the phase exits before
         even sorting: with zero decisions the surface cannot change, so
@@ -724,7 +759,8 @@ class ParticlePlaneBalancer(Balancer):
             return  # no links: no initiation anywhere, no surface change
         if probe is not None:
             probe.incr("screen.waves")
-        ok = self.initiation_screen(s.system, h, s.inv_s, s.e, s.up & ~s.used)
+        floor = s.system.candidate_floor(self.config.candidates_per_node)
+        ok = self.initiation_screen(floor, h, s.inv_s, s.e, s.up & ~s.used)
         if not ok.any():
             if probe is not None:
                 probe.incr("screen.waves_skipped")
@@ -742,47 +778,52 @@ class ParticlePlaneBalancer(Balancer):
                 "screen.nodes_screened_out", n_pos - int(static_rs.shape[0])
             )
 
+        floor_l = floor.tolist()
         pos_of = np.empty(n, dtype=np.int64)
         pos_of[node_order] = np.arange(n)
-        processed = np.zeros(n, dtype=bool)
-        queued = np.zeros(n, dtype=bool)
+        pos_l = pos_of.tolist()
+        nbrs_l = cache.nbrs_l
+        processed = bytearray(n)
+        queued = bytearray(n)
         heap: list[int] = []
         cur_r = -1
 
         def on_change(u: int, v: int) -> None:
-            for x in (u, v, *cache.nbrs[u], *cache.nbrs[v]):
-                x = int(x)
-                r = int(pos_of[x])
+            for x in (u, v, *nbrs_l[u], *nbrs_l[v]):
+                r = pos_l[x]
                 if cur_r < r < n_pos and not queued[x] and not processed[x]:
                     queued[x] = True
                     heapq.heappush(heap, r)
 
         s.on_change = on_change
         try:
+            static_l = static_rs.tolist()
+            order_l = node_order.tolist()
             si = 0
-            n_static = static_rs.shape[0]
+            n_static = len(static_l)
             while si < n_static or heap:
-                if si < n_static and (not heap or static_rs[si] <= heap[0]):
-                    r = int(static_rs[si])
+                if si < n_static and (not heap or static_l[si] <= heap[0]):
+                    r = static_l[si]
                     si += 1
                 else:
                     r = heapq.heappop(heap)
-                i = int(node_order[r])
+                i = order_l[r]
                 if processed[i]:
                     continue
                 processed[i] = True
                 cur_r = r
-                self._phase_b_node(s, i)
+                if self._may_initiate(s, i, floor_l[i]):
+                    self._phase_b_node(s, i)
             # Zero-height tail: the scalar sweep keeps going past the
             # last initially-loaded node and stops at the first node
             # still empty *now* — nodes this phase already poured load
             # into do get their turn.
             cur_r = n
-            for r in range(n_pos, n):
-                i = int(node_order[r])
+            for i in order_l[n_pos:]:
                 if h[i] <= 0.0:
                     break
-                self._phase_b_node(s, i)
+                if self._may_initiate(s, i, floor_l[i]):
+                    self._phase_b_node(s, i)
         finally:
             s.on_change = None
 

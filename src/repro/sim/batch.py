@@ -150,5 +150,6 @@ class BatchSimulator:
         inv_s = bal.inverse_speeds(ctx)
         # At step start `h` is the fresh surface and no link is reserved.
         h = ctx.system.node_loads * inv_s
-        ok = bal.initiation_screen(ctx.system, h, inv_s, ctx.link_costs, ctx.up_mask)
+        floor = ctx.system.candidate_floor(bal.config.candidates_per_node)
+        ok = bal.initiation_screen(floor, h, inv_s, ctx.link_costs, ctx.up_mask)
         return not ok.any()

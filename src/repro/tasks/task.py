@@ -10,9 +10,24 @@ Performance notes (per the HPC guides): per-node load totals
 balancer, so they are maintained **incrementally** on each move/add/
 remove — reading them is O(1) and allocation-free (a read-only view).
 Task ids are stable integers; storage grows amortised O(1).
+
+Each node also keeps its resident tasks ordered by load (largest
+first, equal loads by id), updated by bisection on every move, add,
+removal and wire transit; :meth:`TaskSystem.add_tasks` builds it from
+one NumPy sort. The balancers' candidate queries read it directly:
+:meth:`TaskSystem.largest_loads_at` (and ``largest_tasks_at``) is a
+slice of it and :meth:`TaskSystem.candidate_floor` its k-th entry per
+node, so no query sorts or partitions a node's tasks — except the tie
+fallback documented on ``largest_loads_at``, which keeps the
+historical NumPy selection wherever equal loads could reorder it.
+:meth:`TaskSystem.tasks_at` sorts the node's ids per call; it is off
+every hot path.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -53,15 +68,15 @@ class TaskSystem:
         self._count = 0
         self._n_alive = 0
         self._node_loads = np.zeros(self._n_nodes, dtype=np.float64)
-        self._node_tasks: list[set[int]] = [set() for _ in range(self._n_nodes)]
+        # Per-node load-ordered index, two parallel lists per node kept
+        # ascending in ``(-load, id)``: largest load first, equal loads
+        # by id. Plain floats and ints, so the garbage collector never
+        # walks per-task objects.
+        self._neg_loads: list[list[float]] = [[] for _ in range(self._n_nodes)]
+        self._ids: list[list[int]] = [[] for _ in range(self._n_nodes)]
         self._moves = 0
         self._wire_load = 0.0
         self._in_transit: set[int] = set()
-        # candidate_floor cache: maintained incrementally once requested
-        # (a node's floor only changes when its task multiset does).
-        self._floor: np.ndarray | None = None
-        self._floor_k = 0
-        self._floor_dirty: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -78,6 +93,27 @@ class TaskSystem:
             new[:cap] = old
             setattr(self, name, new)
 
+    # The index's mutators take ``nl = -load``; equal loads are rare, so
+    # the id bisection runs only when the load bisection lands on one.
+
+    def _index_add(self, node: int, tid: int, nl: float) -> None:
+        negs = self._neg_loads[node]
+        ids = self._ids[node]
+        r = bisect_left(negs, nl)
+        if r < len(negs) and negs[r] == nl:
+            r = bisect_left(ids, tid, r, bisect_right(negs, nl, r))
+        negs.insert(r, nl)
+        ids.insert(r, tid)
+
+    def _index_remove(self, node: int, tid: int, nl: float) -> None:
+        negs = self._neg_loads[node]
+        ids = self._ids[node]
+        r = bisect_left(negs, nl)
+        if ids[r] != tid:
+            r = bisect_left(ids, tid, r, bisect_right(negs, nl, r))
+        del negs[r]
+        del ids[r]
+
     def add_task(self, load: float, node: int) -> int:
         """Create a task of size *load* on *node*; returns its id."""
         if load <= 0:
@@ -93,9 +129,7 @@ class TaskSystem:
         self._alive[tid] = True
         self._n_alive += 1
         self._node_loads[node] += float(load)
-        self._node_tasks[node].add(tid)
-        if self._floor is not None:
-            self._floor_dirty.add(node)
+        self._index_add(node, tid, -float(load))
         return tid
 
     def add_tasks(self, loads, nodes) -> list[int]:
@@ -127,11 +161,26 @@ class TaskSystem:
         self._count = end
         self._n_alive += k
         np.add.at(self._node_loads, nodes, loads)  # unbuffered: task order
-        node_list = nodes.tolist()
-        for tid, node in enumerate(node_list, start):
-            self._node_tasks[node].add(tid)
-        if self._floor is not None:
-            self._floor_dirty.update(node_list)
+        # Group the batch by node, largest load first, equal loads in id
+        # order: rank the loads, then sort the unique key node·k + rank.
+        by_load = np.argsort(-loads)
+        if np.any(np.diff(loads[by_load]) == 0.0):  # ties: rank them by id
+            by_load = np.argsort(-loads, kind="stable")
+        rank = np.empty(k, dtype=np.int64)
+        rank[by_load] = np.arange(k)
+        order = np.argsort(nodes * k + rank)
+        negs = (-loads[order]).tolist()
+        ids = (order + start).tolist()
+        counts = np.bincount(nodes, minlength=self._n_nodes)
+        ends = np.cumsum(counts).tolist()
+        for node, c in zip(np.flatnonzero(counts).tolist(), counts[counts > 0].tolist()):
+            a, b = ends[node] - c, ends[node]
+            if self._ids[node]:  # already populated: merge one by one
+                for nl, tid in zip(negs[a:b], ids[a:b]):
+                    self._index_add(node, tid, nl)
+            else:
+                self._neg_loads[node] = negs[a:b]
+                self._ids[node] = ids[a:b]
         return list(range(start, end))
 
     def remove_task(self, tid: int) -> None:
@@ -143,9 +192,7 @@ class TaskSystem:
         else:
             node = int(self._location[tid])
             self._node_loads[node] -= self._loads[tid]
-            self._node_tasks[node].discard(tid)
-            if self._floor is not None:
-                self._floor_dirty.add(node)
+            self._index_remove(node, tid, -float(self._loads[tid]))
         self._alive[tid] = False
         self._n_alive -= 1
         self._location[tid] = -1
@@ -163,13 +210,11 @@ class TaskSystem:
         load = self._loads[tid]
         self._node_loads[src] -= load
         self._node_loads[dest] += load
-        self._node_tasks[src].discard(tid)
-        self._node_tasks[dest].add(tid)
+        nl = -float(load)
+        self._index_remove(src, tid, nl)
+        self._index_add(dest, tid, nl)
         self._location[tid] = dest
         self._moves += 1
-        if self._floor is not None:
-            self._floor_dirty.add(src)
-            self._floor_dirty.add(dest)
 
     # ---------------------- wire (transfer latency) -------------------- #
 
@@ -187,12 +232,10 @@ class TaskSystem:
         node = int(self._location[tid])
         load = self._loads[tid]
         self._node_loads[node] -= load
-        self._node_tasks[node].discard(tid)
+        self._index_remove(node, tid, -float(load))
         self._location[tid] = self.TRANSIT
         self._wire_load += load
         self._in_transit.add(tid)
-        if self._floor is not None:
-            self._floor_dirty.add(node)
 
     def deliver(self, tid: int, dest: int) -> None:
         """Land an in-transit task on node *dest*."""
@@ -205,11 +248,9 @@ class TaskSystem:
         self._wire_load -= load
         self._in_transit.discard(tid)
         self._node_loads[dest] += load
-        self._node_tasks[dest].add(tid)
+        self._index_add(dest, tid, -float(load))
         self._location[tid] = dest
         self._moves += 1
-        if self._floor is not None:
-            self._floor_dirty.add(dest)
 
     def in_transit(self, tid: int) -> bool:
         """Whether task *tid* is currently on the wire."""
@@ -266,8 +307,7 @@ class TaskSystem:
         """Sorted ids of the tasks on *node*."""
         if not 0 <= node < self._n_nodes:
             raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
-        return np.fromiter(sorted(self._node_tasks[node]), dtype=np.int64,
-                           count=len(self._node_tasks[node]))
+        return np.sort(np.array(self._ids[node], dtype=np.int64))
 
     @property
     def node_loads(self) -> np.ndarray:
@@ -300,16 +340,35 @@ class TaskSystem:
 
         The balancer's migration candidates: moving big particles first
         is both physically natural (they carry the gradient) and keeps
-        per-round work bounded.
+        per-round work bounded. Order and tie-breaking are those of
+        :meth:`largest_loads_at`; ``k < 1`` raises :class:`TaskError`.
         """
-        ids = self.tasks_at(node)
-        if ids.shape[0] <= k:
-            order = np.argsort(-self._loads[ids], kind="stable")
-            return ids[order]
-        part = np.argpartition(-self._loads[ids], k - 1)[:k]
-        sel = ids[part]
-        order = np.argsort(-self._loads[sel], kind="stable")
-        return sel[order]
+        pairs = self.largest_loads_at(node, k)
+        return np.fromiter((tid for tid, _ in pairs), np.int64, count=len(pairs))
+
+    def largest_loads_at(self, node: int, k: int) -> list[tuple[int, float]]:
+        """``(id, load)`` of the *k* largest tasks on *node*, largest first.
+
+        A slice of the node's load-ordered index, so equal loads come in
+        id order. The one exception keeps the selection the historical
+        NumPy one: with more than *k* residents, that selection was
+        ``argpartition`` over the id-sorted residents followed by a
+        stable sort, which orders equal loads by introselect's choice.
+        Whenever a duplicate load appears among the first ``k + 1``
+        entries, the result is that exact NumPy call, so no balancer
+        trajectory depends on the index.
+        """
+        if k < 1:
+            raise TaskError(f"largest tasks need k >= 1, got {k}")
+        if not 0 <= node < self._n_nodes:
+            raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
+        negs = self._neg_loads[node]
+        if len(negs) > k and len(set(negs[: k + 1])) <= k:
+            ids = self.tasks_at(node)
+            sel = ids[np.argpartition(-self._loads[ids], k - 1)[:k]]
+            sel = sel[np.argsort(-self._loads[sel], kind="stable")]
+            return [(tid, float(self._loads[tid])) for tid in sel.tolist()]
+        return [(tid, -nl) for tid, nl in zip(self._ids[node][:k], negs[:k])]
 
     def candidate_floor(self, k: int) -> np.ndarray:
         """Smallest load among each node's ``k`` largest resident tasks.
@@ -322,55 +381,20 @@ class TaskSystem:
         rounds with it. In-transit tasks (located on no node) are
         excluded.
 
-        The first call builds the vector in one ``O(T log T)`` pass;
-        afterwards it is maintained incrementally — every mutation marks
-        only the touched nodes dirty, so the steady-state cost is
-        proportional to the tasks that actually moved, not to ``T``.
+        Read straight off the load-ordered index: entry ``min(k, c)``
+        of each node's ``c`` residents, one pass over the nodes with no
+        sorting. Ties cannot change the value, so no fallback is needed.
         """
         if k < 1:
             raise TaskError(f"candidate_floor needs k >= 1, got {k}")
-        if self._floor is None or self._floor_k != k:
-            self._floor = self._floor_full(k)
-            self._floor_k = k
-            self._floor_dirty.clear()
-        elif self._floor_dirty:
-            for node in self._floor_dirty:
-                self._floor[node] = self._floor_one(node, k)
-            self._floor_dirty.clear()
-        view = self._floor.view()
-        view.flags.writeable = False
-        return view
-
-    def _floor_full(self, k: int) -> np.ndarray:
-        """Candidate floors of every node in one vectorised pass."""
-        out = np.full(self._n_nodes, np.inf)
-        alive = self._alive[: self._count]
-        location = self._location[: self._count]
-        resident = np.nonzero(alive & (location >= 0))[0]
-        if resident.shape[0] == 0:
-            return out
-        locs = location[resident]
-        loads = self._loads[: self._count][resident]
-        order = np.lexsort((loads, locs))  # by node, then ascending load
-        loads_sorted = loads[order]
-        counts = np.bincount(locs[order], minlength=self._n_nodes)
-        ends = np.cumsum(counts)
-        hosts = np.nonzero(counts)[0]
-        # Top-k occupy the last min(k, count) slots of each ascending
-        # segment; the floor is the first of them.
-        out[hosts] = loads_sorted[ends[hosts] - np.minimum(counts[hosts], k)]
-        return out
-
-    def _floor_one(self, node: int, k: int) -> float:
-        """Candidate floor of a single (dirty) node."""
-        tasks = self._node_tasks[node]
-        c = len(tasks)
-        if c == 0:
-            return np.inf
-        loads = self._loads[np.fromiter(tasks, np.int64, count=c)]
-        if c <= k:
-            return float(loads.min())
-        return float(np.partition(loads, c - k)[c - k])
+        last = k - 1
+        neg = [
+            negs[last] if len(negs) > last else (negs[-1] if negs else -math.inf)
+            for negs in self._neg_loads
+        ]
+        floor = -np.array(neg, dtype=np.float64)
+        floor.flags.writeable = False
+        return floor
 
     def snapshot_placement(self) -> dict[int, int]:
         """Dict of task id -> node for all alive tasks (for analysis)."""

@@ -43,7 +43,11 @@ def test_matches_add_task_loop(arm_floor):
     assert_same_state(bulk, loop)
     if arm_floor:
         assert bulk.candidate_floor(4).tobytes() == loop.candidate_floor(4).tobytes()
-        assert bulk.candidate_floor(4).tobytes() == bulk._floor_full(4).tobytes()
+    for node in range(topo.n_nodes):
+        for k in (1, 4, 50):
+            np.testing.assert_array_equal(
+                bulk.largest_tasks_at(node, k), loop.largest_tasks_at(node, k)
+            )
 
 
 def test_empty_batch_is_a_no_op():
@@ -77,7 +81,7 @@ def test_same_error_and_no_partial_mutation(loads, nodes):
         loop_add(loop, loads, nodes)
     assert str(bulk_err.value) == str(loop_err.value)
     assert_same_state(bulk, before)
-    assert not bulk._floor_dirty
+    assert bulk.candidate_floor(2).tobytes() == before.candidate_floor(2).tobytes()
 
 
 def test_rejects_mismatched_lengths():

@@ -1,9 +1,11 @@
 """TaskSystem.candidate_floor: the fast-path screen's per-node bound.
 
 The floor must equal the smallest load among each node's k largest
-resident tasks (+inf when empty), and — because it is maintained
-incrementally through a dirty-node cache — it must stay exact under
-every mutation: moves, additions, removals, and the transit wire.
+resident tasks (+inf when empty), and — because it is read off the
+per-node load-ordered index, which every mutation updates — it must
+stay exact under every mutation: moves, additions, removals, and the
+transit wire. The same streams pin the index's candidate selection
+(``largest_tasks_at``) to the NumPy selection it replaced.
 """
 
 import numpy as np
@@ -89,28 +91,83 @@ def test_returned_view_is_read_only():
         pass
 
 
+def frozen_selection(system, node, k):
+    """The NumPy candidate selection every balancer trajectory is pinned to.
+
+    Computed from the public per-task arrays, independent of the node
+    index: id-sorted residents, then (beyond *k* of them) argpartition
+    followed by a stable sort, which orders equal loads the way
+    introselect leaves them.
+    """
+    ids = system.alive_ids()
+    ids = ids[system.locations_array() == node]
+    loads = system.loads_array()[system.locations_array() == node]
+    if ids.shape[0] <= k:
+        return ids[np.argsort(-loads, kind="stable")]
+    part = np.argpartition(-loads, k - 1)[:k]
+    return ids[part][np.argsort(-loads[part], kind="stable")]
+
+
+def assert_index_exact(system, k):
+    assert (system.candidate_floor(k) == reference_floor(system, k)).all()
+    locations = system.locations_array()
+    for node in range(system.topology.n_nodes):
+        on_node = system.tasks_at(node)
+        np.testing.assert_array_equal(
+            on_node, system.alive_ids()[locations == node]
+        )
+        for kk in range(1, 7):
+            np.testing.assert_array_equal(
+                system.largest_tasks_at(node, kk), frozen_selection(system, node, kk)
+            )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_floor_stays_exact_under_random_mutation_streams(data):
     topo = builders.mesh(2, 3)
     system = TaskSystem(topo)
     k = data.draw(st.integers(min_value=1, max_value=5))
+    # Integer-valued loads make ties dense, so the index's id tie order
+    # and the introselect fallback are both exercised.
+    loads = data.draw(st.sampled_from([
+        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+        st.integers(min_value=1, max_value=3).map(float),
+    ]))
     alive: list[int] = []
-    # Interleave queries with mutations so the dirty-cache path (not
-    # just the initial full build) is what gets exercised.
+    wire: list[int] = []
+    # Interleave queries with mutations so the index is checked after
+    # every kind of update, not just the initial placement.
     for step in range(data.draw(st.integers(min_value=5, max_value=25))):
-        op = data.draw(st.sampled_from(["add", "move", "remove", "query"]))
-        if op == "add" or not alive:
-            load = data.draw(st.floats(min_value=0.1, max_value=10.0,
-                                       allow_nan=False))
-            alive.append(system.add_task(load, data.draw(st.integers(0, 5))))
+        op = data.draw(st.sampled_from(
+            ["add", "add_many", "move", "remove", "send", "deliver", "query"]
+        ))
+        resident = [t for t in alive if t not in wire]
+        if op == "add" or not resident:
+            alive.append(system.add_task(data.draw(loads),
+                                         data.draw(st.integers(0, 5))))
+        elif op == "add_many":
+            pairs = data.draw(st.lists(
+                st.tuples(loads, st.integers(0, 5)), min_size=1, max_size=8
+            ))
+            alive += system.add_tasks([p[0] for p in pairs], [p[1] for p in pairs])
         elif op == "move":
-            system.move(data.draw(st.sampled_from(alive)),
+            system.move(data.draw(st.sampled_from(resident)),
                         data.draw(st.integers(0, 5)))
         elif op == "remove":
             tid = data.draw(st.sampled_from(alive))
             alive.remove(tid)
+            if tid in wire:
+                wire.remove(tid)
             system.remove_task(tid)
+        elif op == "send":
+            tid = data.draw(st.sampled_from(resident))
+            system.send_to_transit(tid)
+            wire.append(tid)
+        elif op == "deliver" and wire:
+            tid = data.draw(st.sampled_from(wire))
+            wire.remove(tid)
+            system.deliver(tid, data.draw(st.integers(0, 5)))
         else:
-            assert (system.candidate_floor(k) == reference_floor(system, k)).all()
-    assert (system.candidate_floor(k) == reference_floor(system, k)).all()
+            assert_index_exact(system, k)
+    assert_index_exact(system, k)

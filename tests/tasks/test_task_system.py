@@ -116,6 +116,15 @@ class TestAggregates:
         got = s.largest_tasks_at(0, 10)
         assert list(got) == [a]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_largest_tasks_rejects_k_below_one(self, mesh4, k):
+        # k = -1 once sliced argpartition(kth=-2)[:-1]: 4 of 5 ids.
+        s = TaskSystem(mesh4)
+        for load in (1.0, 2.0, 3.0, 4.0, 5.0):
+            s.add_task(load, 0)
+        with pytest.raises(TaskError):
+            s.largest_tasks_at(0, k)
+
     def test_largest_tasks_deterministic_ties(self, mesh4):
         s = TaskSystem(mesh4)
         ids = [s.add_task(1.0, 0) for _ in range(5)]
