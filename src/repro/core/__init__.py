@@ -8,8 +8,8 @@ Layout:
   registry.
 * :class:`FrictionModel` — ``µs``/``µk`` per (task, node) from the
   dependency matrix ``T`` and resource matrix ``R`` (§4.2).
-* :class:`NeighborCache` / gradient helpers — vectorised per-node views
-  of ``tan β`` over the load surface (§4.1, §5.1).
+* :class:`NeighborCache` / gradient helpers — per-node neighbor lists
+  and the ``tan β`` slopes over the load surface (§4.1, §5.1).
 * :class:`StochasticArbiter` — the annealed free-trials link chooser of
   §5.2 (plus a greedy ablation variant).
 * :class:`MotionState` & energy helpers — the potential-height flag

@@ -47,14 +47,6 @@ from repro.exceptions import ConfigurationError
 
 _EPS = 1e-12
 
-#: below this many candidates :meth:`StochasticArbiter.choose` runs a
-#: scalar Python path — identical IEEE operations in identical order,
-#: so the pick (and the RNG stream) is bitwise the same as the array
-#: path, without the per-call ufunc dispatch overhead that dominates
-#: the simulators' hot loops at graph degrees of ~4-8.
-_SMALL_M = 32
-
-
 class StochasticArbiter:
     """Annealed stochastic link chooser (§5.2).
 
@@ -144,12 +136,13 @@ class StochasticArbiter:
     def choose(self, scores: np.ndarray, t: float, rng: np.random.Generator) -> int:
         """Pick one candidate index (into *scores*) by sequential trials.
 
-        Small candidate sets (the common case: one entry per graph
-        neighbor) take a scalar path that performs the exact same IEEE
-        float64 operations in the exact same order as
-        :meth:`acceptance` — including one ``rng.random(m)`` block draw
-        — so the choice and the RNG stream are bitwise identical to the
-        array path (asserted in ``tests/core/test_arbiter.py``).
+        Runs the trials of :meth:`acceptance` one rank at a time over a
+        plain list (arrays go through ``tolist``, which round-trips
+        doubles exactly): the same IEEE float64 operations in the same
+        order, one ``rng.random(m)`` block draw, the first rank whose
+        draw falls below its acceptance, else rank 0 — so the pick and
+        the RNG stream equal that reference for every *m* (asserted in
+        ``tests/core/test_arbiter.py``).
         """
         if type(scores) is list:
             vals = scores
@@ -162,14 +155,8 @@ class StochasticArbiter:
                 raise ConfigurationError(
                     f"scores must be a non-empty 1-D array, got shape {a.shape}"
                 )
-            m = a.shape[0]
-            if m > _SMALL_M:
-                order, q = self.acceptance(a, t)
-                draws = rng.random(m)
-                hits = np.nonzero(draws < q)[0]
-                rank = int(hits[0]) if hits.shape[0] else 0
-                return int(order[rank])
             vals = a.tolist()
+            m = len(vals)
         if t < 0:
             raise ConfigurationError(f"time must be non-negative, got {t}")
         # Stable descending order == np.argsort(-a, kind="stable").

@@ -39,19 +39,21 @@ height while feasibility keeps the flag above the (non-negative) load
 surface, so journeys are finite whenever ``µk > 0`` — the discrete
 Corollary 2, and the bounded-time half of Theorem 2's proof.
 
-Large-N fast path (``BalanceContext.fast``): both phases admit a
-vectorised screen. During one ``step`` the task placements never change
-(the engine applies the returned orders afterwards), so the only
-decision inputs that evolve are the private surface ``h`` and the
-per-link reservations. The fast path batch-evaluates every Phase-A hop
-feasibility and every Phase-B initiation slope as whole-graph CSR array
-expressions, then runs the *identical* per-decision code only where it
-can matter: particles whose neighborhood changed since the batch, and
-nodes that either passed the (provably sound, load-floor based) screen
+Large-N fast path (``BalanceContext.fast``): each phase has exactly one
+decision body, a plain-list loop over the node's neighbors
+(:class:`~repro.core.surface.NeighborCache`), and the fast path differs
+from the reference only in *which* Phase-B nodes it visits. During one
+``step`` the task placements never change (the engine applies the
+returned orders afterwards), so the only decision inputs that evolve are
+the private surface ``h`` and the per-link reservations. Phase A is the
+same id-ordered loop under both paths. Phase B screens every
+(node, neighbor) slope at the node's candidate floor in one whole-graph
+CSR array expression and then runs the per-node body only where it can
+matter: nodes that passed the (provably sound, load-floor based) screen
 or were touched by an earlier decision of the same round — and, of
 those, only nodes that still pass the same screen rule against the
 surface and link reservations at the moment the sweep reaches them.
-Skipped work is exactly the work the scalar path would have done with
+Skipped work is exactly the work the scalar sweep would have done with
 no effect and no RNG consumption — which is why the fast path
 reproduces the scalar trajectory bit for bit (property-tested in
 ``tests/sim/test_fast_equivalence.py``). Candidate tasks and their
@@ -77,21 +79,6 @@ from repro.interfaces import BalanceContext, Balancer, Migration
 from repro.tasks.resources import ResourceMap
 from repro.tasks.task_graph import TaskGraph
 
-#: below this many candidate hops the Phase-A decision body uses plain
-#: Python lists instead of numpy fancy indexing: identical float64
-#: values flow into the arbiter (``tolist`` round-trips doubles
-#: exactly), so the decision — and the RNG stream — is unchanged while
-#: the per-call ufunc dispatch overhead disappears at typical graph
-#: degrees.
-_SMALL_DEG = 32
-
-#: below this many in-flight particles the Phase-A fast path decides
-#: each particle inline instead of batch-precomputing scores: the batch
-#: CSR gather has a fixed ~15-array-op setup cost that outweighs the
-#: per-particle work for small waves (the common case in the event
-#: engine, where most waves carry a handful of particles).
-_SMALL_WAVE = 64
-
 logger = logging.getLogger(__name__)
 
 
@@ -99,10 +86,10 @@ class _StepState:
     """Shared working state of one balancing round.
 
     Bundles the context unpacking plus the round-private surface copy
-    and link reservations, so the scalar loops and the vectorised fast
-    path drive the *same* decision bodies. ``on_change`` is the fast
-    path's invalidation hook — called after every applied decision with
-    the (src, dst) endpoints; None under the scalar path.
+    and link reservations, so the reference Phase-B sweep and the fast
+    one drive the *same* decision bodies. ``on_change`` is the fast
+    Phase B's re-queue hook — called after every applied decision with
+    the (src, dst) endpoints; None everywhere else.
     """
 
     __slots__ = (
@@ -215,11 +202,12 @@ class ParticlePlaneBalancer(Balancer):
     def step(self, ctx: BalanceContext) -> list[Migration]:
         """Plan one round of migrations (Phase A then Phase B).
 
-        With ``ctx.fast`` (the ``rounds-fast`` engine) both phases run
-        through the vectorised screen; the trajectory is identical
+        Phase A is one id-ordered loop either way. With ``ctx.fast``
+        (the ``rounds-fast`` and ``events-fast`` engines) Phase B visits
+        only the nodes its screen admits; the trajectory is identical
         either way (see module docstring). Friction jitter draws RNG per
         *evaluated* candidate, which the screen elides, so jittered
-        configs always take the scalar path.
+        configs always take the reference Phase-B sweep.
         """
         if self._cache is None or self._cache.topology is not ctx.topology:
             self.reset(ctx)
@@ -231,20 +219,19 @@ class ParticlePlaneBalancer(Balancer):
             settled0 = self.stats["settled"]
             hops0 = self.stats["hops"]
 
+        self._phase_a(s)
         if ctx.fast and cfg.friction_jitter == 0.0:
-            self._phase_a_fast(s)
             self._phase_b_fast(s)
         else:
             if ctx.fast and not self._warned_fallback:
                 self._warned_fallback = True
                 logger.warning(
                     "friction_jitter=%g draws RNG per evaluated candidate, "
-                    "which the vectorised screen cannot elide — falling "
-                    "back to the scalar decision path (correct, but the "
-                    "fast engine's speedup is lost)",
+                    "which the Phase-B screen cannot elide — falling back "
+                    "to the reference sweep (correct, but the fast "
+                    "engine's speedup is lost)",
                     cfg.friction_jitter,
                 )
-            self._phase_a_scalar(s)
             self._phase_b_scalar(s)
         if probe is not None:
             probe.incr(
@@ -269,10 +256,10 @@ class ParticlePlaneBalancer(Balancer):
             inv_s = self._inv_s_ones = np.ones(ctx.topology.n_nodes)
         return inv_s
 
-    # ------------------------- scalar phases -------------------------- #
+    # ----------------------------- phases ----------------------------- #
 
-    def _phase_a_scalar(self, s: _StepState) -> None:
-        """Phase A reference loop: every in-flight particle, in id order."""
+    def _phase_a(self, s: _StepState) -> None:
+        """Phase A: every in-flight particle, in id order (both paths)."""
         cfg = self.config
         system = s.system
         for tid in sorted(self._motion):
@@ -299,9 +286,9 @@ class ParticlePlaneBalancer(Balancer):
             self._phase_b_node(s, i)
 
     # ------------------------ decision bodies ------------------------- #
-    # One body per phase, shared verbatim by the scalar loops and the
-    # fast path — the single place the paper's §5.1 rules live, so the
-    # two paths cannot drift.
+    # One body per phase, shared verbatim by the reference loops and the
+    # fast Phase-B sweep — the single place the paper's §5.1 rules live,
+    # so the two paths cannot drift.
 
     def _choose(self, s: _StepState, scores) -> int:
         """Arbiter choice with telemetry: same pick, same RNG stream.
@@ -317,113 +304,48 @@ class ParticlePlaneBalancer(Balancer):
         return self.arbiter.choose(scores, s.t, s.rng)
 
     def _phase_a_decide(
-        self,
-        s: _StepState,
-        tid: int,
-        st: MotionState,
-        cur: int,
-        load: float,
-        pre: Optional[tuple] = None,
+        self, s: _StepState, tid: int, st: MotionState, cur: int, load: float
     ) -> None:
         """One in-flight particle's §5.1 energy decision: hop or settle.
 
-        *pre* optionally supplies the batch-computed ``(js, eids, drops,
-        hop_scores, feasible)`` arrays; they are bitwise equal to the
-        inline computation (same operands, same operation order), so the
-        arbiter — and therefore the RNG stream — sees identical inputs.
+        Each hop score is ``(h* − (c0·µk)·e_ij) − h_j``, evaluated in
+        that order; the arbiter sees the feasible hops in neighbor order
+        (plus the settle option under ``"arbiter-settle"``).
         """
         if s.probe is not None:
             s.probe.incr("balancer.phase_a_decisions")
         cfg = self.config
         h = s.h
-        if pre is None and len(s.cache.nbrs_l[cur]) <= _SMALL_DEG:
-            # Fully scalar path: the same IEEE float64 operations in the
-            # same order as the array expressions below — ``(c0·µk)·e``,
-            # ``(h* − drop) − h_j`` — so every score (and therefore the
-            # arbiter's pick and the RNG stream) is bitwise identical,
-            # without any per-neighbor ufunc dispatch.
-            js_l = s.cache.nbrs_l[cur]
-            eids_l = s.cache.eids_l[cur]
-            mu_k = s.friction.mu_k(s.system, s.topo, tid, cur) * self._jitter(s.t, s.rng, s.probe)
-            cmu = cfg.c0 * mu_k
-            e = s.e
-            up = s.up
-            used = s.used
-            hstar = st.hstar
-            cand: list[tuple[int, int, float]] = []
-            scores_l = []
-            for k in range(len(js_l)):
-                eid = eids_l[k]
-                d = cmu * e[eid]
-                score = (hstar - d) - h[js_l[k]]
-                if score > 0.0 and up[eid] and not used[eid]:
-                    cand.append((js_l[k], eid, float(d)))
-                    scores_l.append(float(score))
-            if not cand:
-                self._settle(tid)
-                return
-            if cfg.motion_rule == "arbiter-settle":
-                scores_l.append(float(hstar - (h[cur] - load * s.inv_s[cur])))
-                pick = self._choose(s, scores_l)
-                if pick == len(cand):
-                    self._settle(tid)
-                    return
-            else:  # "energy-only": the paper's literal rule
-                pick = self._choose(s, scores_l)
-            j, eid, drop = cand[pick]
-            self._finish_hop(s, tid, st, cur, load, j, eid, drop)
+        js_l = s.cache.nbrs_l[cur]
+        eids_l = s.cache.eids_l[cur]
+        mu_k = s.friction.mu_k(s.system, s.topo, tid, cur) * self._jitter(s.t, s.rng, s.probe)
+        cmu = cfg.c0 * mu_k
+        e = s.e
+        up = s.up
+        used = s.used
+        hstar = st.hstar
+        cand: list[tuple[int, int, float]] = []
+        scores_l = []
+        for k in range(len(js_l)):
+            eid = eids_l[k]
+            d = cmu * e[eid]
+            score = (hstar - d) - h[js_l[k]]
+            if score > 0.0 and up[eid] and not used[eid]:
+                cand.append((js_l[k], eid, float(d)))
+                scores_l.append(float(score))
+        if not cand:
+            self._settle(tid)
             return
-        if pre is None:
-            js = s.cache.nbrs[cur]
-            eids = s.cache.eids[cur]
-            mu_k = s.friction.mu_k(s.system, s.topo, tid, cur) * self._jitter(s.t, s.rng, s.probe)
-            drops = cfg.c0 * mu_k * s.e[eids]
-            hop_scores = st.hstar - drops - h[js]
-            feasible = s.up[eids] & ~s.used[eids] & (hop_scores > 0.0)
-        else:
-            js, eids, drops, hop_scores, feasible = pre
-
-        if hop_scores.shape[0] <= _SMALL_DEG:
-            # List path: same float64 values (tolist round-trips doubles
-            # exactly), same arbiter inputs, same RNG stream.
-            feas = feasible.tolist()
-            idx_list = [k for k in range(len(feas)) if feas[k]]
-            if not idx_list:
+        if cfg.motion_rule == "arbiter-settle":
+            scores_l.append(float(hstar - (h[cur] - load * s.inv_s[cur])))
+            pick = self._choose(s, scores_l)
+            if pick == len(cand):
                 self._settle(tid)
                 return
-            hs = hop_scores.tolist()
-            if cfg.motion_rule == "arbiter-settle":
-                settle_score = float(st.hstar - (h[cur] - load * s.inv_s[cur]))
-                scores_l = [hs[k] for k in idx_list]
-                scores_l.append(settle_score)
-                pick = self._choose(s, scores_l)
-                if pick == len(idx_list):
-                    self._settle(tid)
-                    return
-                k = idx_list[pick]
-            else:  # "energy-only": the paper's literal rule
-                pick = self._choose(s, [hs[k] for k in idx_list])
-                k = idx_list[pick]
-        else:
-            idxs = np.nonzero(feasible)[0]
-            if idxs.shape[0] == 0:
-                self._settle(tid)
-                return
-            if cfg.motion_rule == "arbiter-settle":
-                settle_score = st.hstar - (h[cur] - load * s.inv_s[cur])
-                scores = np.concatenate([hop_scores[idxs], [settle_score]])
-                pick = self._choose(s, scores)
-                if pick == idxs.shape[0]:
-                    self._settle(tid)
-                    return
-                k = int(idxs[pick])
-            else:  # "energy-only": the paper's literal rule
-                pick = self._choose(s, hop_scores[idxs])
-                k = int(idxs[pick])
-
-        self._finish_hop(
-            s, tid, st, cur, load, int(js[k]), int(eids[k]), float(drops[k])
-        )
+        else:  # "energy-only": the paper's literal rule
+            pick = self._choose(s, scores_l)
+        j, eid, drop = cand[pick]
+        self._finish_hop(s, tid, st, cur, load, j, eid, drop)
 
     def _finish_hop(
         self,
@@ -465,72 +387,40 @@ class ParticlePlaneBalancer(Balancer):
         )
         js_l = s.cache.nbrs_l[i]
         eids_l = s.cache.eids_l[i]
-        small = len(js_l) <= _SMALL_DEG
+        uncorrected = cfg.arbiter_score != "corrected"
         departures = 0
         for tid, load in system.largest_loads_at(i, cfg.candidates_per_node):
             if tid in self._motion:
                 continue
-            if small:
-                # Scalar path — the same IEEE operations in the same
-                # order as the array expressions in the else-branch, so
-                # slopes, arbiter inputs and the RNG stream are bitwise
-                # identical (see the Phase-A body).
-                avail_l = [s.up[eid] and not s.used[eid] for eid in eids_l]
-                if not any(avail_l):
-                    break  # no free links left at this node
-                mu_s, mu_k = s.friction.both(system, s.topo, tid, i)
-                jit = self._jitter(s.t, s.rng, s.probe)
-                mu_s *= jit
-                mu_k *= jit
-                hi = h[i]
-                isi = inv_s[i]
-                uncorrected = cfg.arbiter_score != "corrected"
-                cand: list[tuple[int, int]] = []
-                scores_l = []
-                for k in range(len(js_l)):
-                    if not avail_l[k]:
-                        continue
-                    jj = js_l[k]
-                    eid = eids_l[k]
-                    # (h_i − h_j − 2l)/e generalised to effective
-                    # heights: moving l lowers h_i by l/s_i and raises
-                    # h_j by l/s_j.
-                    t_k = ((hi - h[jj]) - load * (isi + inv_s[jj])) / e[eid]
-                    if t_k > mu_s:
-                        cand.append((jj, eid))
-                        if uncorrected:
-                            scores_l.append(float((hi - h[jj]) / e[eid]))
-                        else:
-                            scores_l.append(float(t_k))
-                if not cand:
+            avail_l = [s.up[eid] and not s.used[eid] for eid in eids_l]
+            if not any(avail_l):
+                break  # no free links left at this node
+            mu_s, mu_k = s.friction.both(system, s.topo, tid, i)
+            jit = self._jitter(s.t, s.rng, s.probe)
+            mu_s *= jit
+            mu_k *= jit
+            hi = h[i]
+            isi = inv_s[i]
+            cand: list[tuple[int, int]] = []
+            scores_l = []
+            for k in range(len(js_l)):
+                if not avail_l[k]:
                     continue
-                pick = self._choose(s, scores_l)
-                j, eid = cand[pick]
-            else:
-                js = s.cache.nbrs[i]
-                eids = s.cache.eids[i]
-                avail = s.up[eids] & ~s.used[eids]
-                if not avail.any():
-                    break  # no free links left at this node
-                mu_s, mu_k = s.friction.both(system, s.topo, tid, i)
-                jit = self._jitter(s.t, s.rng, s.probe)
-                mu_s *= jit
-                mu_k *= jit
+                jj = js_l[k]
+                eid = eids_l[k]
                 # (h_i − h_j − 2l)/e generalised to effective heights:
                 # moving l lowers h_i by l/s_i and raises h_j by l/s_j.
-                corrected = (h[i] - h[js] - load * (inv_s[i] + inv_s[js])) / e[eids]
-                feasible = avail & (corrected > mu_s)
-                idxs = np.nonzero(feasible)[0]
-                if idxs.shape[0] == 0:
-                    continue
-                if cfg.arbiter_score == "corrected":
-                    scores = corrected[idxs]
-                else:
-                    scores = (h[i] - h[js[idxs]]) / e[eids[idxs]]
-                pick = self._choose(s, scores)
-                k = int(idxs[pick])
-                j = int(js[k])
-                eid = int(eids[k])
+                t_k = ((hi - h[jj]) - load * (isi + inv_s[jj])) / e[eid]
+                if t_k > mu_s:
+                    cand.append((jj, eid))
+                    if uncorrected:
+                        scores_l.append(float((hi - h[jj]) / e[eid]))
+                    else:
+                        scores_l.append(float(t_k))
+            if not cand:
+                continue
+            pick = self._choose(s, scores_l)
+            j, eid = cand[pick]
             drop = hop_height_drop(cfg.c0, mu_k, float(e[eid]))
             heat = hop_heat_energy(cfg.g, load, drop)
             st = MotionState(
@@ -555,121 +445,7 @@ class ParticlePlaneBalancer(Balancer):
             if departures >= max_dep:
                 break
 
-    # ------------------------ vectorised phases ----------------------- #
-
-    def _phase_a_fast(self, s: _StepState) -> None:
-        """Phase A with batch-precomputed hop feasibilities.
-
-        All particles still decide sequentially in id order (their
-        decisions are coupled through the surface and the per-link
-        reservations), but the per-particle score arrays come from one
-        whole-batch CSR expression. A particle falls back to the inline
-        computation only when an earlier decision touched its
-        neighborhood — tracked by an affected-nodes mask.
-        """
-        cfg = self.config
-        system = s.system
-        active: list[tuple[int, MotionState]] = []
-        for tid in sorted(self._motion):
-            if not system.is_alive(tid):
-                del self._motion[tid]
-                continue
-            if system.in_transit(tid):
-                continue  # still on the wire; decides after landing
-            st = self._motion[tid]
-            if cfg.max_hops is not None and st.hops >= cfg.max_hops:
-                self._settle(tid)
-                continue
-            active.append((tid, st))
-        if not active:
-            return
-        cache = s.cache
-        if s.topo.n_edges == 0 or len(active) <= _SMALL_WAVE:
-            # Tiny batches: the inline body is bitwise-equal to the
-            # batch precomputation (same operands, same order — that is
-            # what lets the batch feed `pre` at all), so skipping the
-            # fixed-cost CSR gather changes nothing but speed.
-            for tid, st in active:
-                self._phase_a_decide(
-                    s, tid, st, system.location_of(tid), system.load_of(tid)
-                )
-            return
-
-        n_act = len(active)
-        cur = np.fromiter(
-            (system.location_of(tid) for tid, _ in active), np.int64, count=n_act
-        )
-        hstar = np.fromiter((st.hstar for _, st in active), np.float64, count=n_act)
-        mu_k = self._batch_mu_k(s, active, cur)
-
-        # Flat (particle, neighbor) segments gathered from the CSR rows
-        # of each particle's current node.
-        starts = cache.indptr[cur]
-        counts = cache.indptr[cur + 1] - starts
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        slot = (
-            np.arange(offsets[-1], dtype=np.int64)
-            - np.repeat(offsets[:-1], counts)
-            + np.repeat(starts, counts)
-        )
-        flat_js = cache.flat_nbrs[slot]
-        flat_eids = cache.flat_eids[slot]
-        # Same operands and operation order as the inline body — bitwise
-        # equal scores (see _phase_a_decide).
-        drops_flat = np.repeat(cfg.c0 * mu_k, counts) * s.e[flat_eids]
-        hop_flat = np.repeat(hstar, counts) - drops_flat - s.h[flat_js]
-        # No link is reserved yet at Phase-A start, so `up & ~used`
-        # reduces to `up` for every clean particle.
-        feas_flat = s.up[flat_eids] & (hop_flat > 0.0)
-
-        affected = np.zeros(s.topo.n_nodes, dtype=bool)
-
-        def on_change(u: int, v: int) -> None:
-            affected[u] = True
-            affected[v] = True
-            affected[cache.nbrs[u]] = True
-            affected[cache.nbrs[v]] = True
-
-        s.on_change = on_change
-        try:
-            for p, (tid, st) in enumerate(active):
-                c = int(cur[p])
-                if affected[c]:
-                    self._phase_a_decide(s, tid, st, c, system.load_of(tid))
-                else:
-                    seg = slice(offsets[p], offsets[p + 1])
-                    pre = (
-                        flat_js[seg],
-                        flat_eids[seg],
-                        drops_flat[seg],
-                        hop_flat[seg],
-                        feas_flat[seg],
-                    )
-                    self._phase_a_decide(
-                        s, tid, st, c, system.load_of(tid), pre=pre
-                    )
-        finally:
-            s.on_change = None
-
-    def _batch_mu_k(
-        self, s: _StepState, active: list[tuple[int, MotionState]], cur: np.ndarray
-    ) -> np.ndarray:
-        """Per-particle µk, vectorised whenever friction is closed-form."""
-        cfg = self.config
-        if cfg.kappa == 0.0:
-            return np.full(cur.shape[0], cfg.mu_k_base)
-        if s.friction.uniform:
-            return np.full(
-                cur.shape[0], cfg.mu_k_base + cfg.kappa * cfg.mu_s_base
-            )
-        return np.fromiter(
-            (
-                s.friction.mu_k(s.system, s.topo, tid, int(c))
-                for (tid, _), c in zip(active, cur)
-            ),
-            np.float64,
-            count=cur.shape[0],
-        )
+    # -------------------------- fast Phase B -------------------------- #
 
     def initiation_screen(
         self, floor: np.ndarray, h: np.ndarray, inv_s: np.ndarray,
@@ -836,7 +612,7 @@ class ParticlePlaneBalancer(Balancer):
         decision (preserving µk ∝ µs), and the level anneals on the same
         ``exp(−c·t/t_max)`` clock as the arbiter. A non-None *probe*
         counts the uniform draw (jitter is the one friction input that
-        consumes RNG — the reason jittered configs stay scalar).
+        consumes RNG — the reason jittered configs skip the screen).
         """
         j0 = self.config.friction_jitter
         if j0 == 0.0:

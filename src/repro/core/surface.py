@@ -13,9 +13,10 @@ load ``l`` — is
     tan β = (h(v_i) − h(v_j) − 2·l) / e_ij        (§5.1).
 
 :class:`NeighborCache` precomputes, per node, the neighbor ids and the
-edge ids into the per-edge arrays (``e_ij``, fault mask, link usage), so
-the balancer's inner loop is pure NumPy indexing with no dict lookups.
-It is a thin view over :attr:`Topology.csr`, whose flat arrays
+edge ids into the per-edge arrays (``e_ij``, fault mask, link usage) as
+plain Python lists, so the balancer's decision bodies walk a node's
+links with list indexing and no dict lookups. It is a thin view over
+:attr:`Topology.csr`, whose flat arrays
 (``flat_rows``/``flat_nbrs``/``flat_eids``) additionally support
 *whole-surface* expressions: :func:`corrected_slopes_flat` evaluates the
 transfer-corrected slope of **every** directed (node, neighbor) pair of
@@ -69,43 +70,37 @@ def corrected_slopes_flat(
 
 
 class NeighborCache:
-    """Per-node neighbor/edge-id arrays for vectorised slope scans.
+    """Per-node neighbor/edge-id lists for the balancers' slope scans.
 
-    For node *i*, ``nbrs[i]`` is the array of neighbor ids and
-    ``eids[i]`` the parallel array of edge indices, so a balancer can
+    For node *i*, ``nbrs_l[i]`` is the list of neighbor ids and
+    ``eids_l[i]`` the parallel list of edge indices, so a balancer can
     evaluate every incident link with::
 
-        js   = cache.nbrs[i]
-        eids = cache.eids[i]
-        slopes = (h[i] - h[js] - 2*load) / e[eids]
-        ok     = up_mask[eids] & ~used[eids] & (slopes > mu_s)
+        for j, eid in zip(cache.nbrs_l[i], cache.eids_l[i]):
+            if up_mask[eid] and not used[eid]:
+                slope = (h[i] - h[j] - 2*load) / e[eid]
 
-    — one fused NumPy expression per (task, node) decision. The per-node
-    arrays are zero-copy slices of :attr:`Topology.csr`; the flat forms
-    (``flat_rows``/``flat_nbrs``/``flat_eids``/``indptr``) are exposed
-    for whole-graph batch expressions (the large-N fast path).
+    — Python list indexing beats per-element ndarray access by ~3x at
+    typical graph degrees. The flat CSR forms
+    (``flat_rows``/``flat_nbrs``/``flat_eids``) are exposed for
+    whole-graph batch expressions (the large-N Phase-B screen).
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
         csr = topology.csr
-        self.indptr = csr.indptr
         self.flat_rows = csr.rows
         self.flat_nbrs = csr.indices
         self.flat_eids = csr.edge_ids
-        self.nbrs: list[np.ndarray] = [
-            csr.neighbors(i) for i in range(topology.n_nodes)
-        ]
-        self.eids: list[np.ndarray] = [
-            csr.incident_edges(i) for i in range(topology.n_nodes)
-        ]
-        # Plain-list mirrors of the per-node rows: the balancers' scalar
-        # decision bodies iterate neighbors one at a time, where Python
-        # list indexing beats per-element ndarray access by ~3x. Built
-        # once per topology; contents never change.
-        self.nbrs_l: list[list[int]] = [a.tolist() for a in self.nbrs]
-        self.eids_l: list[list[int]] = [a.tolist() for a in self.eids]
+        # One tolist() per CSR array, sliced per node: built once per
+        # topology; contents never change.
+        bounds = csr.indptr.tolist()
+        nbrs = csr.indices.tolist()
+        eids = csr.edge_ids.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        self.nbrs_l: list[list[int]] = [nbrs[a:b] for a, b in spans]
+        self.eids_l: list[list[int]] = [eids[a:b] for a, b in spans]
 
     def degree(self, node: int) -> int:
         """Number of incident links of *node*."""
-        return self.nbrs[node].shape[0]
+        return len(self.nbrs_l[node])

@@ -537,13 +537,13 @@ class EventFastSimulator(EventSimulator):
     * Every :class:`~repro.interfaces.BalanceContext` carries
       ``fast=True``, so balancers with a batched step (PPLB) screen
       no-effect wakes — the ``candidate_floor`` × ``mu_s_base``
-      monotone bound plus the batched Phase-A feasibilities — before
-      entering their scalar decision bodies. The screen is sound (it
-      only skips work the scalar sweep would have done with no effect
-      and no RNG use), and a balancer whose configuration it cannot
-      screen soundly (friction jitter draws RNG per *evaluated*
-      candidate) detects that itself and falls back to the scalar
-      decision path, keeping equivalence rather than speed.
+      monotone bound on Phase B — before entering their decision
+      bodies. The screen is sound (it only skips work the scalar sweep
+      would have done with no effect and no RNG use), and a balancer
+      whose configuration it cannot screen soundly (friction jitter
+      draws RNG per *evaluated* candidate) detects that itself and
+      falls back to the reference sweep, keeping equivalence rather
+      than speed.
     * The per-event tuple heap is replaced by the columnar stores of
       :mod:`repro.sim.event_buffers`: a :class:`WakeSchedule` (one
       next-wake slot per node; a same-instant wave is one vectorised

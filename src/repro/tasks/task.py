@@ -116,8 +116,8 @@ class TaskSystem:
 
     def add_task(self, load: float, node: int) -> int:
         """Create a task of size *load* on *node*; returns its id."""
-        if load <= 0:
-            raise TaskError(f"task load must be positive, got {load}")
+        if not 0 < load < math.inf:  # also rejects NaN
+            raise TaskError(f"task load must be positive and finite, got {load}")
         if not 0 <= node < self._n_nodes:
             raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
         if self._count >= self._loads.shape[0]:
@@ -145,11 +145,12 @@ class TaskSystem:
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         if loads.shape != nodes.shape:
             raise TaskError(f"got {loads.shape[0]} loads for {nodes.shape[0]} nodes")
-        bad = np.flatnonzero((loads <= 0) | (nodes < 0) | (nodes >= self._n_nodes))
+        bad_load = (loads <= 0) | ~np.isfinite(loads)
+        bad = np.flatnonzero(bad_load | (nodes < 0) | (nodes >= self._n_nodes))
         if bad.shape[0]:
             load, node = float(loads[bad[0]]), int(nodes[bad[0]])
-            if load <= 0:
-                raise TaskError(f"task load must be positive, got {load}")
+            if not 0 < load < math.inf:
+                raise TaskError(f"task load must be positive and finite, got {load}")
             raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
         start, k = self._count, loads.shape[0]
         while start + k > self._loads.shape[0]:

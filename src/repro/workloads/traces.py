@@ -17,6 +17,7 @@ A :class:`WorkloadTrace` is an explicit list of arrival events
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
@@ -35,8 +36,12 @@ class ArrivalEvent:
     def __post_init__(self) -> None:
         if self.round_index < 0:
             raise ConfigurationError(f"round must be >= 0, got {self.round_index}")
-        if self.size <= 0:
-            raise ConfigurationError(f"size must be positive, got {self.size}")
+        if self.node < 0:
+            raise ConfigurationError(f"node must be >= 0, got {self.node}")
+        if not 0 < self.size < math.inf:  # also rejects NaN
+            raise ConfigurationError(
+                f"size must be positive and finite, got {self.size}"
+            )
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,28 @@ class TestChoose:
         b = [arb.choose(scores, 0, np.random.default_rng(9)) for _ in range(5)]
         assert a == b
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 32, 33, 200, 1000])
+    @pytest.mark.parametrize("as_list", [True, False])
+    def test_choose_equals_acceptance_reference(self, m, as_list):
+        # choose() must be the sequential-trial process of acceptance():
+        # one rng.random(m) block, the first rank whose draw falls below
+        # its acceptance, else rank 0 — same pick, same RNG state.
+        arb = StochasticArbiter(beta0=0.4, anneal_c=1.5, t_max=50)
+        gen = np.random.default_rng(m)
+        for case in range(20):
+            # Few distinct values: ties at every size.
+            scores = gen.integers(0, max(2, m // 3), size=m) * 0.5 - 1.0
+            t = int(gen.integers(0, 120))
+            seed = int(gen.integers(2**32))
+            ref_rng = np.random.default_rng(seed)
+            order, q = arb.acceptance(scores, t)
+            hits = np.nonzero(ref_rng.random(m) < q)[0]
+            expected = int(order[hits[0] if hits.shape[0] else 0])
+            rng = np.random.default_rng(seed)
+            arg = scores.tolist() if as_list else scores
+            assert arb.choose(arg, t, rng) == expected, (case, t)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_greedy_arbiter_argmax_no_rng_use(self):
         arb = GreedyArbiter()
         rng = np.random.default_rng(0)

@@ -33,17 +33,20 @@ class TestNeighborCache:
     def test_matches_topology(self, mesh4):
         cache = NeighborCache(mesh4)
         for i in range(mesh4.n_nodes):
-            np.testing.assert_array_equal(cache.nbrs[i], mesh4.neighbors(i))
-            for j, eid in zip(cache.nbrs[i], cache.eids[i]):
-                assert mesh4.edge_id(i, int(j)) == int(eid)
+            assert cache.nbrs_l[i] == mesh4.neighbors(i).tolist()
+            for j, eid in zip(cache.nbrs_l[i], cache.eids_l[i]):
+                assert mesh4.edge_id(i, j) == eid
             assert cache.degree(i) == mesh4.degree[i]
+            # Plain ints: the decision bodies index lists and arrays with them.
+            assert all(type(x) is int for x in cache.nbrs_l[i] + cache.eids_l[i])
 
-    def test_vectorised_slope_scan(self, mesh4):
+    def test_slope_scan(self, mesh4):
         cache = NeighborCache(mesh4)
         h = np.arange(16, dtype=float)
         e = np.ones(mesh4.n_edges)
         i = 5
-        slopes = (h[i] - h[cache.nbrs[i]]) / e[cache.eids[i]]
+        slopes = [(h[i] - h[j]) / e[eid]
+                  for j, eid in zip(cache.nbrs_l[i], cache.eids_l[i])]
         # neighbors of 5 are [1, 4, 6, 9] -> slopes 4, 1, -1, -4
         np.testing.assert_allclose(slopes, [4.0, 1.0, -1.0, -4.0])
 

@@ -125,8 +125,8 @@ class TestEventsFastEquivalence:
 
 class TestScalarFallback:
     """Friction jitter draws RNG per *evaluated* candidate — work the
-    batch screen elides — so jittered-friction configs must fall back
-    to the scalar decision loops (and stay bit-exact through them)."""
+    Phase-B screen elides — so jittered-friction configs must fall back
+    to the reference Phase-B sweep (and stay bit-exact through it)."""
 
     def test_jittered_friction_stays_bit_exact(self):
         balancer_kwargs = {"friction_jitter": 0.05}
@@ -145,18 +145,17 @@ class TestScalarFallback:
         assert s_sim.rng.bit_generator.state == f_sim.rng.bit_generator.state
 
     def test_fallback_is_actually_taken(self, monkeypatch):
-        # Prove the gate routes around the batch phases rather than the
-        # batch phases happening to agree: poison them and check the
-        # jittered run never touches them while the unjittered run does.
+        # Prove the gate routes around the Phase-B screen rather than the
+        # screened sweep happening to agree: poison it and check the
+        # jittered run never touches it while the unjittered run does.
         def _boom(self, s):
-            raise AssertionError("batch phase used despite friction jitter")
+            raise AssertionError("screened phase used despite friction jitter")
 
-        monkeypatch.setattr(ParticlePlaneBalancer, "_phase_a_fast", _boom)
         monkeypatch.setattr(ParticlePlaneBalancer, "_phase_b_fast", _boom)
         result, _, _ = _run(
             EventFastSimulator, "torus-hotspot", "pplb", 7,
             balancer=make_balancer("pplb", friction_jitter=0.05),
         )
-        assert result.records  # ran to completion on the scalar path
-        with pytest.raises(AssertionError, match="batch phase"):
+        assert result.records  # ran to completion on the reference sweep
+        with pytest.raises(AssertionError, match="screened phase"):
             _run(EventFastSimulator, "torus-hotspot", "pplb", 7)

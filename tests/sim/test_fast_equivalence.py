@@ -13,6 +13,8 @@ decision.
 """
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -192,3 +194,56 @@ class TestPhaseBVisitScreen:
         assert [asdict(r) for r in fast.records] == [
             asdict(r) for r in scalar.records
         ]
+
+
+#: Result digests of hub topologies (maximum degree 39–63), frozen from
+#: the release that still ran separate NumPy decision bodies above
+#: degree 32. Every engine must reproduce them: the plain-list bodies
+#: perform the same IEEE operations, in the same order and with the
+#: same RNG draws, at every node degree.
+HUB_DIGESTS = {
+    ("star:64+hotspot", "{}"):
+        "6db1c849780225917b19964a7ac30ad7e3e8d40da1c10f6b90df8d077082141a",
+    ("star:64+hotspot", '{"arbiter_score": "raw"}'):
+        "6db1c849780225917b19964a7ac30ad7e3e8d40da1c10f6b90df8d077082141a",
+    ("star:64+hotspot", '{"motion_rule": "energy-only"}'):
+        "b8caf84f90d7afec5f2a4ebdc3152247f1cb7f7afaa360ca919bffa633baa732",
+    ("complete:40+clustered+faulty", "{}"):
+        "d64f168792c2a630422769bb072d126739ea87b4859e3d9a3af9296c167dd399",
+    ("complete:40+clustered+faulty", '{"arbiter_score": "raw"}'):
+        "60a6fcce9a1ace114c02d5fd016a8f8c28a1028a1f32faceaa833af4e92096ac",
+    ("complete:40+clustered+faulty", '{"motion_rule": "energy-only"}'):
+        "f59613f6d579c6bad9b864011737be925d5a0641f2f281a65ca4ef91460f0d97",
+    ("random:n_nodes=80,avg_degree=40+power-law+churn", "{}"):
+        "08eaecb2c236ea320c27a2405aec8b289216ab9921c9f9e076a76321e7ebc56e",
+    ("random:n_nodes=80,avg_degree=40+power-law+churn",
+     '{"arbiter_score": "raw"}'):
+        "08eaecb2c236ea320c27a2405aec8b289216ab9921c9f9e076a76321e7ebc56e",
+    ("random:n_nodes=80,avg_degree=40+power-law+churn",
+     '{"motion_rule": "energy-only"}'):
+        "14f44d2b50193a117ea36857619218e69168b0f86e487f5629d4cc10a4f11c90",
+}
+
+
+class TestHubDigests:
+    """High-degree trajectories stay byte-identical on every engine."""
+
+    @pytest.mark.parametrize("engine",
+                             ["rounds", "rounds-fast", "events", "events-fast"])
+    @pytest.mark.parametrize("scenario,config", list(HUB_DIGESTS))
+    def test_hub_result_digest_is_frozen(self, scenario, config, engine):
+        spec = RunSpec(scenario=scenario, algorithm="pplb", seed=0,
+                       max_rounds=60, engine=engine,
+                       algorithm_kwargs=json.loads(config))
+        payload = execute_spec(spec).to_dict()
+        del payload["wall_time_s"]
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == HUB_DIGESTS[scenario, config]
+
+    @pytest.mark.parametrize("scenario", sorted({s for s, _ in HUB_DIGESTS}))
+    def test_hub_scenarios_reach_high_degree(self, scenario):
+        # The digests only pin the high-degree case if some node has
+        # more than 32 links (where the array bodies used to take over).
+        assert build_scenario(scenario, seed=0).topology.degree.max() > 32

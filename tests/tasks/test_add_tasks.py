@@ -65,6 +65,10 @@ def test_empty_batch_is_a_no_op():
         ([1.0, 1.0], [-1, 0]),
         ([1.0, 0.0], [9, 0]),  # first invalid pair decides: node error
         ([0.0, 1.0], [9, 0]),  # load is checked before node
+        ([1.0, float("nan"), 2.0], [0, 1, 2]),
+        ([1.0, float("inf")], [0, 1]),
+        ([float("nan"), 1.0], [9, 0]),  # NaN is a load error, before node
+        ([2.0, -float("inf")], [0, 1]),
     ],
 )
 def test_same_error_and_no_partial_mutation(loads, nodes):

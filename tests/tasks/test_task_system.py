@@ -28,6 +28,12 @@ class TestCreation:
             s.add_task(0.0, 0)
         with pytest.raises(TaskError):
             s.add_task(-1.0, 0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(TaskError):
+                s.add_task(bad, 0)
+        with pytest.raises(TaskError):
+            s.add_tasks([float("nan")], [0])
+        assert s.n_created == 0
 
     def test_rejects_bad_node(self, mesh4):
         s = TaskSystem(mesh4)

@@ -23,6 +23,11 @@ class TestTraceConstruction:
             ArrivalEvent(-1, 0, 1.0)
         with pytest.raises(ConfigurationError):
             ArrivalEvent(0, 0, 0.0)
+        for size in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ArrivalEvent(0, 0, size)
+        with pytest.raises(ConfigurationError):
+            ArrivalEvent(0, -1, 1.0)
         with pytest.raises(ConfigurationError):
             CompletionEvent(0, -1)
 
@@ -44,6 +49,12 @@ class TestTraceConstruction:
     def test_bad_json(self):
         with pytest.raises(ConfigurationError):
             WorkloadTrace.from_json('{"nope": []}')
+        # Python's json accepts these non-standard literals.
+        for size in ("NaN", "Infinity"):
+            with pytest.raises(ConfigurationError):
+                WorkloadTrace.from_json('{"arrivals": [[0, 0, %s]]}' % size)
+        with pytest.raises(ConfigurationError):
+            WorkloadTrace.from_json('{"arrivals": [[0, -1, 1.0]]}')
 
 
 class TestReplay:
