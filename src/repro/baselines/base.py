@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Container
 
 import numpy as np
@@ -30,17 +31,18 @@ def pick_task_for_quota(
     *exclude* holds task ids already planned for a move this round — the
     engine applies all of a round's orders after planning, so the same
     task must never be ordered twice in one round.
+
+    The candidates and their loads come as plain ``(id, load)`` pairs
+    from :meth:`~repro.tasks.TaskSystem.largest_loads_at`, a slice of
+    the node's load-ordered index, so no candidate is looked up again.
     """
     if quota <= 0:
         return None
     best: int | None = None
-    best_gap = np.inf
-    for tid in ctx.system.largest_tasks_at(node, max_candidates):
-        tid = int(tid)
-        if tid in exclude:
-            continue
-        load = ctx.system.load_of(tid)
-        if load >= 2.0 * quota:
+    best_gap = math.inf
+    limit = 2.0 * quota
+    for tid, load in ctx.system.largest_loads_at(node, max_candidates):
+        if tid in exclude or load >= limit:
             continue
         gap = abs(load - quota)
         if gap < best_gap:

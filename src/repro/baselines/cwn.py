@@ -74,11 +74,9 @@ class ContractingWithinNeighborhood(Balancer):
             # Send the largest task still within its contracting radius
             # that does not overshoot (keep i above j after the move).
             tid = None
-            for cand in ctx.system.largest_tasks_at(i, 6):
-                cand = int(cand)
+            for cand, load in ctx.system.largest_loads_at(i, 6):
                 if cand in planned or self._hops.get(cand, 0) >= self.max_hops:
                     continue
-                load = ctx.system.load_of(cand)
                 if load < (h[i] - best_h):
                     tid = cand
                     break
@@ -89,7 +87,6 @@ class ContractingWithinNeighborhood(Balancer):
             used[eid] = True
             planned.add(tid)
             self._hops[tid] = self._hops.get(tid, 0) + 1
-            load = ctx.system.load_of(tid)
             h[i] -= load
             h[best_j] += load
         return migrations

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import free_and_up, pick_task_for_quota
+from repro.baselines.base import pick_task_for_quota
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, FluidBalancer, Migration
 from repro.network.topology import Topology
@@ -120,31 +120,27 @@ class TaskDiffusion(Balancer):
     def step(self, ctx: BalanceContext) -> list[Migration]:
         if self._alphas is None or self._topology is not ctx.topology:
             self.reset(ctx)
-        h = np.array(ctx.system.node_loads)
+        h = ctx.system.node_loads
         e = ctx.topology.edges
         flow = self._alphas * (h[e[:, 0]] - h[e[:, 1]])
-        used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        # Largest prescriptions first: the steepest gradients get links.
+        # Flows below min_quota are ignored, so the walk is the sorted
+        # prefix at or above it. Each edge comes up once, so only a
+        # fault can refuse it.
+        mag = np.abs(flow)
+        order = np.argsort(-mag, kind="stable")
+        order = order[: np.count_nonzero(mag >= self.min_quota)]
         planned: set[int] = set()
         migrations: list[Migration] = []
-
-        # Largest prescriptions first: the steepest gradients get links.
-        order = np.argsort(-np.abs(flow), kind="stable")
-        for eid in order:
-            eid = int(eid)
-            quota = float(flow[eid])
-            if abs(quota) < self.min_quota:
-                break
-            if not free_and_up(ctx, used, eid):
+        for quota, up, (u, v) in zip(
+            flow[order].tolist(), ctx.up_mask[order].tolist(), e[order].tolist()
+        ):
+            if not up:
                 continue
-            u, v = int(e[eid, 0]), int(e[eid, 1])
             src, dst = (u, v) if quota > 0 else (v, u)
             tid = pick_task_for_quota(ctx, src, abs(quota), exclude=planned)
             if tid is None:
                 continue
             migrations.append(Migration(tid, src, dst))
-            used[eid] = True
             planned.add(tid)
-            load = ctx.system.load_of(tid)
-            h[src] -= load
-            h[dst] += load
         return migrations

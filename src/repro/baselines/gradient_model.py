@@ -121,11 +121,10 @@ class GradientModel(Balancer):
             # GM moves one unit of work down the pressure gradient: take
             # the node's largest task that does not overshoot the target.
             tid = None
-            for cand in ctx.system.largest_tasks_at(i, 4):
-                cand = int(cand)
+            for cand, load in ctx.system.largest_loads_at(i, 4):
                 if cand in planned:
                     continue
-                if h[i] - ctx.system.load_of(cand) >= low:
+                if h[i] - load >= low:
                     tid = cand
                     break
             if tid is None:
@@ -134,7 +133,6 @@ class GradientModel(Balancer):
             migrations.append(Migration(tid, i, best_j))
             used[eid] = True
             planned.add(tid)
-            load = ctx.system.load_of(tid)
             h[i] -= load
             h[best_j] += load
         return migrations

@@ -45,7 +45,11 @@ decision body, a plain-list loop over the node's neighbors
 from the reference only in *which* Phase-B nodes it visits. During one
 ``step`` the task placements never change (the engine applies the
 returned orders afterwards), so the only decision inputs that evolve are
-the private surface ``h`` and the per-link reservations. Phase A is the
+the private surface ``h`` and the per-link reservations. The decision
+bodies read them, with the link costs and ``1/s``, from plain-Python
+vectors made once per round (``_StepState.unbox``), and the screen
+views those vectors as arrays; a round without decisions never makes
+them. Phase A is the
 same id-ordered loop under both paths. Phase B screens every
 (node, neighbor) slope at the node's candidate floor in one whole-graph
 CSR array expression and then runs the per-node body only where it can
@@ -66,6 +70,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from array import array
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,6 +87,11 @@ from repro.tasks.task_graph import TaskGraph
 logger = logging.getLogger(__name__)
 
 
+def _doubles(a) -> array:
+    """A typed copy of float vector *a* whose reads are plain floats."""
+    return array("d", np.ascontiguousarray(a, dtype=np.float64).tobytes())
+
+
 class _StepState:
     """Shared working state of one balancing round.
 
@@ -90,11 +100,21 @@ class _StepState:
     one drive the *same* decision bodies. ``on_change`` is the fast
     Phase B's re-queue hook — called after every applied decision with
     the (src, dst) endpoints; None everywhere else.
+
+    The round starts on the context's NumPy arrays. Right before the
+    first decision body runs, :meth:`unbox` copies the surface ``h``,
+    the link costs ``e`` and ``inv_s`` into ``array('d')`` vectors and
+    the fault mask into ``free``, a ``bytearray`` that also carries the
+    round's link reservations (1 while a link is up and unreserved).
+    The decision bodies read single links and nodes, where these give
+    plain Python floats and ints instead of boxed NumPy scalars; each
+    copy is one memcpy. A round that decides nothing — no particle in
+    flight, no node past the screen — never makes them.
     """
 
     __slots__ = (
         "system", "topo", "cache", "friction", "e", "up", "rng",
-        "t", "h", "inv_s", "used", "migrations", "on_change", "probe",
+        "t", "h", "inv_s", "free", "migrations", "on_change", "probe",
     )
 
     def __init__(self, ctx: BalanceContext, cache, friction, inv_s: np.ndarray):
@@ -112,7 +132,7 @@ class _StepState:
         # h_i/s_i, making the equilibrium capacity-proportional; the
         # homogeneous case reduces to inv_s = 1 exactly.
         self.h = np.array(ctx.system.node_loads) * inv_s
-        self.used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        self.free: Optional[bytearray] = None  # set by unbox()
         self.migrations: list[Migration] = []
         self.on_change: Optional[Callable[[int, int], None]] = None
         # The engine's telemetry sink, or None when disabled — decision
@@ -120,6 +140,30 @@ class _StepState:
         # so the default (null-probe) hot path pays one None check.
         probe = ctx.probe
         self.probe = probe if probe is not None and probe.enabled else None
+
+    def unbox(self) -> None:
+        """Switch the decision inputs to plain-Python vectors (once)."""
+        if self.free is None:
+            self.h = _doubles(self.h)
+            self.e = _doubles(self.e)
+            self.inv_s = _doubles(self.inv_s)
+            self.free = bytearray(np.ascontiguousarray(self.up, dtype=bool))
+
+    def screen_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(h, inv_s, e, free)`` as arrays for the Phase-B screen.
+
+        Before any decision these are the round's own arrays (no link
+        is reserved yet, so *free* is the fault mask); afterwards they
+        are zero-copy views of the unboxed vectors.
+        """
+        if self.free is None:
+            return self.h, self.inv_s, self.e, self.up
+        return (
+            np.frombuffer(self.h),
+            np.frombuffer(self.inv_s),
+            np.frombuffer(self.e),
+            np.frombuffer(self.free, dtype=bool),
+        )
 
 
 class ParticlePlaneBalancer(Balancer):
@@ -272,16 +316,17 @@ class ParticlePlaneBalancer(Balancer):
             if cfg.max_hops is not None and st.hops >= cfg.max_hops:
                 self._settle(tid)
                 continue
+            s.unbox()
             self._phase_a_decide(
                 s, tid, st, system.location_of(tid), system.load_of(tid)
             )
 
     def _phase_b_scalar(self, s: _StepState) -> None:
         """Phase B reference loop: every node, in descending height order."""
-        node_order = np.argsort(-s.h, kind="stable")
-        for i in node_order:
-            i = int(i)
-            if s.h[i] <= 0.0:
+        s.unbox()
+        h = s.h
+        for i in np.argsort(-np.frombuffer(h), kind="stable").tolist():
+            if h[i] <= 0.0:
                 break  # descending order: nothing left to shed anywhere
             self._phase_b_node(s, i)
 
@@ -321,8 +366,7 @@ class ParticlePlaneBalancer(Balancer):
         mu_k = s.friction.mu_k(s.system, s.topo, tid, cur) * self._jitter(s.t, s.rng, s.probe)
         cmu = cfg.c0 * mu_k
         e = s.e
-        up = s.up
-        used = s.used
+        free = s.free
         hstar = st.hstar
         cand: list[tuple[int, int, float]] = []
         scores_l = []
@@ -330,7 +374,7 @@ class ParticlePlaneBalancer(Balancer):
             eid = eids_l[k]
             d = cmu * e[eid]
             score = (hstar - d) - h[js_l[k]]
-            if score > 0.0 and up[eid] and not used[eid]:
+            if score > 0.0 and free[eid]:
                 cand.append((js_l[k], eid, float(d)))
                 scores_l.append(float(score))
         if not cand:
@@ -363,7 +407,7 @@ class ParticlePlaneBalancer(Balancer):
         heat = hop_heat_energy(self.config.g, load, drop)
         st.record_hop(drop, heat, cur)
         s.migrations.append(Migration(tid, cur, j, heat))
-        s.used[eid] = True
+        s.free[eid] = 0
         h[cur] -= load * s.inv_s[cur]
         h[j] += load * s.inv_s[j]
         self.stats["hops"] += 1
@@ -385,6 +429,7 @@ class ParticlePlaneBalancer(Balancer):
             if cfg.max_departures_per_node is not None
             else math.inf
         )
+        free = s.free
         js_l = s.cache.nbrs_l[i]
         eids_l = s.cache.eids_l[i]
         uncorrected = cfg.arbiter_score != "corrected"
@@ -392,7 +437,7 @@ class ParticlePlaneBalancer(Balancer):
         for tid, load in system.largest_loads_at(i, cfg.candidates_per_node):
             if tid in self._motion:
                 continue
-            avail_l = [s.up[eid] and not s.used[eid] for eid in eids_l]
+            avail_l = [free[eid] for eid in eids_l]
             if not any(avail_l):
                 break  # no free links left at this node
             mu_s, mu_k = s.friction.both(system, s.topo, tid, i)
@@ -414,17 +459,17 @@ class ParticlePlaneBalancer(Balancer):
                 if t_k > mu_s:
                     cand.append((jj, eid))
                     if uncorrected:
-                        scores_l.append(float((hi - h[jj]) / e[eid]))
+                        scores_l.append((hi - h[jj]) / e[eid])
                     else:
-                        scores_l.append(float(t_k))
+                        scores_l.append(t_k)
             if not cand:
                 continue
             pick = self._choose(s, scores_l)
             j, eid = cand[pick]
-            drop = hop_height_drop(cfg.c0, mu_k, float(e[eid]))
+            drop = hop_height_drop(cfg.c0, mu_k, e[eid])
             heat = hop_heat_energy(cfg.g, load, drop)
             st = MotionState(
-                hstar=float(h[i]) - drop,
+                hstar=h[i] - drop,
                 origin=i,
                 released_at=s.t,
                 hops=1,
@@ -433,7 +478,7 @@ class ParticlePlaneBalancer(Balancer):
             )
             self._motion[tid] = st
             s.migrations.append(Migration(tid, i, j, heat))
-            s.used[eid] = True
+            free[eid] = 0
             h[i] -= load * inv_s[i]
             h[j] += load * inv_s[j]
             self.stats["initiated"] += 1
@@ -486,13 +531,12 @@ class ParticlePlaneBalancer(Balancer):
         h = s.h
         inv_s = s.inv_s
         e = s.e
-        up = s.up
-        used = s.used
+        free = s.free
         hi = h[i]
         isi = inv_s[i]
         mu = self.config.mu_s_base
         for j, eid in zip(s.cache.nbrs_l[i], s.cache.eids_l[i]):
-            if up[eid] and not used[eid]:
+            if free[eid]:
                 if ((hi - h[j]) - floor_i * (isi + inv_s[j])) / e[eid] > mu:
                     return True
         return False
@@ -528,7 +572,6 @@ class ParticlePlaneBalancer(Balancer):
         """
         topo = s.topo
         cache = s.cache
-        h = s.h
         n = topo.n_nodes
         probe = s.probe
         if topo.n_edges == 0:
@@ -536,13 +579,14 @@ class ParticlePlaneBalancer(Balancer):
         if probe is not None:
             probe.incr("screen.waves")
         floor = s.system.candidate_floor(self.config.candidates_per_node)
-        ok = self.initiation_screen(floor, h, s.inv_s, s.e, s.up & ~s.used)
+        h_a, inv_s, e, free = s.screen_inputs()
+        ok = self.initiation_screen(floor, h_a, inv_s, e, free)
         if not ok.any():
             if probe is not None:
                 probe.incr("screen.waves_skipped")
             return  # every wake this wave is a no-effect, no-RNG visit
-        node_order = np.argsort(-h, kind="stable")
-        n_pos = int(np.count_nonzero(h > 0.0))
+        node_order = np.argsort(-h_a, kind="stable")
+        n_pos = int(np.count_nonzero(h_a > 0.0))
         screened = np.zeros(n, dtype=bool)
         screened[cache.flat_rows[ok]] = True
         static_rs = np.nonzero(screened[node_order[:n_pos]])[0]
@@ -554,6 +598,8 @@ class ParticlePlaneBalancer(Balancer):
                 "screen.nodes_screened_out", n_pos - int(static_rs.shape[0])
             )
 
+        s.unbox()
+        h = s.h
         floor_l = floor.tolist()
         pos_of = np.empty(n, dtype=np.int64)
         pos_of[node_order] = np.arange(n)

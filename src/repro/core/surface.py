@@ -77,11 +77,13 @@ class NeighborCache:
     evaluate every incident link with::
 
         for j, eid in zip(cache.nbrs_l[i], cache.eids_l[i]):
-            if up_mask[eid] and not used[eid]:
+            if free[eid]:
                 slope = (h[i] - h[j] - 2*load) / e[eid]
 
-    — Python list indexing beats per-element ndarray access by ~3x at
-    typical graph degrees. The flat CSR forms
+    with ``h``, ``e`` and ``free`` the round's plain-Python vectors (see
+    the balancer's ``_StepState``) — reading a list, ``array('d')`` or
+    ``bytearray`` element beats per-element ndarray access, which boxes
+    a NumPy scalar, by ~3x. The flat CSR forms
     (``flat_rows``/``flat_nbrs``/``flat_eids``) are exposed for
     whole-graph batch expressions (the large-N Phase-B screen).
     """

@@ -203,13 +203,16 @@ class Topology:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is a link of the network."""
-        return (min(u, v), max(u, v)) in self._edge_index
+        return ((u, v) if u < v else (v, u)) in self._edge_index
 
     def edge_id(self, u: int, v: int) -> int:
-        """Index of edge ``{u, v}`` into :attr:`edges` / per-edge arrays."""
-        key = (min(int(u), int(v)), max(int(u), int(v)))
+        """Index of edge ``{u, v}`` into :attr:`edges` / per-edge arrays.
+
+        A plain ``int`` for any integer endpoints (NumPy ones hash and
+        compare like Python ints, so the lookup needs no conversion).
+        """
         try:
-            return self._edge_index[key]
+            return self._edge_index[(u, v) if u < v else (v, u)]
         except KeyError:
             raise TopologyError(f"no edge between {u} and {v} in topology '{self.name}'")
 

@@ -195,6 +195,7 @@ class Simulator(TaskStateMixin, RoundDriver):
         self._wire: dict[int, list[tuple[int, int]]] = {}
         self.rng = ensure_rng(seed)
         self.link_costs = link_costs(self.links, c1=c1, e0=e0)
+        self._link_costs_l: list[float] = self.link_costs.tolist()
         self._all_up = np.ones(topology.n_edges, dtype=bool)
         # journey tracking: task id -> (origin node, hops so far)
         self.task_hops: dict[int, int] = {}
@@ -240,8 +241,14 @@ class Simulator(TaskStateMixin, RoundDriver):
     def _apply(
         self, migrations: list[Migration], up_mask: np.ndarray, round_index: int
     ) -> tuple[int, float, float, int]:
-        """Validate and apply orders; returns (applied, work, heat, blocked)."""
-        capacity = np.zeros(self.topology.n_edges, dtype=np.int64)
+        """Validate and apply orders; returns (applied, work, heat, blocked).
+
+        Per-order reads are plain Python values: the fault mask as a
+        ``bytearray``, the link costs as a list, per-link use in a dict.
+        """
+        up = bytearray(up_mask)
+        costs = self._link_costs_l
+        capacity: dict[int, int] = {}
         applied = 0
         work = 0.0
         heat = 0.0
@@ -255,16 +262,16 @@ class Simulator(TaskStateMixin, RoundDriver):
                     f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
                 )
             eid = self.topology.edge_id(m.src, m.dst)  # raises on non-edges
-            if not up_mask[eid]:
+            if not up[eid]:
                 # A fault-oblivious balancer tried a dead link: the
                 # transfer simply does not happen this round.
                 blocked += 1
                 continue
-            capacity[eid] += 1
-            if capacity[eid] > self.link_capacity:
+            used = capacity[eid] = capacity.get(eid, 0) + 1
+            if used > self.link_capacity:
                 raise SimulationError(
                     f"link ({m.src}, {m.dst}) over capacity: "
-                    f"{capacity[eid]} > {self.link_capacity}"
+                    f"{used} > {self.link_capacity}"
                 )
             load = self.system.load_of(m.task_id)
             latency = self._latency_of(load, eid)
@@ -276,7 +283,7 @@ class Simulator(TaskStateMixin, RoundDriver):
                     (m.task_id, m.dst)
                 )
             applied += 1
-            work += load * float(self.link_costs[eid])
+            work += load * costs[eid]
             heat += m.heat
             if self.track_journeys:
                 if m.task_id not in self.task_origin:

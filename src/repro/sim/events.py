@@ -274,6 +274,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         else:
             self._clock_rng = derive(seed, _CLOCK_STREAM)
         self.link_costs = link_costs(self.links, c1=c1, e0=e0)
+        self._link_costs_l: list[float] = self.link_costs.tolist()
         self._all_up = np.ones(topology.n_edges, dtype=bool)
         self._periods = self.cadence / self.clock_speeds
 
@@ -362,8 +363,16 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         """Validate and apply a wave's orders (same contract as the
         synchronous engine: an invalid order is a balancer bug and
         raises; a fault-refused or sleeping-endpoints order is counted
-        and dropped)."""
-        capacity = np.zeros(self.topology.n_edges, dtype=np.int64)
+        and dropped). Per-order reads are plain Python values, as there.
+        A wave with no orders touches nothing."""
+        if not migrations:
+            return
+        up = bytearray(up_mask)
+        if awake is not None:
+            awake = bytearray(awake)
+        costs = self._link_costs_l
+        ep_used = self._ep_link_used
+        capacity: dict[int, int] = {}
         for m in migrations:
             if awake is not None and not (awake[m.src] or awake[m.dst]):
                 # An async-oblivious balancer planned a move between two
@@ -381,17 +390,18 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
                 )
             eid = self.topology.edge_id(m.src, m.dst)  # raises on non-edges
-            if not up_mask[eid]:
+            if not up[eid]:
                 self._ep_blocked += 1
                 continue
-            if capacity[eid] + 1 > self.link_capacity:
+            used = capacity.get(eid, 0) + 1
+            if used > self.link_capacity:
                 # More orders over one link than a single step may
                 # schedule — a balancer bug, exactly as on the sync path.
                 raise SimulationError(
                     f"link ({m.src}, {m.dst}) over capacity: "
-                    f"{capacity[eid] + 1} > {self.link_capacity}"
+                    f"{used} > {self.link_capacity}"
                 )
-            if capacity[eid] + self._ep_link_used[eid] + 1 > self.link_capacity:
+            if used + ep_used.get(eid, 0) > self.link_capacity:
                 # The link's per-time-unit budget was already spent by
                 # an earlier wave this epoch (only possible once clocks
                 # desynchronise): the link is busy and the transfer is
@@ -399,7 +409,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 # load per link per time unit" holds in continuous time.
                 self._ep_blocked += 1
                 continue
-            capacity[eid] += 1
+            capacity[eid] = used
             load = self.system.load_of(m.task_id)
             latency = self._latency_of(load, eid)
             if latency <= 0:
@@ -408,9 +418,10 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 self.system.send_to_transit(m.task_id)
                 self._push(t + latency, _ARRIVAL, (m.task_id, m.dst))
             self._ep_applied += 1
-            self._ep_work += load * float(self.link_costs[eid])
+            self._ep_work += load * costs[eid]
             self._ep_heat += m.heat
-        self._ep_link_used += capacity
+        for eid, used in capacity.items():
+            ep_used[eid] = ep_used.get(eid, 0) + used
 
     # ------------------------- kernel driver hooks -------------------- #
 
@@ -438,7 +449,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         self._ep_asleep = 0
         # Per-link transfers already scheduled this epoch (= time
         # unit): caps cross-wave traffic at link_capacity per epoch.
-        self._ep_link_used = np.zeros(self.topology.n_edges, dtype=np.int64)
+        self._ep_link_used: dict[int, int] = {}
         self._up_mask = self._all_up
         return 0
 
@@ -510,7 +521,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 self._ep_heat = 0.0
                 self._ep_blocked = 0
                 self._ep_asleep = 0
-                self._ep_link_used[:] = 0
+                self._ep_link_used.clear()
                 return stats
 
         raise SimulationError(
@@ -603,7 +614,7 @@ class EventFastSimulator(EventSimulator):
         self._ep_heat = 0.0
         self._ep_blocked = 0
         self._ep_asleep = 0
-        self._ep_link_used = np.zeros(self.topology.n_edges, dtype=np.int64)
+        self._ep_link_used: dict[int, int] = {}
         self._up_mask = self._all_up
         return 0
 
@@ -696,5 +707,5 @@ class EventFastSimulator(EventSimulator):
                 self._ep_heat = 0.0
                 self._ep_blocked = 0
                 self._ep_asleep = 0
-                self._ep_link_used[:] = 0
+                self._ep_link_used.clear()
                 return stats

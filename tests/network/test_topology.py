@@ -112,6 +112,23 @@ class TestQueries:
         with pytest.raises(TopologyError):
             mesh4.edge_id(0, 5)
 
+    def test_edge_id_accepts_numpy_endpoints(self, mesh4):
+        eid = mesh4.edge_id(np.int64(5), np.int64(1))
+        assert type(eid) is int
+        assert eid == mesh4.edge_id(1, 5)
+        assert mesh4.has_edge(np.int64(5), np.int64(1))
+
+    def test_edge_id_returns_plain_int(self, mesh4):
+        for u, v in mesh4.edges.tolist():
+            assert type(mesh4.edge_id(v, u)) is int
+
+    def test_edge_id_rejects_non_edge_and_self_loop(self, mesh4):
+        with pytest.raises(TopologyError):
+            mesh4.edge_id(np.int64(0), np.int64(15))
+        with pytest.raises(TopologyError):
+            mesh4.edge_id(3, 3)
+        assert not mesh4.has_edge(3, 3)
+
     def test_adjacency_symmetric(self, mesh4):
         a = mesh4.adjacency
         assert (a == a.T).all()
