@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from typing import Container
 
 import numpy as np
 
 from repro.interfaces import BalanceContext
+
+#: candidates a quota pick considers: the node's largest tasks
+QUOTA_CANDIDATES = 8
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -16,7 +18,7 @@ def pick_task_for_quota(
     ctx: BalanceContext,
     node: int,
     quota: float,
-    max_candidates: int = 8,
+    max_candidates: int = QUOTA_CANDIDATES,
     exclude: Container[int] = _EMPTY,
 ) -> int | None:
     """Choose the resident task whose size best realises a *quota* of load.
@@ -32,25 +34,16 @@ def pick_task_for_quota(
     engine applies all of a round's orders after planning, so the same
     task must never be ordered twice in one round.
 
-    The candidates and their loads come as plain ``(id, load)`` pairs
-    from :meth:`~repro.tasks.TaskSystem.largest_loads_at`, a slice of
-    the node's load-ordered index, so no candidate is looked up again.
+    The pick is :meth:`~repro.tasks.TaskSystem.pick_for_quota`, which
+    bisects the node's load-ordered index to the first load below
+    ``2φ`` and stops scanning once the gaps start to grow; the
+    baselines call it directly.
     """
-    if quota <= 0:
-        return None
-    best: int | None = None
-    best_gap = math.inf
-    limit = 2.0 * quota
-    for tid, load in ctx.system.largest_loads_at(node, max_candidates):
-        if tid in exclude or load >= limit:
-            continue
-        gap = abs(load - quota)
-        if gap < best_gap:
-            best_gap = gap
-            best = tid
-    return best
+    return ctx.system.pick_for_quota(node, quota, max_candidates, exclude)
 
 
-def free_and_up(ctx: BalanceContext, used: np.ndarray, eid: int) -> bool:
-    """Whether edge *eid* is both fault-free and unreserved this round."""
-    return bool(ctx.up_mask[eid]) and not bool(used[eid])
+def free_links(ctx: BalanceContext) -> bytearray:
+    """The round's link reservations: 1 per edge while it is fault-free
+    and unreserved. A balancer builds it once per step and clears an
+    entry when it reserves that link."""
+    return bytearray(np.ascontiguousarray(ctx.up_mask, dtype=bool))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import free_and_up
+from repro.baselines.base import free_links
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, Migration
 
@@ -50,7 +50,7 @@ class ContractingWithinNeighborhood(Balancer):
 
     def step(self, ctx: BalanceContext) -> list[Migration]:
         h = np.array(ctx.system.node_loads)
-        used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        free = free_links(ctx)
         planned: set[int] = set()
         migrations: list[Migration] = []
         order = np.argsort(-h, kind="stable")
@@ -64,7 +64,7 @@ class ContractingWithinNeighborhood(Balancer):
             for j in js:
                 j = int(j)
                 eid = ctx.topology.edge_id(i, j)
-                if not free_and_up(ctx, used, eid):
+                if not free[eid]:
                     continue
                 if h[j] < best_h:
                     best_h = float(h[j])
@@ -84,7 +84,7 @@ class ContractingWithinNeighborhood(Balancer):
                 continue
             eid = ctx.topology.edge_id(i, best_j)
             migrations.append(Migration(tid, i, best_j))
-            used[eid] = True
+            free[eid] = 0
             planned.add(tid)
             self._hops[tid] = self._hops.get(tid, 0) + 1
             h[i] -= load

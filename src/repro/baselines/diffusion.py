@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import pick_task_for_quota
+from repro.baselines.base import QUOTA_CANDIDATES
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, FluidBalancer, Migration
 from repro.network.topology import Topology
@@ -130,6 +130,12 @@ class TaskDiffusion(Balancer):
         mag = np.abs(flow)
         order = np.argsort(-mag, kind="stable")
         order = order[: np.count_nonzero(mag >= self.min_quota)]
+        # A node with no task for a quota has none for any later one:
+        # quotas come largest first, its candidates stay put while the
+        # round is planned and the exclusions only grow. So a failed
+        # pick retires the node for the rest of the round.
+        pick = ctx.system.pick_for_quota
+        dry: set[int] = set()
         planned: set[int] = set()
         migrations: list[Migration] = []
         for quota, up, (u, v) in zip(
@@ -138,8 +144,11 @@ class TaskDiffusion(Balancer):
             if not up:
                 continue
             src, dst = (u, v) if quota > 0 else (v, u)
-            tid = pick_task_for_quota(ctx, src, abs(quota), exclude=planned)
+            if src in dry:
+                continue
+            tid = pick(src, abs(quota), QUOTA_CANDIDATES, planned)
             if tid is None:
+                dry.add(src)
                 continue
             migrations.append(Migration(tid, src, dst))
             planned.add(tid)

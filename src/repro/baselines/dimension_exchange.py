@@ -21,7 +21,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from repro.baselines.base import free_and_up, pick_task_for_quota
+from repro.baselines.base import QUOTA_CANDIDATES, free_links
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, FluidBalancer, Migration
 from repro.network.topology import Topology
@@ -101,23 +101,23 @@ class DimensionExchange(Balancer):
         h = np.array(ctx.system.node_loads)
         e = ctx.topology.edges
         active_ids = np.nonzero(self._colors == (ctx.round_index % self._n_colors))[0]
-        used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        free = free_links(ctx)
+        pick = ctx.system.pick_for_quota
         planned: set[int] = set()
         migrations: list[Migration] = []
-        for eid in active_ids:
-            eid = int(eid)
-            if not free_and_up(ctx, used, eid):
+        for eid in active_ids.tolist():
+            if not free[eid]:
                 continue
             u, v = int(e[eid, 0]), int(e[eid, 1])
             quota = 0.5 * (h[u] - h[v])
             if abs(quota) < self.min_quota:
                 continue
             src, dst = (u, v) if quota > 0 else (v, u)
-            tid = pick_task_for_quota(ctx, src, abs(quota), exclude=planned)
+            tid = pick(src, abs(quota), QUOTA_CANDIDATES, planned)
             if tid is None:
                 continue
             migrations.append(Migration(tid, src, dst))
-            used[eid] = True
+            free[eid] = 0
             planned.add(tid)
             load = ctx.system.load_of(tid)
             h[src] -= load

@@ -21,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.baselines.base import free_and_up
+from repro.baselines.base import free_links
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, Migration
 
@@ -98,7 +98,7 @@ class GradientModel(Balancer):
         if heavy_nodes.shape[0] == 0:
             return []
 
-        used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        free = free_links(ctx)
         planned: set[int] = set()
         migrations: list[Migration] = []
         # Heaviest nodes first (deterministic; ties by id via stable sort).
@@ -110,7 +110,7 @@ class GradientModel(Balancer):
             for j in js:
                 j = int(j)
                 eid = ctx.topology.edge_id(i, j)
-                if not free_and_up(ctx, used, eid):
+                if not free[eid]:
                     continue
                 key = (float(prox[j]), float(h[j]))
                 if key < best_key:
@@ -131,7 +131,7 @@ class GradientModel(Balancer):
                 continue
             eid = ctx.topology.edge_id(i, best_j)
             migrations.append(Migration(tid, i, best_j))
-            used[eid] = True
+            free[eid] = 0
             planned.add(tid)
             h[i] -= load
             h[best_j] += load

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import free_and_up, pick_task_for_quota
+from repro.baselines.base import QUOTA_CANDIDATES, free_links
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, Migration
 
@@ -39,7 +39,8 @@ class RandomWorkStealing(Balancer):
         hungry = np.nonzero(h < (1.0 - self.delta) * mean)[0]
         if hungry.shape[0] == 0:
             return []
-        used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        free = free_links(ctx)
+        pick = ctx.system.pick_for_quota
         planned: set[int] = set()
         migrations: list[Migration] = []
         # Randomized visit order (receiver-initiated: the hungry act).
@@ -49,16 +50,16 @@ class RandomWorkStealing(Balancer):
             js = ctx.topology.neighbors(i)
             j = int(js[ctx.rng.integers(0, js.shape[0])])
             eid = ctx.topology.edge_id(i, j)
-            if not free_and_up(ctx, used, eid):
+            if not free[eid]:
                 continue
             if h[j] <= mean:
                 continue
             quota = min(h[j] - mean, mean - h[i])
-            tid = pick_task_for_quota(ctx, j, quota, exclude=planned)
+            tid = pick(j, quota, QUOTA_CANDIDATES, planned)
             if tid is None:
                 continue
             migrations.append(Migration(tid, j, i))
-            used[eid] = True
+            free[eid] = 0
             planned.add(tid)
             load = ctx.system.load_of(tid)
             h[j] -= load

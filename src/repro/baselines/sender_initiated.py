@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import free_and_up, pick_task_for_quota
+from repro.baselines.base import QUOTA_CANDIDATES, free_links
 from repro.exceptions import ConfigurationError
 from repro.interfaces import BalanceContext, Balancer, Migration
 
@@ -47,7 +47,8 @@ class SenderInitiated(Balancer):
         heavy = np.nonzero(h > t_high)[0]
         if heavy.shape[0] == 0:
             return []
-        used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        free = free_links(ctx)
+        pick = ctx.system.pick_for_quota
         planned: set[int] = set()
         migrations: list[Migration] = []
         for i in heavy[np.argsort(-h[heavy], kind="stable")]:
@@ -57,16 +58,16 @@ class SenderInitiated(Balancer):
             for j in js[: self.probes]:
                 j = int(j)
                 eid = ctx.topology.edge_id(i, j)
-                if not free_and_up(ctx, used, eid):
+                if not free[eid]:
                     continue
                 if h[j] >= t_low:
                     continue
                 quota = min(h[i] - mean, mean - h[j])
-                tid = pick_task_for_quota(ctx, i, quota, exclude=planned)
+                tid = pick(i, quota, QUOTA_CANDIDATES, planned)
                 if tid is None:
                     continue
                 migrations.append(Migration(tid, i, j))
-                used[eid] = True
+                free[eid] = 0
                 planned.add(tid)
                 load = ctx.system.load_of(tid)
                 h[i] -= load

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,9 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.tasks.task_graph import TaskGraph
 
 
-@dataclass(frozen=True)
-class Migration:
+class Migration(NamedTuple):
     """A single one-hop task move ordered by a balancer.
+
+    An immutable named tuple: a round plans thousands of these, and a
+    tuple is the cheapest immutable record to build. Setting a field
+    raises :class:`AttributeError`.
 
     Attributes
     ----------

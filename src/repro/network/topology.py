@@ -24,12 +24,12 @@ from typing import Iterable, Mapping
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from repro.exceptions import TopologyError
 
-#: largest number of BFS sources handed to one ``shortest_path`` call by
-#: the eccentricity bounding pass (bounds the ``(k, n)`` working set).
+#: largest number of BFS sources handed to one ``dijkstra`` call by the
+#: eccentricity bounding pass (bounds the ``(k, n)`` working set).
 _MAX_BFS_BATCH = 256
 
 
@@ -257,9 +257,14 @@ class Topology:
 
     @cached_property
     def _sparse(self) -> csr_matrix:
-        """The adjacency as a SciPy sparse matrix, for the csgraph routines."""
+        """The adjacency as a SciPy sparse matrix, for the csgraph routines.
+
+        ``float64`` ones, the dtype csgraph works in, so no call converts
+        (and re-validates) the matrix. The CSR holds both directions of
+        every edge, so it is already symmetric.
+        """
         csr = self.csr
-        data = np.ones(csr.n_slots, dtype=np.int8)
+        data = np.ones(csr.n_slots, dtype=np.float64)
         return csr_matrix((data, csr.indices, csr.indptr), shape=(self.n_nodes, self.n_nodes))
 
     @cached_property
@@ -292,12 +297,14 @@ class Topology:
 
         Shape ``(k, n)``, int32: row ``i`` equals
         ``hop_distances[sources[i]]``, from one BFS per source instead of
-        the all-pairs matrix.
+        the all-pairs matrix. The adjacency is symmetric, so the BFS runs
+        as SciPy's directed unweighted search, which skips symmetrising
+        the matrix on every call.
         """
         idx = np.asarray(sources, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_nodes):
             raise TopologyError(f"sources out of range [0, {self.n_nodes})")
-        d = shortest_path(self._sparse, method="D", unweighted=True, directed=False, indices=idx)
+        d = dijkstra(self._sparse, directed=True, unweighted=True, indices=idx)
         return d.reshape(idx.shape[0], self.n_nodes).astype(np.int32)
 
     @cached_property

@@ -17,15 +17,22 @@ All functions accept the per-node load vector ``h``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
 
-def _validate(h: np.ndarray) -> np.ndarray:
+def _vector(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] == 0:
         raise ConfigurationError(f"load vector must be non-empty 1-D, got shape {h.shape}")
+    return h
+
+
+def _validate(h: np.ndarray) -> np.ndarray:
+    h = _vector(h)
     if (h < -1e-9).any():
         raise ConfigurationError("load vector has negative entries")
     return h
@@ -56,17 +63,38 @@ def normalized_spread(h: np.ndarray) -> float:
 
 
 def imbalance_summary(h: np.ndarray) -> dict[str, float]:
-    """All imbalance metrics at once (one pass over *h*)."""
-    h = _validate(h)
-    mean = float(h.mean())
+    """All imbalance metrics at once, one reduction per statistic.
+
+    One ``add.reduce`` for the mean, one ``maximum.reduce`` and one
+    ``minimum.reduce``, and the std as ``sqrt(add.reduce(d*d)/n)`` with
+    ``d = h - mean``: the ufunc operations NumPy's ``h.std()`` runs, in
+    the same order, so every value is bit-identical to the separate
+    ``h.mean()``/``h.max()``/``h.min()``/``h.std()`` calls (and to the
+    single-metric functions above). The per-round observation calls
+    this on every round, so it avoids the repeated passes those calls
+    would make. Invalid inputs raise the same :class:`ConfigurationError`
+    as the other metrics.
+    """
+    h = _vector(h)
+    lo = float(np.minimum.reduce(h))
+    # A NaN minimum hides negative entries, so anything but a clean
+    # minimum at or above the tolerance takes the full check.
+    if not lo >= -1e-9 and (h < -1e-9).any():
+        raise ConfigurationError("load vector has negative entries")
+    n = h.shape[0]
+    hi = float(np.maximum.reduce(h))
+    mean = float(np.add.reduce(h)) / n
+    d = h - mean
+    std = math.sqrt(float(np.add.reduce(d * d)) / n)
+    spread = hi - lo
     return {
         "mean": mean,
-        "max": float(h.max()),
-        "min": float(h.min()),
-        "std": float(h.std()),
-        "cov": float(h.std() / mean) if mean > 0 else 0.0,
-        "spread": float(h.max() - h.min()),
-        "normalized_spread": float((h.max() - h.min()) / mean) if mean > 0 else 0.0,
+        "max": hi,
+        "min": lo,
+        "std": std,
+        "cov": std / mean if mean > 0 else 0.0,
+        "spread": spread,
+        "normalized_spread": spread / mean if mean > 0 else 0.0,
     }
 
 

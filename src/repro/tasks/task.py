@@ -16,8 +16,9 @@ first, equal loads by id), updated by bisection on every move, add,
 removal and wire transit; :meth:`TaskSystem.add_tasks` builds it from
 one NumPy sort. The balancers' candidate queries read it directly:
 :meth:`TaskSystem.largest_loads_at` (and ``largest_tasks_at``) is a
-slice of it and :meth:`TaskSystem.candidate_floor` its k-th entry per
-node, so no query sorts or partitions a node's tasks — except the tie
+slice of it, :meth:`TaskSystem.pick_for_quota` bisects it and
+:meth:`TaskSystem.candidate_floor` reads its k-th entry per node, so
+no query sorts or partitions a node's tasks — except the tie
 fallback documented on ``largest_loads_at``, which keeps the
 historical NumPy selection wherever equal loads could reorder it.
 :meth:`TaskSystem.tasks_at` sorts the node's ids per call; it is off
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from typing import Container
 
 import numpy as np
 
@@ -359,17 +361,68 @@ class TaskSystem:
         entries, the result is that exact NumPy call, so no balancer
         trajectory depends on the index.
         """
-        if k < 1:
-            raise TaskError(f"largest tasks need k >= 1, got {k}")
-        if not 0 <= node < self._n_nodes:
-            raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
-        negs = self._neg_loads[node]
+        negs, ids = self._top(node, k)
+        return [(tid, -nl) for tid, nl in zip(ids[:k], negs[:k])]
+
+    def pick_for_quota(
+        self, node: int, quota: float, k: int, exclude: Container[int] = ()
+    ) -> int | None:
+        """Id of the task among *node*'s *k* largest that best realises
+        a *quota* of load, or None when none fits.
+
+        The choice of ``pick_task_for_quota`` (in ``repro.baselines``):
+        the first candidate of :meth:`largest_loads_at` minimising
+        ``|l − quota|`` subject to ``l < 2·quota``, skipping the ids in
+        *exclude*; a quota ``<= 0`` picks nothing. The candidates are
+        ordered by load, so one bisection skips every load at or above
+        ``2·quota``, and the scan stops at the first gap larger than the
+        best one: gaps shrink while ``l > quota`` and grow after it, so
+        no later candidate can win. Same tie fallback, errors and
+        answer as scanning all of :meth:`largest_loads_at`.
+        """
+        if quota <= 0:
+            return None
+        limit = -2.0 * quota  # a candidate fits when -l > limit
+        negs = self._index(node, k)
+        hi = min(k, len(negs))
+        # Nothing fits when the k-th largest load does not: the tie
+        # fallback selects the same k largest loads, so it is skipped.
+        if not hi or negs[hi - 1] <= limit:
+            return None
+        negs, ids = self._top(node, k)
+        best = None
+        best_gap = math.inf
+        for r in range(bisect_right(negs, limit, 0, hi), hi):
+            tid = ids[r]
+            if tid in exclude:
+                continue
+            gap = abs(negs[r] + quota)  # == |l - quota|, bit for bit
+            if gap < best_gap:
+                best_gap = gap
+                best = tid
+            elif gap > best_gap:
+                break
+        return best
+
+    def _top(self, node: int, k: int) -> tuple[list[float], list[int]]:
+        """The node's index lists ``(-loads, ids)`` whose first *k*
+        entries are its *k* largest tasks, as :meth:`largest_loads_at`
+        documents: the index itself, or the NumPy tie selection."""
+        negs = self._index(node, k)
         if len(negs) > k and len(set(negs[: k + 1])) <= k:
             ids = self.tasks_at(node)
             sel = ids[np.argpartition(-self._loads[ids], k - 1)[:k]]
             sel = sel[np.argsort(-self._loads[sel], kind="stable")]
-            return [(tid, float(self._loads[tid])) for tid in sel.tolist()]
-        return [(tid, -nl) for tid, nl in zip(self._ids[node][:k], negs[:k])]
+            return (-self._loads[sel]).tolist(), sel.tolist()
+        return negs, self._ids[node]
+
+    def _index(self, node: int, k: int) -> list[float]:
+        """Check a *k*-largest query on *node*; the node's ``-load`` list."""
+        if k < 1:
+            raise TaskError(f"largest tasks need k >= 1, got {k}")
+        if not 0 <= node < self._n_nodes:
+            raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
+        return self._neg_loads[node]
 
     def candidate_floor(self, k: int) -> np.ndarray:
         """Smallest load among each node's ``k`` largest resident tasks.
