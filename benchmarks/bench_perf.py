@@ -19,9 +19,8 @@ section is one entry here. The sections:
 * **record_throughput** — a 1024-node ``rounds-fast`` run over 2000
   rounds under the ``summary`` recorder (O(1) memory, no per-round
   history) next to the same run under ``full`` recording, interleaved
-  best-of-3. Bound: the
-  summary run never lags full recording by more than noise — the
-  recorder is pure observation, not a tax on the loop.
+  best-of-3. Bound: the summary run never lags full recording by more
+  than noise — the recorder is pure observation, not a tax on the loop.
 * **probe_overhead** — the same 1024-node workload under the default
   ``null`` probe vs the ``counters`` probe, best-of-3 interleaved pairs
   to shed scheduler noise. Bound: counters cost at most 5% wall time
