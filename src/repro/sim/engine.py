@@ -153,19 +153,25 @@ class Simulator(TaskStateMixin, RoundDriver):
         recorder: RecorderSpec = "full",
         probe: ProbeSpec = "null",
     ):
-        if system.topology is not topology:
-            raise ConfigurationError("task system was built for a different topology")
-        if node_speeds is not None:
-            node_speeds = np.asarray(node_speeds, dtype=np.float64)
-            if node_speeds.shape != (topology.n_nodes,):
-                raise ConfigurationError(
-                    f"node_speeds must have shape ({topology.n_nodes},), got "
-                    f"{node_speeds.shape}"
-                )
-            if (node_speeds <= 0).any():
-                raise ConfigurationError("node speeds must be positive")
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        self._init_task_engine(
+            topology=topology,
+            system=system,
+            balancer=balancer,
+            links=links,
+            fault_model=fault_model,
+            task_graph=task_graph,
+            resources=resources,
+            dynamic=dynamic,
+            link_capacity=link_capacity,
+            transfer_latency=transfer_latency,
+            c1=c1,
+            e0=e0,
+            seed=seed,
+            criteria=criteria,
+            node_speeds=node_speeds,
+            recorder=recorder,
+            probe=probe,
+        )
         if isinstance(transfer_latency, str):
             if transfer_latency != "size":
                 raise ConfigurationError(
@@ -176,50 +182,15 @@ class Simulator(TaskStateMixin, RoundDriver):
             raise ConfigurationError(
                 f"transfer_latency must be >= 0, got {transfer_latency}"
             )
-        self.topology = topology
-        self.system = system
-        self.balancer = balancer
-        self.links = links if links is not None else LinkAttributes.uniform(topology)
-        if self.links.topology is not topology:
-            raise ConfigurationError("link attributes were built for a different topology")
-        self.fault_model = fault_model
-        self.task_graph = task_graph
-        self.resources = resources
-        self.dynamic = dynamic
-        self.link_capacity = link_capacity
-        self.transfer_latency = transfer_latency
-        self.criteria = criteria
         self.track_journeys = track_journeys
-        self.node_speeds = node_speeds
         # wire: arrival round -> list of (task id, destination node)
         self._wire: dict[int, list[tuple[int, int]]] = {}
-        self.rng = ensure_rng(seed)
-        self.link_costs = link_costs(self.links, c1=c1, e0=e0)
-        self._link_costs_l: list[float] = self.link_costs.tolist()
-        self._all_up = np.ones(topology.n_edges, dtype=bool)
         # journey tracking: task id -> (origin node, hops so far)
         self.task_hops: dict[int, int] = {}
         self.task_origin: dict[int, int] = {}
         self._rounds_done = 0  # global round counter across chained runs
-        self.probe = make_probe(probe)
-        self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
 
     # ------------------------------------------------------------------ #
-
-    def _context(self, round_index: int, up_mask: np.ndarray) -> BalanceContext:
-        return BalanceContext(
-            topology=self.topology,
-            system=self.system,
-            links=self.links,
-            link_costs=self.link_costs,
-            up_mask=up_mask,
-            round_index=round_index,
-            rng=self.rng,
-            task_graph=self.task_graph,
-            resources=self.resources,
-            node_speeds=self.node_speeds,
-            probe=self.probe if self.probe.enabled else None,
-        )
 
     def _latency_of(self, load: float, eid: int) -> int:
         if self.transfer_latency == 0:
@@ -230,74 +201,21 @@ class Simulator(TaskStateMixin, RoundDriver):
             return max(int(np.ceil(load * d / bw)), 1)
         return int(self.transfer_latency)
 
+    def _send(self, when: int, tid: int, dst: int) -> None:
+        self._wire.setdefault(when, []).append((tid, dst))
+
     def _deliver_due(self, round_index: int) -> int:
         """Land tasks whose transit completes at *round_index*."""
         due = self._wire.pop(round_index, [])
         for tid, dest in due:
-            if self.system.is_alive(tid):  # may have completed on the wire
-                self.system.deliver(tid, dest)
+            self._land(tid, dest)
         return len(due)
-
-    def _apply(
-        self, migrations: list[Migration], up_mask: np.ndarray, round_index: int
-    ) -> tuple[int, float, float, int]:
-        """Validate and apply orders; returns (applied, work, heat, blocked).
-
-        Per-order reads are plain Python values: the fault mask as a
-        ``bytearray``, the link costs as a list, per-link use in a dict.
-        """
-        up = bytearray(up_mask)
-        costs = self._link_costs_l
-        capacity: dict[int, int] = {}
-        applied = 0
-        work = 0.0
-        heat = 0.0
-        blocked = 0
-        for m in migrations:
-            if not self.system.is_alive(m.task_id):
-                raise SimulationError(f"balancer ordered a move of dead task {m.task_id}")
-            loc = self.system.location_of(m.task_id)
-            if loc != m.src:
-                raise SimulationError(
-                    f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
-                )
-            eid = self.topology.edge_id(m.src, m.dst)  # raises on non-edges
-            if not up[eid]:
-                # A fault-oblivious balancer tried a dead link: the
-                # transfer simply does not happen this round.
-                blocked += 1
-                continue
-            used = capacity[eid] = capacity.get(eid, 0) + 1
-            if used > self.link_capacity:
-                raise SimulationError(
-                    f"link ({m.src}, {m.dst}) over capacity: "
-                    f"{used} > {self.link_capacity}"
-                )
-            load = self.system.load_of(m.task_id)
-            latency = self._latency_of(load, eid)
-            if latency == 0:
-                self.system.move(m.task_id, m.dst)
-            else:
-                self.system.send_to_transit(m.task_id)
-                self._wire.setdefault(round_index + latency, []).append(
-                    (m.task_id, m.dst)
-                )
-            applied += 1
-            work += load * costs[eid]
-            heat += m.heat
-            if self.track_journeys:
-                if m.task_id not in self.task_origin:
-                    self.task_origin[m.task_id] = m.src
-                self.task_hops[m.task_id] = self.task_hops.get(m.task_id, 0) + 1
-        if self.probe.enabled:
-            self.probe.incr("engine.transfers_applied", applied)
-            self.probe.incr("engine.transfers_blocked", blocked)
-        return applied, work, heat, blocked
 
     # ------------------------- kernel driver hooks -------------------- #
 
     def prepare(self, reset: bool) -> int:
         """Reset (or continue) run state; return the starting round."""
+        self._reset_epoch()
         if reset or self._rounds_done == 0:
             ctx0 = self._context(0, self._all_up)
             self.balancer.reset(ctx0)
@@ -334,15 +252,14 @@ class Simulator(TaskStateMixin, RoundDriver):
     def round_apply(
         self, migrations: list[Migration], up: np.ndarray, round_index: int
     ) -> RoundStats:
-        """Post-step round work: validate/apply orders, package the stats."""
-        applied, work, heat, blocked = self._apply(migrations, up, round_index)
-        return RoundStats(
-            applied=applied,
-            work=work,
-            heat=heat,
-            blocked=blocked,
-            n_tasks=self.system.n_tasks,
-        )
+        """Post-step round work: apply the orders as the epoch's one full
+        wave, package the stats."""
+        self._apply_wave(migrations, up, None, round_index)
+        stats = self._epoch_stats()
+        if self.probe.enabled:
+            self.probe.incr("engine.transfers_applied", stats.applied)
+            self.probe.incr("engine.transfers_blocked", stats.blocked)
+        return stats
 
     def play_round(self, round_index: int) -> RoundStats:
         """One synchronous round: faults → deliver → churn → step → apply."""
@@ -399,10 +316,7 @@ class FastSimulator(Simulator):
     ``tests/sim/test_fast_equivalence.py``.
     """
 
-    def _context(self, round_index: int, up_mask: np.ndarray) -> BalanceContext:
-        ctx = super()._context(round_index, up_mask)
-        ctx.fast = True
-        return ctx
+    _fast = True
 
 
 class FluidSimulator(RoundDriver):

@@ -23,12 +23,19 @@ equal timestamps, so the schedule is deterministic):
 3. **churn** — workload arrivals/completions
    (:class:`~repro.workloads.dynamic.DynamicWorkload.step`).
 4. **wake** — a *wave* of nodes whose clocks fire at this instant
-   balances: one ``balancer.step`` call; orders between two sleeping
-   nodes are refused by the engine (async-oblivious balancers simply
+   balances: one ``balancer.step`` call, whose orders go through the
+   one order path every task engine shares
+   (:meth:`~repro.sim.kernel.TaskStateMixin._apply_wave`). It checks,
+   in order: asleep, dead task, wrong source, non-edge, fault, over
+   capacity within the wave, and the epoch's link budget. The first
+   and the last only fire once clocks desynchronise. Orders between
+   two sleeping nodes are refused (async-oblivious balancers simply
    lose those decisions, the way a real node's plan for someone else's
    processors would). An order touching an awake endpoint survives:
    src awake is a push, dst awake a pull (work stealing's steals are
-   sourced at the sleeping victim). Link capacity is enforced per *time
+   sourced at the sleeping victim). An out-of-range endpoint is never
+   looked up in the awake mask; it raises the same ``TopologyError``
+   as on the synchronous engine. Link capacity is enforced per *time
    unit*, not per wave: a link whose epoch budget was spent by an
    earlier wave refuses further transfers as busy (counted in
    ``blocked``), preserving the paper's "a single load per link per
@@ -75,17 +82,17 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.interfaces import BalanceContext, Balancer, Migration
+from repro.interfaces import Balancer
 from repro.network.faults import FaultModel
-from repro.network.links import LinkAttributes, link_costs
+from repro.network.links import LinkAttributes
 from repro.network.topology import Topology
-from repro.rng import RngLike, derive, ensure_rng
+from repro.rng import RngLike, derive
 from repro.sim.engine import ConvergenceCriteria
 from repro.sim.event_buffers import ArrivalBuffer, WakeSchedule
-from repro.sim.kernel import RoundDriver, RoundStats, SimulationLoop, TaskStateMixin
+from repro.sim.kernel import RoundDriver, RoundStats, TaskStateMixin
 from repro.sim.recording import RecorderSpec
 from repro.sim.results import SimulationResult
-from repro.sim.telemetry import ProbeSpec, make_probe
+from repro.sim.telemetry import ProbeSpec
 from repro.tasks.resources import ResourceMap
 from repro.tasks.task import TaskSystem
 from repro.tasks.task_graph import TaskGraph
@@ -183,10 +190,25 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         recorder: RecorderSpec = "full",
         probe: ProbeSpec = "null",
     ):
-        if system.topology is not topology:
-            raise ConfigurationError("task system was built for a different topology")
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        self._init_task_engine(
+            topology=topology,
+            system=system,
+            balancer=balancer,
+            links=links,
+            fault_model=fault_model,
+            task_graph=task_graph,
+            resources=resources,
+            dynamic=dynamic,
+            link_capacity=link_capacity,
+            transfer_latency=transfer_latency,
+            c1=c1,
+            e0=e0,
+            seed=seed,
+            criteria=criteria,
+            node_speeds=node_speeds,
+            recorder=recorder,
+            probe=probe,
+        )
         if isinstance(transfer_latency, str):
             if transfer_latency != "size":
                 raise ConfigurationError(
@@ -208,14 +230,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 f"wake_jitter must be in [0, 1), got {wake_jitter}"
             )
         n = topology.n_nodes
-        if node_speeds is not None:
-            node_speeds = np.asarray(node_speeds, dtype=np.float64)
-            if node_speeds.shape != (n,):
-                raise ConfigurationError(
-                    f"node_speeds must have shape ({n},), got {node_speeds.shape}"
-                )
-            if (node_speeds <= 0).any():
-                raise ConfigurationError("node speeds must be positive")
+        node_speeds = self.node_speeds
         if clock_speeds is None:
             clock_speeds = (
                 node_speeds.copy() if node_speeds is not None else np.ones(n)
@@ -243,26 +258,11 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     )
                 clock_speeds[node] /= factor
 
-        self.topology = topology
-        self.system = system
-        self.balancer = balancer
-        self.links = links if links is not None else LinkAttributes.uniform(topology)
-        if self.links.topology is not topology:
-            raise ConfigurationError("link attributes were built for a different topology")
-        self.fault_model = fault_model
-        self.task_graph = task_graph
-        self.resources = resources
-        self.dynamic = dynamic
-        self.link_capacity = link_capacity
-        self.transfer_latency = transfer_latency
         self.latency_scale = float(latency_scale)
-        self.criteria = criteria
-        self.node_speeds = node_speeds
         self.cadence = float(cadence)
         self.clock_speeds = clock_speeds
         self.wake_jitter = float(wake_jitter)
         self.epoch = float(epoch)
-        self.rng = ensure_rng(seed)
         # Jitter draws must not touch the balancer's context stream: a
         # Generator seed is *spawned* (advances only its spawn counter,
         # never the bit stream the balancer consumes); plain seeds get
@@ -273,36 +273,13 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             self._clock_rng = seed.spawn(1)[0]
         else:
             self._clock_rng = derive(seed, _CLOCK_STREAM)
-        self.link_costs = link_costs(self.links, c1=c1, e0=e0)
-        self._link_costs_l: list[float] = self.link_costs.tolist()
-        self._all_up = np.ones(topology.n_edges, dtype=bool)
         self._periods = self.cadence / self.clock_speeds
 
         self.events_processed = 0
         self.wakes_per_node = np.zeros(n, dtype=np.int64)
         self.now = 0.0
-        self.probe = make_probe(probe)
-        self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
 
     # ------------------------------------------------------------------ #
-
-    def _context(
-        self, epoch_index: int, up_mask: np.ndarray, awake: Optional[np.ndarray]
-    ) -> BalanceContext:
-        return BalanceContext(
-            topology=self.topology,
-            system=self.system,
-            links=self.links,
-            link_costs=self.link_costs,
-            up_mask=up_mask,
-            round_index=epoch_index,
-            rng=self.rng,
-            task_graph=self.task_graph,
-            resources=self.resources,
-            node_speeds=self.node_speeds,
-            awake=awake,
-            probe=self.probe if self.probe.enabled else None,
-        )
 
     def _latency_of(self, load: float, eid: int) -> float:
         if self.transfer_latency == 0:
@@ -312,6 +289,9 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             d = float(self.links.distance[eid])
             return load * d / bw * self.latency_scale
         return float(self.transfer_latency)
+
+    def _send(self, when: float, tid: int, dst: int) -> None:
+        self._push(when, _ARRIVAL, (tid, dst))
 
     def _next_period(self, node: int) -> float:
         base = self._periods[node]
@@ -344,7 +324,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             awake[nodes] = True
         ctx = self._context(self._epoch_index, up_mask, awake)
         migrations = self.balancer.step(ctx)
-        self._apply(migrations, t, up_mask, awake)
+        self._apply_wave(migrations, up_mask, awake, t)
         if traced:
             probe.span("wake_wave", t0, time.perf_counter())
             probe.incr("engine.waves")
@@ -353,105 +333,28 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             probe.incr("engine.transfers_blocked", self._ep_blocked - blocked0)
             probe.incr("engine.transfers_asleep", self._ep_asleep - asleep0)
 
-    def _apply(
-        self,
-        migrations: list[Migration],
-        t: float,
-        up_mask: np.ndarray,
-        awake: Optional[np.ndarray],
-    ) -> None:
-        """Validate and apply a wave's orders (same contract as the
-        synchronous engine: an invalid order is a balancer bug and
-        raises; a fault-refused or sleeping-endpoints order is counted
-        and dropped). Per-order reads are plain Python values, as there.
-        A wave with no orders touches nothing."""
-        if not migrations:
-            return
-        up = bytearray(up_mask)
-        if awake is not None:
-            awake = bytearray(awake)
-        costs = self._link_costs_l
-        ep_used = self._ep_link_used
-        capacity: dict[int, int] = {}
-        for m in migrations:
-            if awake is not None and not (awake[m.src] or awake[m.dst]):
-                # An async-oblivious balancer planned a move between two
-                # nodes whose clocks did not fire: the decision never
-                # happened. Orders touching an awake endpoint survive —
-                # src awake is a push (sender-initiated), dst awake a
-                # pull (receiver-initiated, e.g. work stealing).
-                self._ep_asleep += 1
-                continue
-            if not self.system.is_alive(m.task_id):
-                raise SimulationError(f"balancer ordered a move of dead task {m.task_id}")
-            loc = self.system.location_of(m.task_id)
-            if loc != m.src:
-                raise SimulationError(
-                    f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
-                )
-            eid = self.topology.edge_id(m.src, m.dst)  # raises on non-edges
-            if not up[eid]:
-                self._ep_blocked += 1
-                continue
-            used = capacity.get(eid, 0) + 1
-            if used > self.link_capacity:
-                # More orders over one link than a single step may
-                # schedule — a balancer bug, exactly as on the sync path.
-                raise SimulationError(
-                    f"link ({m.src}, {m.dst}) over capacity: "
-                    f"{used} > {self.link_capacity}"
-                )
-            if used + ep_used.get(eid, 0) > self.link_capacity:
-                # The link's per-time-unit budget was already spent by
-                # an earlier wave this epoch (only possible once clocks
-                # desynchronise): the link is busy and the transfer is
-                # refused, like a faulted link — the paper's "a single
-                # load per link per time unit" holds in continuous time.
-                self._ep_blocked += 1
-                continue
-            capacity[eid] = used
-            load = self.system.load_of(m.task_id)
-            latency = self._latency_of(load, eid)
-            if latency <= 0:
-                self.system.move(m.task_id, m.dst)
-            else:
-                self.system.send_to_transit(m.task_id)
-                self._push(t + latency, _ARRIVAL, (m.task_id, m.dst))
-            self._ep_applied += 1
-            self._ep_work += load * costs[eid]
-            self._ep_heat += m.heat
-        for eid, used in capacity.items():
-            ep_used[eid] = ep_used.get(eid, 0) + used
-
     # ------------------------- kernel driver hooks -------------------- #
 
     def prepare(self, reset: bool) -> int:
         """Full reset (the event engine does not support continuation)."""
-        self.balancer.reset(self._context(0, self._all_up, None))
+        self.balancer.reset(self._context(0, self._all_up))
         self.events_processed = 0
         self.wakes_per_node[:] = 0
-        # Land anything still on the wire from a previous run (arrival
-        # events left in the old heap) so a fresh run starts with every
-        # task on a node — the event-engine analogue of the synchronous
-        # engine draining its wire dict on reset.
-        for when, priority, _seq, payload in sorted(getattr(self, "_heap", [])):
-            if priority == _ARRIVAL:
-                tid, dest = payload
-                if self.system.is_alive(tid):
-                    self.system.deliver(tid, dest)
-        self._heap: list[tuple] = []
-        self._seq = 0
+        self._reset_queues()
         self._epoch_index = 0
-        self._ep_applied = 0
-        self._ep_work = 0.0
-        self._ep_heat = 0.0
-        self._ep_blocked = 0
-        self._ep_asleep = 0
-        # Per-link transfers already scheduled this epoch (= time
-        # unit): caps cross-wave traffic at link_capacity per epoch.
-        self._ep_link_used: dict[int, int] = {}
+        self._reset_epoch()
         self._up_mask = self._all_up
         return 0
+
+    def _reset_queues(self) -> None:
+        """Land anything still on the wire from a previous run (arrival
+        events left in the old heap) so a fresh run starts with every
+        task on a node, then start an empty heap."""
+        for when, priority, _seq, payload in sorted(getattr(self, "_heap", [])):
+            if priority == _ARRIVAL:
+                self._land(*payload)
+        self._heap: list[tuple] = []
+        self._seq = 0
 
     def play_round(self, round_index: int) -> RoundStats:
         """Drain the event heap through epoch *round_index*.
@@ -490,9 +393,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     self._push(t + self._next_period(node), _WAKE, node)
 
             elif priority == _ARRIVAL:
-                tid, dest = payload
-                if self.system.is_alive(tid):  # may have completed on the wire
-                    self.system.deliver(tid, dest)
+                self._land(*payload)
 
             elif priority == _EPOCH_BEGIN:
                 self._epoch_index = payload
@@ -508,21 +409,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     self.probe.incr(
                         "engine.heap_pops", self.events_processed - events0
                     )
-                stats = RoundStats(
-                    applied=self._ep_applied,
-                    work=self._ep_work,
-                    heat=self._ep_heat,
-                    blocked=self._ep_blocked,
-                    asleep=self._ep_asleep,
-                    n_tasks=self.system.n_tasks,
-                )
-                self._ep_applied = 0
-                self._ep_work = 0.0
-                self._ep_heat = 0.0
-                self._ep_blocked = 0
-                self._ep_asleep = 0
-                self._ep_link_used.clear()
-                return stats
+                return self._epoch_stats()
 
         raise SimulationError(
             "event heap drained without reaching an epoch-end marker"
@@ -572,51 +459,22 @@ class EventFastSimulator(EventSimulator):
     ``benchmarks/results/BENCH_engine.json``).
     """
 
-    def _context(
-        self, epoch_index: int, up_mask: np.ndarray, awake: Optional[np.ndarray]
-    ) -> BalanceContext:
-        ctx = super()._context(epoch_index, up_mask, awake)
-        ctx.fast = True
-        return ctx
+    _fast = True
 
-    def _push(self, when: float, priority: int, payload) -> None:
-        """Route events into the columnar stores (no heap exists here).
+    def _send(self, when: float, tid: int, dst: int) -> None:
+        self._arrivals.push(when, tid, dst)
 
-        The only events pushed from shared code paths are the
-        latency-delayed arrivals scheduled by :meth:`_apply`; wakes and
-        epoch markers are handled inline by :meth:`play_round`.
-        """
-        if priority != _ARRIVAL:  # pragma: no cover - engine invariant
-            raise SimulationError(
-                f"events-fast scheduled a non-arrival event (priority {priority})"
-            )
-        tid, dest = payload
-        self._arrivals.push(when, tid, dest)
-
-    # ------------------------- kernel driver hooks -------------------- #
-
-    def prepare(self, reset: bool) -> int:
-        """Full reset, landing any leftover in-flight transfers first
-        (the columnar analogue of the scalar engine's heap drain)."""
-        self.balancer.reset(self._context(0, self._all_up, None))
-        self.events_processed = 0
-        self.wakes_per_node[:] = 0
+    def _reset_queues(self) -> None:
+        """Land leftover in-flight transfers (the columnar analogue of
+        the scalar engine's heap drain), then start empty stores."""
         arrivals = getattr(self, "_arrivals", None)
         if arrivals is not None:
             for tid, dest in arrivals.drain_in_order():
-                if self.system.is_alive(tid):
-                    self.system.deliver(tid, dest)
+                self._land(tid, dest)
         self._arrivals = ArrivalBuffer()
         self._wakes = WakeSchedule(self.topology.n_nodes)
-        self._epoch_index = 0
-        self._ep_applied = 0
-        self._ep_work = 0.0
-        self._ep_heat = 0.0
-        self._ep_blocked = 0
-        self._ep_asleep = 0
-        self._ep_link_used: dict[int, int] = {}
-        self._up_mask = self._all_up
-        return 0
+
+    # ------------------------- kernel driver hooks -------------------- #
 
     def play_round(self, round_index: int) -> RoundStats:
         """Drain the columnar event stores through epoch *round_index*.
@@ -635,7 +493,6 @@ class EventFastSimulator(EventSimulator):
         events0 = self.events_processed
         wakes = self._wakes
         arrivals = self._arrivals
-        system = self.system
         begin_pending = True
         churn_pending = self.dynamic is not None
 
@@ -671,9 +528,7 @@ class EventFastSimulator(EventSimulator):
 
             elif priority == _ARRIVAL:
                 self.events_processed += 1
-                tid, dest = arrivals.pop_earliest()
-                if system.is_alive(tid):  # may have completed on the wire
-                    system.deliver(tid, dest)
+                self._land(*arrivals.pop_earliest())
 
             elif priority == _EPOCH_BEGIN:
                 self.events_processed += 1
@@ -694,18 +549,4 @@ class EventFastSimulator(EventSimulator):
                     self.probe.incr(
                         "engine.buffer_pops", self.events_processed - events0
                     )
-                stats = RoundStats(
-                    applied=self._ep_applied,
-                    work=self._ep_work,
-                    heat=self._ep_heat,
-                    blocked=self._ep_blocked,
-                    asleep=self._ep_asleep,
-                    n_tasks=system.n_tasks,
-                )
-                self._ep_applied = 0
-                self._ep_work = 0.0
-                self._ep_heat = 0.0
-                self._ep_blocked = 0
-                self._ep_asleep = 0
-                self._ep_link_used.clear()
-                return stats
+                return self._epoch_stats()

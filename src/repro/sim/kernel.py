@@ -21,6 +21,9 @@ Per round, the kernel runs::
 
 so every engine gets identical convergence semantics, identical record
 fields, and any :class:`~repro.sim.recording.Recorder` for free. The
+task engines (synchronous and event) also share :class:`TaskStateMixin`:
+their constructor checks, the balancer context and the one path that
+validates and applies a wave of orders. The
 kernel allocates no per-round Python objects: metrics flow to the
 recorder as scalars, and a columnar
 :class:`~repro.sim.results.RoundLog` (or O(1) running aggregates)
@@ -32,14 +35,20 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.interfaces import BalanceContext, Migration
+from repro.network.links import LinkAttributes, link_costs
+from repro.network.topology import Topology
+from repro.rng import RngLike, ensure_rng
 from repro.sim.metrics import imbalance_summary
 from repro.sim.recording import RecorderSpec, make_recorder
 from repro.sim.results import SimulationResult
 from repro.sim.telemetry import ProbeSpec, make_probe
+from repro.tasks.task import TaskSystem
 
 __all__ = [
     "RoundStats",
@@ -125,11 +134,217 @@ class RoundDriver(abc.ABC):
 
 
 class TaskStateMixin:
-    """Shared task-engine state helpers (sync and event engines).
+    """What the task engines (synchronous and event) share.
 
-    Expects the host to provide ``system``, ``node_speeds``,
-    ``dynamic``, ``task_graph`` and ``resources`` attributes.
+    The constructor checks and state (:meth:`_init_task_engine`), the
+    balancer context, the one order-application path
+    (:meth:`_apply_wave`), in-flight landing and the per-epoch counters
+    live here. Each engine supplies only two things of its own:
+    ``_latency_of(load, eid)``, a transfer's time on the wire, and
+    ``_send(when, tid, dst)``, where a task on the wire waits to land.
     """
+
+    #: the contexts' ``fast`` flag (set by the ``*-fast`` engines)
+    _fast = False
+    #: per-task journey tracking (the synchronous engine's option)
+    track_journeys = False
+
+    def _init_task_engine(
+        self,
+        *,
+        topology: Topology,
+        system: TaskSystem,
+        balancer,
+        links: Optional[LinkAttributes],
+        fault_model,
+        task_graph,
+        resources,
+        dynamic,
+        link_capacity: int,
+        transfer_latency,
+        c1: float,
+        e0: float,
+        seed: RngLike,
+        criteria,
+        node_speeds: Optional[np.ndarray],
+        recorder: RecorderSpec,
+        probe: ProbeSpec,
+    ) -> None:
+        """Validate and store the arguments both task engines take."""
+        if system.topology is not topology:
+            raise ConfigurationError("task system was built for a different topology")
+        if node_speeds is not None:
+            node_speeds = np.asarray(node_speeds, dtype=np.float64)
+            if node_speeds.shape != (topology.n_nodes,):
+                raise ConfigurationError(
+                    f"node_speeds must have shape ({topology.n_nodes},), got "
+                    f"{node_speeds.shape}"
+                )
+            if (node_speeds <= 0).any():
+                raise ConfigurationError("node speeds must be positive")
+        if link_capacity < 1:
+            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        self.links = links if links is not None else LinkAttributes.uniform(topology)
+        if self.links.topology is not topology:
+            raise ConfigurationError("link attributes were built for a different topology")
+        self.topology = topology
+        self.system = system
+        self.balancer = balancer
+        self.fault_model = fault_model
+        self.task_graph = task_graph
+        self.resources = resources
+        self.dynamic = dynamic
+        self.link_capacity = link_capacity
+        self.transfer_latency = transfer_latency
+        self.criteria = criteria
+        self.node_speeds = node_speeds
+        self.rng = ensure_rng(seed)
+        self.link_costs = link_costs(self.links, c1=c1, e0=e0)
+        self._link_costs_l: list[float] = self.link_costs.tolist()
+        self._all_up = np.ones(topology.n_edges, dtype=bool)
+        self._reset_epoch()
+        self.probe = make_probe(probe)
+        self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
+
+    def _context(
+        self, round_index: int, up_mask: np.ndarray, awake: Optional[np.ndarray] = None
+    ) -> BalanceContext:
+        return BalanceContext(
+            topology=self.topology,
+            system=self.system,
+            links=self.links,
+            link_costs=self.link_costs,
+            up_mask=up_mask,
+            round_index=round_index,
+            rng=self.rng,
+            task_graph=self.task_graph,
+            resources=self.resources,
+            node_speeds=self.node_speeds,
+            awake=awake,
+            fast=self._fast,
+            probe=self.probe if self.probe.enabled else None,
+        )
+
+    def _apply_wave(
+        self,
+        migrations: list[Migration],
+        up_mask: np.ndarray,
+        awake: Optional[np.ndarray],
+        now: float,
+    ) -> None:
+        """Validate and apply one wave of orders onto the epoch counters.
+
+        Every order is checked, in this order:
+
+        1. *asleep* — with an ``awake`` mask (a partial wave; ``None``
+           is a full one), an order whose endpoints are both in range
+           and both asleep is dropped and counted in ``asleep``: the
+           decision never happened. An awake src is a push, an awake
+           dst a pull (work stealing);
+        2. *dead task* — raises :class:`SimulationError`;
+        3. *wrong source* — raises :class:`SimulationError`;
+        4. *non-edge* (an out-of-range endpoint included) — raises
+           :class:`~repro.exceptions.TopologyError`;
+        5. *fault* — a link that is down refuses the transfer
+           (``blocked``);
+        6. *over capacity within the wave* — more orders over one link
+           than one step may schedule raises :class:`SimulationError`;
+        7. *link budget* — a link whose per-epoch budget an earlier
+           wave spent is busy and refuses the transfer (``blocked``).
+
+        The synchronous engine plays one full wave per epoch, so rules
+        1 and 7 never fire there. Work and heat accumulate onto the
+        running epoch totals one order at a time. A wave with no orders
+        touches nothing.
+        """
+        if not migrations:
+            return
+        system = self.system
+        edge_id = self.topology.edge_id
+        n = self.topology.n_nodes
+        up = bytearray(up_mask)
+        if awake is not None:
+            awake = bytearray(awake)
+        costs = self._link_costs_l
+        capacity = self.link_capacity
+        budget = self._ep_link_used
+        track = self.track_journeys
+        wave: dict[int, int] = {}
+        applied = blocked = asleep = 0
+        work = self._ep_work
+        heat = self._ep_heat
+        for tid, src, dst, m_heat in migrations:
+            if (
+                awake is not None
+                and 0 <= src < n
+                and 0 <= dst < n
+                and not (awake[src] or awake[dst])
+            ):
+                asleep += 1
+                continue
+            site = system.placement_of(tid)
+            if site is None:
+                raise SimulationError(f"balancer ordered a move of dead task {tid}")
+            loc, load = site
+            if loc != src:
+                raise SimulationError(f"task {tid} is at node {loc}, not at claimed source {src}")
+            eid = edge_id(src, dst)  # raises on non-edges
+            if not up[eid]:
+                blocked += 1
+                continue
+            used = wave.get(eid, 0) + 1
+            if used > capacity:
+                raise SimulationError(f"link ({src}, {dst}) over capacity: {used} > {capacity}")
+            if used + budget.get(eid, 0) > capacity:
+                blocked += 1
+                continue
+            wave[eid] = used
+            latency = self._latency_of(load, eid)
+            if latency <= 0:
+                system.move(tid, dst)
+            else:
+                system.send_to_transit(tid)
+                self._send(now + latency, tid, dst)
+            applied += 1
+            work += load * costs[eid]
+            heat += m_heat
+            if track:
+                self.task_origin.setdefault(tid, src)
+                self.task_hops[tid] = self.task_hops.get(tid, 0) + 1
+        for eid, used in wave.items():
+            budget[eid] = budget.get(eid, 0) + used
+        self._ep_applied += applied
+        self._ep_blocked += blocked
+        self._ep_asleep += asleep
+        self._ep_work = work
+        self._ep_heat = heat
+
+    def _land(self, tid: int, dest: int) -> None:
+        """Land an in-flight task, unless it completed on the wire."""
+        if self.system.is_alive(tid):
+            self.system.deliver(tid, dest)
+
+    def _reset_epoch(self) -> None:
+        """Zero the epoch counters and the per-link epoch budget."""
+        self._ep_applied = 0
+        self._ep_work = 0.0
+        self._ep_heat = 0.0
+        self._ep_blocked = 0
+        self._ep_asleep = 0
+        self._ep_link_used: dict[int, int] = {}
+
+    def _epoch_stats(self) -> RoundStats:
+        """The epoch's counters as :class:`RoundStats`; starts a new epoch."""
+        stats = RoundStats(
+            applied=self._ep_applied,
+            work=self._ep_work,
+            heat=self._ep_heat,
+            blocked=self._ep_blocked,
+            asleep=self._ep_asleep,
+            n_tasks=self.system.n_tasks,
+        )
+        self._reset_epoch()
+        return stats
 
     def observed_loads(self) -> np.ndarray:
         """Loads normalised by speed (the metric surface)."""

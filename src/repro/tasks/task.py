@@ -306,6 +306,15 @@ class TaskSystem:
         self._check(tid)
         return int(self._location[tid])
 
+    def placement_of(self, tid: int) -> tuple[int, float] | None:
+        """``(location, load)`` of task *tid*, or None if it is not alive.
+
+        One liveness check for the three reads an engine makes per order.
+        """
+        if not (0 <= tid < self._count) or not self._alive.item(tid):
+            return None
+        return self._location.item(tid), self._loads.item(tid)
+
     def tasks_at(self, node: int) -> np.ndarray:
         """Sorted ids of the tasks on *node*."""
         if not 0 <= node < self._n_nodes:

@@ -6,6 +6,12 @@ payload. The digests were frozen before the baselines' per-candidate
 loops moved from NumPy scalars to plain Python values, so any change to
 a decision, its order or its RNG draws shows up here. Both fast engines
 must reproduce them.
+
+The desynchronised-clock table pins the event engines where a partial
+wake wave applies orders: jittered clocks with size-proportional
+latency split almost every epoch into several waves, so the asleep
+rule, the per-epoch link budget and the in-flight arrivals all shape
+the payload.
 """
 
 import hashlib
@@ -44,8 +50,17 @@ BASELINE_DIGESTS = {
         "dfe0f6abfbd55ccdc2c70cc0a2349f344ca6144616de245f1e7d5cc8e06926f0",
 }
 
+#: Same digest recipe on the event engines with desynchronised clocks.
+DESYNC_KWARGS = {"wake_jitter": 0.3, "transfer_latency": "size"}
+DESYNC_DIGESTS = {
+    ("mesh-hotspot", "pplb"):
+        "0258db40230681cbfe3afcc4e9ab70fad3497357a8cd29c1cfca803766da4d55",
+    ("mesh-hotspot", "diffusion"):
+        "b57ed88c87e248d194b8d8fef6f59667b058c776ccaacfa9599a22280fd38553",
+}
 
-def _run(scenario, algorithm, engine):
+
+def _run(scenario, algorithm, engine, sim_kwargs=None):
     spec = RunSpec(
         scenario=scenario,
         algorithm=algorithm,
@@ -53,8 +68,15 @@ def _run(scenario, algorithm, engine):
         max_rounds=40,
         engine=engine,
         scenario_kwargs={"side": 8},
+        sim_kwargs=sim_kwargs or {},
     )
     return execute_spec(spec)
+
+
+def _digest(result):
+    payload = result.to_dict()
+    del payload["wall_time_s"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 class TestBaselineDigests:
@@ -63,10 +85,13 @@ class TestBaselineDigests:
     @pytest.mark.parametrize("engine", ["rounds-fast", "events-fast"])
     @pytest.mark.parametrize("scenario,algorithm", list(BASELINE_DIGESTS))
     def test_result_digest_is_frozen(self, scenario, algorithm, engine):
-        payload = _run(scenario, algorithm, engine).to_dict()
-        del payload["wall_time_s"]
-        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        assert digest == BASELINE_DIGESTS[scenario, algorithm]
+        assert _digest(_run(scenario, algorithm, engine)) == BASELINE_DIGESTS[scenario, algorithm]
+
+    @pytest.mark.parametrize("engine", ["events", "events-fast"])
+    @pytest.mark.parametrize("scenario,algorithm", list(DESYNC_DIGESTS))
+    def test_desync_digest_is_frozen(self, scenario, algorithm, engine):
+        result = _run(scenario, algorithm, engine, DESYNC_KWARGS)
+        assert _digest(result) == DESYNC_DIGESTS[scenario, algorithm]
 
     @pytest.mark.parametrize("scenario,algorithm", list(BASELINE_DIGESTS))
     def test_runs_migrate_tasks(self, scenario, algorithm):

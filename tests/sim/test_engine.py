@@ -4,10 +4,10 @@ import pytest
 
 from repro.baselines import NoBalancer
 from repro.core import ParticlePlaneBalancer, PPLBConfig
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError, SimulationError, TopologyError
 from repro.interfaces import Balancer, Migration
 from repro.network import FaultModel, LinkAttributes, mesh
-from repro.sim import Simulator
+from repro.sim import EventFastSimulator, EventSimulator, FastSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.tasks import TaskSystem
 from repro.workloads import DynamicWorkload, single_hotspot
@@ -53,55 +53,115 @@ class TestValidationAndSetup:
             ConvergenceCriteria(spread_tol=-1.0)
 
 
+#: every task engine; all four apply orders through one path
+TASK_ENGINES = {
+    "rounds": Simulator,
+    "rounds-fast": FastSimulator,
+    "events": EventSimulator,
+    "events-fast": EventFastSimulator,
+}
+
+#: clocks that make the event engines' t=1 wave partial: nodes 0 and 15
+#: (the 4x4 mesh's corners) wake every 2 time units, the rest every 1
+CORNER_STRAGGLERS = {0: 2.0, 15: 2.0}
+
+
+class RecordingScript(ScriptedBalancer):
+    """A :class:`ScriptedBalancer` that keeps each step's awake mask."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.awake = {}
+
+    def step(self, ctx):
+        self.awake[ctx.round_index] = ctx.awake
+        return super().step(ctx)
+
+
+@pytest.mark.parametrize("engine", list(TASK_ENGINES))
 class TestOrderValidation:
-    def test_rejects_move_of_dead_task(self, mesh4):
+    """An invalid order raises the same error, message included, on
+    every task engine."""
+
+    def test_rejects_move_of_dead_task(self, mesh4, engine):
         system = TaskSystem(mesh4)
         tid = system.add_task(1.0, 0)
         system.remove_task(tid)
-        sim = Simulator(mesh4, system, ScriptedBalancer({0: [Migration(tid, 0, 1)]}))
-        with pytest.raises(SimulationError):
+        balancer = ScriptedBalancer({0: [Migration(tid, 0, 1)]})
+        sim = TASK_ENGINES[engine](mesh4, system, balancer)
+        with pytest.raises(SimulationError, match=f"^balancer ordered a move of dead task {tid}$"):
             sim.run(max_rounds=1)
 
-    def test_rejects_wrong_source(self, mesh4):
+    def test_rejects_wrong_source(self, mesh4, engine):
         system = TaskSystem(mesh4)
         tid = system.add_task(1.0, 0)
-        sim = Simulator(mesh4, system, ScriptedBalancer({0: [Migration(tid, 5, 6)]}))
-        with pytest.raises(SimulationError):
+        balancer = ScriptedBalancer({0: [Migration(tid, 5, 6)]})
+        sim = TASK_ENGINES[engine](mesh4, system, balancer)
+        with pytest.raises(
+            SimulationError, match=f"^task {tid} is at node 0, not at claimed source 5$"
+        ):
             sim.run(max_rounds=1)
 
-    def test_rejects_non_edge(self, mesh4):
-        from repro.exceptions import TopologyError
-
+    def test_rejects_non_edge(self, mesh4, engine):
         system = TaskSystem(mesh4)
         tid = system.add_task(1.0, 0)
-        sim = Simulator(mesh4, system, ScriptedBalancer({0: [Migration(tid, 0, 5)]}))
-        with pytest.raises(TopologyError):
+        balancer = ScriptedBalancer({0: [Migration(tid, 0, 5)]})
+        sim = TASK_ENGINES[engine](mesh4, system, balancer)
+        with pytest.raises(
+            TopologyError, match="^no edge between 0 and 5 in topology 'mesh-4x4'$"
+        ):
             sim.run(max_rounds=1)
 
-    def test_rejects_over_capacity(self, mesh4):
+    def test_rejects_over_capacity(self, mesh4, engine):
         system = TaskSystem(mesh4)
         a = system.add_task(1.0, 0)
         b = system.add_task(1.0, 0)
-        sim = Simulator(
-            mesh4,
-            system,
-            ScriptedBalancer({0: [Migration(a, 0, 1), Migration(b, 0, 1)]}),
-        )
-        with pytest.raises(SimulationError):
+        balancer = ScriptedBalancer({0: [Migration(a, 0, 1), Migration(b, 0, 1)]})
+        sim = TASK_ENGINES[engine](mesh4, system, balancer)
+        with pytest.raises(SimulationError, match=r"^link \(0, 1\) over capacity: 2 > 1$"):
             sim.run(max_rounds=1)
 
-    def test_capacity_2_allows_pairs(self, mesh4):
+    def test_capacity_2_allows_pairs(self, mesh4, engine):
         system = TaskSystem(mesh4)
         a = system.add_task(1.0, 0)
         b = system.add_task(1.0, 0)
-        sim = Simulator(
-            mesh4,
-            system,
-            ScriptedBalancer({0: [Migration(a, 0, 1), Migration(b, 0, 1)]}),
-            link_capacity=2,
-        )
+        balancer = ScriptedBalancer({0: [Migration(a, 0, 1), Migration(b, 0, 1)]})
+        sim = TASK_ENGINES[engine](mesh4, system, balancer, link_capacity=2)
         res = sim.run(max_rounds=1)
         assert res.total_migrations == 2
+
+    @pytest.mark.parametrize("dst", [-1, 16, 99])
+    @pytest.mark.parametrize("round_index", [0, 1])
+    def test_out_of_range_endpoint_is_a_non_edge(self, mesh4, engine, round_index, dst):
+        # Round 1 on the event engines is a partial wave in which both
+        # corners sleep; an out-of-range endpoint must not be read from
+        # the awake mask (-1 would wrap to node 15, 99 overflow it).
+        system = TaskSystem(mesh4)
+        tid = system.add_task(1.0, 0)
+        balancer = RecordingScript({round_index: [Migration(tid, 0, dst)]})
+        kwargs = {"stragglers": CORNER_STRAGGLERS} if engine.startswith("events") else {}
+        sim = TASK_ENGINES[engine](mesh4, system, balancer, **kwargs)
+        with pytest.raises(
+            TopologyError, match=f"^no edge between 0 and {dst} in topology 'mesh-4x4'$"
+        ):
+            sim.run(max_rounds=3)
+        awake = balancer.awake[round_index]
+        if engine.startswith("events") and round_index == 1:
+            assert not awake[0] and not awake[15] and awake[1:15].all()
+        else:
+            assert awake is None
+
+
+@pytest.mark.parametrize("engine", ["events", "events-fast"])
+def test_order_between_sleeping_nodes_is_dropped(mesh4, engine):
+    system = TaskSystem(mesh4)
+    tid = system.add_task(1.0, 0)
+    balancer = ScriptedBalancer({1: [Migration(tid, 0, 1)]})
+    sim = TASK_ENGINES[engine](mesh4, system, balancer, stragglers={0: 2.0, 1: 2.0})
+    res = sim.run(max_rounds=2)
+    assert res.records[1].asleep == 1
+    assert res.total_migrations == 0
+    assert system.location_of(tid) == 0
 
 
 class TestFaults:

@@ -1,15 +1,15 @@
 """Unit tests for the discrete-event asynchronous engine.
 
-Covers defensive validation on the event path (invalid orders raise
-:class:`~repro.exceptions.SimulationError` exactly as on the
-synchronous path), the heterogeneous clock model (speeds, stragglers,
-jitter), latency-delayed transfers and configuration validation.
+Covers the per-epoch link budget across desynchronised waves, the
+heterogeneous clock model (speeds, stragglers, jitter), latency-delayed
+transfers and configuration validation. The order checks every task
+engine shares live in ``tests/sim/test_engine.py::TestOrderValidation``.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, SimulationError, TopologyError
+from repro.exceptions import ConfigurationError
 from repro.interfaces import Balancer, Migration
 from repro.network import mesh
 from repro.runner.registry import make_balancer
@@ -39,34 +39,6 @@ class _ScriptedBalancer(Balancer):
 
 
 class TestDefensiveValidation:
-    def test_dead_task_raises(self):
-        topo, system, ids = _setup()
-        dead = ids[0]
-        system.remove_task(dead)
-        sim = EventSimulator(topo, system, _ScriptedBalancer([Migration(dead, 0, 1)]))
-        with pytest.raises(SimulationError, match="dead task"):
-            sim.run(max_rounds=3)
-
-    def test_wrong_source_raises(self):
-        topo, system, ids = _setup()
-        tid = ids[0]
-        src = system.location_of(tid)
-        wrong = (src + 1) % topo.n_nodes
-        nbr = int(topo.neighbors(wrong)[0])
-        sim = EventSimulator(topo, system, _ScriptedBalancer([Migration(tid, wrong, nbr)]))
-        with pytest.raises(SimulationError, match="not at claimed source"):
-            sim.run(max_rounds=3)
-
-    def test_non_edge_raises(self):
-        topo, system, ids = _setup()
-        tid = ids[0]
-        src = system.location_of(tid)
-        # Opposite mesh corner is never adjacent on a 4×4 mesh.
-        far = topo.n_nodes - 1 - src
-        sim = EventSimulator(topo, system, _ScriptedBalancer([Migration(tid, src, far)]))
-        with pytest.raises(TopologyError):
-            sim.run(max_rounds=3)
-
     def test_link_capacity_spans_waves_within_an_epoch(self):
         # "A single load per link per time unit" must hold across
         # desynchronised waves: with cadence 0.5 the waves at t=0.5 and
@@ -94,17 +66,6 @@ class TestDefensiveValidation:
         assert result.records[1].blocked == 1
         # The refused task never moved.
         assert system.location_of(on_src[2]) == src
-
-    def test_over_capacity_raises(self):
-        topo, system, ids = _setup()
-        src = system.location_of(ids[0])
-        nbr = int(topo.neighbors(src)[0])
-        on_src = [int(t) for t in system.tasks_at(src)][:2]
-        assert len(on_src) == 2
-        orders = [Migration(t, src, nbr) for t in on_src]
-        sim = EventSimulator(topo, system, _ScriptedBalancer(orders), link_capacity=1)
-        with pytest.raises(SimulationError, match="over capacity"):
-            sim.run(max_rounds=3)
 
 
 class TestClockModel:
