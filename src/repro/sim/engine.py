@@ -153,6 +153,21 @@ class Simulator(TaskStateMixin, RoundDriver):
         recorder: RecorderSpec = "full",
         probe: ProbeSpec = "null",
     ):
+        if system.topology is not topology:
+            raise ConfigurationError("task system was built for a different topology")
+        node_speeds = self._checked_node_speeds(node_speeds, topology.n_nodes)
+        if link_capacity < 1:
+            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        if isinstance(transfer_latency, str):
+            if transfer_latency != "size":
+                raise ConfigurationError(
+                    f"transfer_latency must be an int >= 0 or 'size', got "
+                    f"{transfer_latency!r}"
+                )
+        elif transfer_latency < 0:
+            raise ConfigurationError(
+                f"transfer_latency must be >= 0, got {transfer_latency}"
+            )
         self._init_task_engine(
             topology=topology,
             system=system,
@@ -172,16 +187,6 @@ class Simulator(TaskStateMixin, RoundDriver):
             recorder=recorder,
             probe=probe,
         )
-        if isinstance(transfer_latency, str):
-            if transfer_latency != "size":
-                raise ConfigurationError(
-                    f"transfer_latency must be an int >= 0 or 'size', got "
-                    f"{transfer_latency!r}"
-                )
-        elif transfer_latency < 0:
-            raise ConfigurationError(
-                f"transfer_latency must be >= 0, got {transfer_latency}"
-            )
         self.track_journeys = track_journeys
         # wire: arrival round -> list of (task id, destination node)
         self._wire: dict[int, list[tuple[int, int]]] = {}

@@ -190,25 +190,10 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         recorder: RecorderSpec = "full",
         probe: ProbeSpec = "null",
     ):
-        self._init_task_engine(
-            topology=topology,
-            system=system,
-            balancer=balancer,
-            links=links,
-            fault_model=fault_model,
-            task_graph=task_graph,
-            resources=resources,
-            dynamic=dynamic,
-            link_capacity=link_capacity,
-            transfer_latency=transfer_latency,
-            c1=c1,
-            e0=e0,
-            seed=seed,
-            criteria=criteria,
-            node_speeds=node_speeds,
-            recorder=recorder,
-            probe=probe,
-        )
+        if system.topology is not topology:
+            raise ConfigurationError("task system was built for a different topology")
+        if link_capacity < 1:
+            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
         if isinstance(transfer_latency, str):
             if transfer_latency != "size":
                 raise ConfigurationError(
@@ -230,7 +215,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 f"wake_jitter must be in [0, 1), got {wake_jitter}"
             )
         n = topology.n_nodes
-        node_speeds = self.node_speeds
+        node_speeds = self._checked_node_speeds(node_speeds, n)
         if clock_speeds is None:
             clock_speeds = (
                 node_speeds.copy() if node_speeds is not None else np.ones(n)
@@ -258,6 +243,25 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     )
                 clock_speeds[node] /= factor
 
+        self._init_task_engine(
+            topology=topology,
+            system=system,
+            balancer=balancer,
+            links=links,
+            fault_model=fault_model,
+            task_graph=task_graph,
+            resources=resources,
+            dynamic=dynamic,
+            link_capacity=link_capacity,
+            transfer_latency=transfer_latency,
+            c1=c1,
+            e0=e0,
+            seed=seed,
+            criteria=criteria,
+            node_speeds=node_speeds,
+            recorder=recorder,
+            probe=probe,
+        )
         self.latency_scale = float(latency_scale)
         self.cadence = float(cadence)
         self.clock_speeds = clock_speeds

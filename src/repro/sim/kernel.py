@@ -22,7 +22,7 @@ Per round, the kernel runs::
 so every engine gets identical convergence semantics, identical record
 fields, and any :class:`~repro.sim.recording.Recorder` for free. The
 task engines (synchronous and event) also share :class:`TaskStateMixin`:
-their constructor checks, the balancer context and the one path that
+their shared constructor state, the balancer context and the one path that
 validates and applies a wave of orders. The
 kernel allocates no per-round Python objects: metrics flow to the
 recorder as scalars, and a columnar
@@ -136,8 +136,8 @@ class RoundDriver(abc.ABC):
 class TaskStateMixin:
     """What the task engines (synchronous and event) share.
 
-    The constructor checks and state (:meth:`_init_task_engine`), the
-    balancer context, the one order-application path
+    The shared constructor state and checks (:meth:`_init_task_engine`,
+    :meth:`_checked_node_speeds`), the balancer context, the one order-application path
     (:meth:`_apply_wave`), in-flight landing and the per-epoch counters
     live here. Each engine supplies only two things of its own:
     ``_latency_of(load, eid)``, a transfer's time on the wire, and
@@ -148,6 +148,20 @@ class TaskStateMixin:
     _fast = False
     #: per-task journey tracking (the synchronous engine's option)
     track_journeys = False
+
+    @staticmethod
+    def _checked_node_speeds(node_speeds, n: int) -> Optional[np.ndarray]:
+        """*node_speeds* as a float array, checked for shape and sign."""
+        if node_speeds is None:
+            return None
+        node_speeds = np.asarray(node_speeds, dtype=np.float64)
+        if node_speeds.shape != (n,):
+            raise ConfigurationError(
+                f"node_speeds must have shape ({n},), got {node_speeds.shape}"
+            )
+        if (node_speeds <= 0).any():
+            raise ConfigurationError("node speeds must be positive")
+        return node_speeds
 
     def _init_task_engine(
         self,
@@ -170,20 +184,12 @@ class TaskStateMixin:
         recorder: RecorderSpec,
         probe: ProbeSpec,
     ) -> None:
-        """Validate and store the arguments both task engines take."""
-        if system.topology is not topology:
-            raise ConfigurationError("task system was built for a different topology")
-        if node_speeds is not None:
-            node_speeds = np.asarray(node_speeds, dtype=np.float64)
-            if node_speeds.shape != (topology.n_nodes,):
-                raise ConfigurationError(
-                    f"node_speeds must have shape ({topology.n_nodes},), got "
-                    f"{node_speeds.shape}"
-                )
-            if (node_speeds <= 0).any():
-                raise ConfigurationError("node speeds must be positive")
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        """Check the link attributes; store what both task engines take.
+
+        Each engine calls this once its own argument checks have passed,
+        so it keeps its own check order: with several bad arguments, the
+        first one in that order raises.
+        """
         self.links = links if links is not None else LinkAttributes.uniform(topology)
         if self.links.topology is not topology:
             raise ConfigurationError("link attributes were built for a different topology")
@@ -202,7 +208,6 @@ class TaskStateMixin:
         self.link_costs = link_costs(self.links, c1=c1, e0=e0)
         self._link_costs_l: list[float] = self.link_costs.tolist()
         self._all_up = np.ones(topology.n_edges, dtype=bool)
-        self._reset_epoch()
         self.probe = make_probe(probe)
         self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
 

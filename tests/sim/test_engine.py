@@ -46,6 +46,34 @@ class TestValidationAndSetup:
         with pytest.raises(ConfigurationError):
             sim.run(max_rounds=0)
 
+    @pytest.mark.parametrize(
+        "engine, kwargs, message",
+        [
+            ("rounds", {"node_speeds": [1.0] * 5, "link_capacity": 0},
+             r"node_speeds must have shape \(16,\)"),
+            ("rounds", {"transfer_latency": -1, "links": "other"},
+             "transfer_latency must be >= 0"),
+            ("rounds-fast", {"link_capacity": 0, "recorder": "bogus"},
+             "link_capacity must be >= 1"),
+            ("events", {"link_capacity": 0, "node_speeds": [1.0] * 5},
+             "link_capacity must be >= 1"),
+            ("events", {"cadence": 0, "recorder": "bogus"},
+             "cadence must be positive"),
+            ("events", {"node_speeds": [1.0] * 5, "wake_jitter": 2},
+             r"wake_jitter must be in \[0, 1\)"),
+            ("events-fast", {"stragglers": {99: 2.0}, "links": "other"},
+             r"straggler node 99 out of range \[0, 16\)"),
+            ("events-fast", {"epoch": 0, "probe": "bogus"},
+             "epoch must be positive"),
+        ],
+    )
+    def test_first_bad_argument_raises(self, mesh4, engine, kwargs, message):
+        """With two bad arguments, each engine keeps its own check order."""
+        if kwargs.get("links") == "other":
+            kwargs = {**kwargs, "links": LinkAttributes.uniform(mesh(3, 3))}
+        with pytest.raises(ConfigurationError, match=message):
+            TASK_ENGINES[engine](mesh4, TaskSystem(mesh4), NoBalancer(), **kwargs)
+
     def test_criteria_validation(self):
         with pytest.raises(ConfigurationError):
             ConvergenceCriteria(quiet_rounds=0)
