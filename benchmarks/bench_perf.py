@@ -9,14 +9,15 @@ and the machine-independent bounds it must hold. ``measure()``,
 ``scripts/perf_gate.py`` — are derived from the registry, so a new
 section is one entry here. The sections:
 
-* **curve** — the synchronous engine vs its vectorised ``rounds-fast``
-  twin on a uniform-random mesh workload at N ∈ {64, 256, 1024, 4096}
+* **curve** — PPLB's reference Phase-B sweep (every node) vs its
+  screened sweep, both on the synchronous engine, on a uniform-random
+  mesh workload at N ∈ {64, 256, 1024, 4096}
   nodes, simulated for a fixed round budget with convergence exit
   disabled (a production balancer keeps serving rounds at equilibrium
   — exactly the regime the scalar per-node Python loop makes O(N) per
-  round). Interleaved best-of-3 per engine. Bound: vectorised ≥5×
-  scalar at N ≥ 1024.
-* **record_throughput** — a 1024-node ``rounds-fast`` run over 2000
+  round). Interleaved best-of-3 per sweep. Bound: screened ≥5×
+  reference at N ≥ 1024.
+* **record_throughput** — a 1024-node synchronous run over 2000
   rounds under the ``summary`` recorder (O(1) memory, no per-round
   history) next to the same run under ``full`` recording, interleaved
   best-of-3. Bound: the summary run never lags full recording by more
@@ -30,21 +31,25 @@ section is one entry here. The sections:
   (``keep_results=False``, answered from the cache's index sidecar),
   interleaved best-of-3. Bound: the indexed path ≥5× the JSON path.
 * **batch_throughput** — a 32-seed sweep over four uniform serving
-  scenarios, run as a per-seed ``rounds-fast`` loop and through
+  scenarios, run as a per-seed synchronous-engine loop and through
   ``BatchSimulator`` with the topology shared across replicates
   (exactly how ``run_grid(..., batch_replicates=…)`` groups a grid's
   seed axis). Bound: batched ≥3× the per-seed loop in specs/sec.
 * **events** / **events_steady** — jittered clocks (so waves are
-  genuinely per-node): the scalar ``events`` engine vs its batched
-  ``events-fast`` twin on the same 16×16 torus, in the decision-bound
+  genuinely per-node): the scalar ``events`` engine with PPLB's
+  reference sweep vs the columnar ``events-fast`` engine with PPLB's
+  screened sweep on the same 16×16 torus, in the decision-bound
   *hotspot transient* (rates tracked, no bound) and the *steady-state
-  serving* regime, where every wake is a no-effect visit the fast
-  path's screen rejects wholesale. Bound: events-fast ≥10× scalar
-  events/sec at steady state.
+  serving* regime, where every wake is a no-effect visit the screen
+  rejects wholesale. Bound: events-fast ≥10× scalar events/sec at
+  steady state.
 
-Every paired comparison first verifies that both sides produced
-identical records (the fast paths' core contract) — the rates compare
-the same trajectory or nothing. Every bound is a ratio of two runs
+The scalar side of the curve and event pairs runs :class:`_ReferencePPLB`,
+PPLB pinned to the reference Phase-B sweep; PPLB itself screens
+whenever the screen is sound, on every engine. Every paired comparison
+first verifies that both sides produced identical records (the
+screen's core contract) — the rates compare the same trajectory or
+nothing. Every bound is a ratio of two runs
 sharing the machine, hence machine-independent; absolute rates are
 hardware-dependent and only gated against a same-class baseline.
 
@@ -64,13 +69,13 @@ import tempfile
 import time
 
 from repro.analysis import format_table
+from repro.core import ParticlePlaneBalancer
 from repro.runner import ResultCache, default_metrics, expand_grid, run_grid
 from repro.runner.registry import make_balancer
 from repro.sim import (
     BatchSimulator,
     EventFastSimulator,
     EventSimulator,
-    FastSimulator,
     Simulator,
 )
 from repro.sim.engine import ConvergenceCriteria
@@ -85,7 +90,7 @@ SEED = 0
 CURVE_SCENARIO = "mesh-random"
 CURVE_SIDES = (8, 16, 32, 64)
 CURVE_ROUNDS = 40
-#: the curve bound: vectorised ≥ 5× scalar at N ≥ 1024.
+#: the curve bound: screened ≥ 5× reference sweep at N ≥ 1024.
 SPEEDUP_FLOOR = 5.0
 SPEEDUP_FROM_N = 1024
 
@@ -97,7 +102,7 @@ RECORD_ROUNDS = 2000
 #: the slack absorbs run-to-run noise on loaded runners.
 RECORD_RPS_FLOOR = 0.85
 
-#: probe-overhead workload: rounds-fast at N=1024 (the acceptance
+#: probe-overhead workload: the synchronous engine at N=1024 (the acceptance
 #: size); the counters probe may cost at most this wall-time factor
 #: over the null probe, best-of-3 runs each.
 PROBE_SIDE = 32
@@ -164,11 +169,23 @@ BEST_OF = 3
 _NO_EXIT = ConvergenceCriteria(quiet_rounds=10**9, min_rounds=0)
 
 
-def _timed_run(engine_cls, side: int, rounds: int = CURVE_ROUNDS,
+class _ReferencePPLB(ParticlePlaneBalancer):
+    """PPLB pinned to the reference Phase-B sweep over every node."""
+
+    def _phase_b_fast(self, s):
+        self._phase_b_scalar(s)
+
+
+def _reference():
+    """The scalar side of a pair: :data:`ALGORITHM`'s reference sweep."""
+    return _ReferencePPLB(make_balancer(ALGORITHM).config)
+
+
+def _timed_run(balancer, side: int, rounds: int = CURVE_ROUNDS,
                recorder: str = "full", probe: str = "null"):
     scenario = build_scenario(CURVE_SCENARIO, seed=SEED, side=side)
-    sim = engine_cls(
-        scenario.topology, scenario.system, make_balancer(ALGORITHM),
+    sim = Simulator(
+        scenario.topology, scenario.system, balancer,
         links=scenario.links, seed=SEED, criteria=_NO_EXIT,
         recorder=recorder, probe=probe,
     )
@@ -199,13 +216,15 @@ def _best_of(*variants: Callable[[], object]) -> list:
 
 
 def _curve() -> dict:
-    """Scalar vs vectorised rounds/sec at every curve size (best-of)."""
+    """Reference vs screened sweep rounds/sec at every curve size (best-of)."""
     points = []
     for side in CURVE_SIDES:
-        scalar, fast = _best_of(lambda: _timed_run(Simulator, side),
-                                lambda: _timed_run(FastSimulator, side))
+        scalar, fast = _best_of(
+            lambda: _timed_run(_reference(), side),
+            lambda: _timed_run(make_balancer(ALGORITHM), side),
+        )
         assert _same_records(scalar, fast), (
-            f"fast path diverged from scalar at side={side}"
+            f"screened sweep diverged from the reference at side={side}"
         )
         assert scalar.n_rounds == CURVE_ROUNDS
         scalar_rps = scalar.n_rounds / scalar.wall_time_s
@@ -232,10 +251,10 @@ def _record_throughput() -> dict:
     Totals must agree exactly — the recorder observes, it never steers.
     """
     full, summary = _best_of(
-        lambda: _timed_run(FastSimulator, RECORD_SIDE, rounds=RECORD_ROUNDS,
-                           recorder="full"),
-        lambda: _timed_run(FastSimulator, RECORD_SIDE, rounds=RECORD_ROUNDS,
-                           recorder="summary"),
+        lambda: _timed_run(make_balancer(ALGORITHM), RECORD_SIDE,
+                           rounds=RECORD_ROUNDS, recorder="full"),
+        lambda: _timed_run(make_balancer(ALGORITHM), RECORD_SIDE,
+                           rounds=RECORD_ROUNDS, recorder="summary"),
     )
     assert len(summary.records) == 0, "summary recorder retained history"
     assert len(full.records) == RECORD_ROUNDS
@@ -253,12 +272,12 @@ def _record_throughput() -> dict:
 
 
 def _probe_overhead() -> dict:
-    """Null vs counters probe on the N=1024 fast path (best-of)."""
+    """Null vs counters probe on the N=1024 screened sweep (best-of)."""
     null, counted = _best_of(
-        lambda: _timed_run(FastSimulator, PROBE_SIDE, rounds=PROBE_ROUNDS,
-                           probe="null"),
-        lambda: _timed_run(FastSimulator, PROBE_SIDE, rounds=PROBE_ROUNDS,
-                           probe="counters"),
+        lambda: _timed_run(make_balancer(ALGORITHM), PROBE_SIDE,
+                           rounds=PROBE_ROUNDS, probe="null"),
+        lambda: _timed_run(make_balancer(ALGORITHM), PROBE_SIDE,
+                           rounds=PROBE_ROUNDS, probe="counters"),
     )
     # The comparison is meaningful only if the probe truly observed
     # without steering — identical trajectories, counters on the side.
@@ -329,7 +348,7 @@ def _batch_throughput() -> dict:
 
     def build(name: str, seed: int, topology=None):
         scenario = build_scenario(name, seed=seed, topology=topology)
-        sim = FastSimulator(
+        sim = Simulator(
             scenario.topology, scenario.system, make_balancer(ALGORITHM),
             links=scenario.links, seed=seed, criteria=_NO_EXIT,
         )
@@ -373,19 +392,20 @@ def _batch_throughput() -> dict:
 
 def _timed_event_pair(scenario_name: str, scenario_kwargs: dict,
                       rounds: int, criteria=None) -> dict:
-    """Scalar vs batched event engine on one workload, verified equal."""
+    """Scalar event engine with the reference sweep vs events-fast with
+    the screened sweep on one workload, verified equal."""
 
-    def run(engine_cls):
+    def run(engine_cls, balancer):
         scenario = build_scenario(scenario_name, seed=SEED, **scenario_kwargs)
         extra = {} if criteria is None else {"criteria": criteria}
         sim = engine_cls(
-            scenario.topology, scenario.system, make_balancer(ALGORITHM),
+            scenario.topology, scenario.system, balancer,
             links=scenario.links, seed=SEED, wake_jitter=0.2, **extra,
         )
         return sim, sim.run(max_rounds=rounds)
 
-    scalar_sim, scalar = run(EventSimulator)
-    fast_sim, fast = run(EventFastSimulator)
+    scalar_sim, scalar = run(EventSimulator, _reference())
+    fast_sim, fast = run(EventFastSimulator, make_balancer(ALGORITHM))
     assert _same_records(scalar, fast), (
         f"events-fast diverged from events on {scenario_name}"
     )
@@ -624,8 +644,8 @@ def test_perf_baseline(benchmark):
             for row in section.rows(payload[section.name])]
     emit(
         "BENCH_engine",
-        format_table(rows, title="BENCH — engine perf: scalar vs rounds-fast "
-                                 f"scaling curve ({CURVE_SCENARIO}, {ALGORITHM}) "
+        format_table(rows, title="BENCH — engine perf: reference vs screened "
+                                 f"Phase-B sweep ({CURVE_SCENARIO}, {ALGORITHM}) "
                                  "+ events vs events-fast async pairs"),
     )
 

@@ -52,7 +52,6 @@ from repro.network import (
 )
 from repro.sim import (
     EventSimulator,
-    FastSimulator,
     FluidSimulator,
     FullRecorder,
     RoundLog,
@@ -124,7 +123,6 @@ __all__ = [
     "compose_scenarios",
     # sim
     "Simulator",
-    "FastSimulator",
     "EventSimulator",
     "FluidSimulator",
     "SimulationLoop",

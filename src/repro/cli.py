@@ -45,17 +45,16 @@ anything runs).
 
 ``run``, ``compare`` and ``run-grid`` all accept ``--engine
 {rounds,rounds-fast,events,events-fast,fluid}``:
-``rounds`` is the
-paper's synchronous protocol, ``rounds-fast`` the same protocol through
-the vectorised large-N fast path (:class:`repro.sim.FastSimulator` —
-identical records, so prefer it for big meshes; ``run-grid``/``tune``/
-``leaderboard`` take ``--batch-replicates N`` to run its seed
-replicates as one :class:`repro.sim.BatchSimulator` run, bit-identical
-per seed with shared cache keys),
+``rounds`` and ``rounds-fast`` are both the paper's synchronous
+protocol (:class:`repro.sim.Simulator`; the names key separate cache
+entries, and ``run-grid``/``tune``/``leaderboard`` take
+``--batch-replicates N`` to run ``rounds-fast`` seed replicates as one
+:class:`repro.sim.BatchSimulator` run, bit-identical per seed with
+shared cache keys),
 ``events`` the
 discrete-event asynchronous engine (:class:`repro.sim.EventSimulator`),
-``events-fast`` the same asynchronous protocol through batched wake
-waves and columnar event buffers
+``events-fast`` the same asynchronous protocol through columnar event
+buffers
 (:class:`repro.sim.EventFastSimulator` — identical records)
 and ``fluid`` the divisible-load engine
 (:class:`repro.sim.FluidSimulator`) over the scenario's initial
@@ -82,8 +81,8 @@ everywhere.
 
 Global flags (before the subcommand): ``-v``/``-vv`` raise log
 verbosity to INFO/DEBUG, ``--log-level LEVEL`` sets it exactly.
-Warnings — e.g. the fast engines falling back to the scalar decision
-path under ``friction_jitter != 0`` — are always on.
+Warnings — e.g. a result-cache entry that ``cache reindex`` cannot
+read — are always on.
 
 Algorithm names come from :mod:`repro.runner.registry`, the registry
 shared with the runner, so ``--algorithm`` choices and runner specs can
@@ -159,8 +158,8 @@ def configure_logging(log_level: str | None = None, verbosity: int = 0) -> None:
 
     ``log_level`` (an explicit name like ``"debug"``) wins over
     ``verbosity`` (the counted ``-v`` flags: 0 → WARNING, 1 → INFO,
-    2+ → DEBUG). The floor is WARNING so diagnostics like the fast
-    engines' scalar-fallback warning are visible by default.
+    2+ → DEBUG). The floor is WARNING so diagnostics like the result
+    cache's unreadable-entry warning are visible by default.
     """
     if log_level is not None:
         level = getattr(logging, log_level.upper())
@@ -640,10 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine(p: argparse.ArgumentParser) -> None:
         p.add_argument("--engine", choices=sorted(ENGINES), default="rounds",
-                       help="execution model: synchronous rounds, the "
-                            "vectorized rounds-fast path (identical results, "
-                            "built for large N), the asynchronous "
-                            "discrete-event engine, its batched events-fast "
+                       help="execution model: synchronous rounds, "
+                            "rounds-fast (the same engine under its own cache "
+                            "keys), the asynchronous "
+                            "discrete-event engine, its columnar events-fast "
                             "twin (identical records), or the divisible-load "
                             "fluid engine (fluid-* algorithms only)")
         p.add_argument("--recorder", default="full", metavar="POLICY",

@@ -39,36 +39,37 @@ height while feasibility keeps the flag above the (non-negative) load
 surface, so journeys are finite whenever ``µk > 0`` — the discrete
 Corollary 2, and the bounded-time half of Theorem 2's proof.
 
-Large-N fast path (``BalanceContext.fast``): each phase has exactly one
-decision body, a plain-list loop over the node's neighbors
-(:class:`~repro.core.surface.NeighborCache`), and the fast path differs
-from the reference only in *which* Phase-B nodes it visits. During one
-``step`` the task placements never change (the engine applies the
-returned orders afterwards), so the only decision inputs that evolve are
-the private surface ``h`` and the per-link reservations. The decision
-bodies read them, with the link costs and ``1/s``, from plain-Python
-vectors made once per round (``_StepState.unbox``), and the screen
-views those vectors as arrays; a round without decisions never makes
-them. Phase A is the
-same id-ordered loop under both paths. Phase B screens every
-(node, neighbor) slope at the node's candidate floor in one whole-graph
-CSR array expression and then runs the per-node body only where it can
-matter: nodes that passed the (provably sound, load-floor based) screen
-or were touched by an earlier decision of the same round — and, of
-those, only nodes that still pass the same screen rule against the
-surface and link reservations at the moment the sweep reaches them.
-Skipped work is exactly the work the scalar sweep would have done with
-no effect and no RNG consumption — which is why the fast path
-reproduces the scalar trajectory bit for bit (property-tested in
-``tests/sim/test_fast_equivalence.py``). Candidate tasks and their
-loads come straight from :class:`~repro.tasks.TaskSystem`'s per-node
-load-ordered index (:meth:`~repro.tasks.TaskSystem.largest_loads_at`).
+Phase-B sweeps: each phase has exactly one decision body, a plain-list
+loop over the node's neighbors (:class:`~repro.core.surface.NeighborCache`),
+and the screened Phase-B sweep differs from the reference sweep only in
+*which* nodes it visits. The balancer picks the sweep itself, the same
+way on every engine: the screened one whenever the screen is sound
+(:attr:`ParticlePlaneBalancer.screen_sound`, i.e. no friction jitter),
+the reference one otherwise. During one ``step`` the task placements
+never change (the engine applies the returned orders afterwards), so
+the only decision inputs that evolve are the private surface ``h`` and
+the per-link reservations. The decision bodies read them, with the link
+costs and ``1/s``, from plain-Python vectors made once per round
+(``_StepState.unbox``), and the screen views those vectors as arrays; a
+round without decisions never makes them. Phase A is one id-ordered
+loop. The screened Phase B screens every (node, neighbor) slope at the
+node's candidate floor in one whole-graph CSR array expression and then
+runs the per-node body only where it can matter: nodes that passed the
+(provably sound, load-floor based) screen or were touched by an earlier
+decision of the same round — and, of those, only nodes that still pass
+the same screen rule against the surface and link reservations at the
+moment the sweep reaches them. Skipped work is exactly the work the
+reference sweep would have done with no effect and no RNG consumption —
+which is why the screened sweep reproduces the reference trajectory bit
+for bit (property-tested in ``tests/sim/test_fast_equivalence.py``
+against a balancer pinned to the reference sweep). Candidate tasks and
+their loads come straight from :class:`~repro.tasks.TaskSystem`'s
+per-node load-ordered index (:meth:`~repro.tasks.TaskSystem.largest_loads_at`).
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from array import array
 from typing import Callable, Optional
@@ -84,8 +85,6 @@ from repro.interfaces import BalanceContext, Balancer, Migration
 from repro.tasks.resources import ResourceMap
 from repro.tasks.task_graph import TaskGraph
 
-logger = logging.getLogger(__name__)
-
 
 def _doubles(a) -> array:
     """A typed copy of float vector *a* whose reads are plain floats."""
@@ -96,10 +95,10 @@ class _StepState:
     """Shared working state of one balancing round.
 
     Bundles the context unpacking plus the round-private surface copy
-    and link reservations, so the reference Phase-B sweep and the fast
-    one drive the *same* decision bodies. ``on_change`` is the fast
-    Phase B's re-queue hook — called after every applied decision with
-    the (src, dst) endpoints; None everywhere else.
+    and link reservations, so the reference Phase-B sweep and the
+    screened one drive the *same* decision bodies. ``on_change`` is the
+    screened Phase B's re-queue hook — called after every applied
+    decision with the (src, dst) endpoints; None everywhere else.
 
     The round starts on the context's NumPy arrays. Right before the
     first decision body runs, :meth:`unbox` copies the surface ``h``,
@@ -207,10 +206,8 @@ class ParticlePlaneBalancer(Balancer):
             self.arbiter: StochasticArbiter = GreedyArbiter()
         else:
             self.arbiter = StochasticArbiter.from_config(self.config)
-        # Telemetry bookkeeping: greedy arbiters draw no RNG per choice,
-        # and the scalar-fallback warning fires once per instance.
+        # Telemetry bookkeeping: greedy arbiters draw no RNG per choice.
         self._greedy_arbiter = isinstance(self.arbiter, GreedyArbiter)
-        self._warned_fallback = False
         self._motion: dict[int, MotionState] = {}
         self._inv_s_ones: Optional[np.ndarray] = None
         self._cache: Optional[NeighborCache] = None
@@ -246,16 +243,13 @@ class ParticlePlaneBalancer(Balancer):
     def step(self, ctx: BalanceContext) -> list[Migration]:
         """Plan one round of migrations (Phase A then Phase B).
 
-        Phase A is one id-ordered loop either way. With ``ctx.fast``
-        (the ``rounds-fast`` and ``events-fast`` engines) Phase B visits
-        only the nodes its screen admits; the trajectory is identical
-        either way (see module docstring). Friction jitter draws RNG per
-        *evaluated* candidate, which the screen elides, so jittered
-        configs always take the reference Phase-B sweep.
+        Phase A is one id-ordered loop. Phase B visits only the nodes
+        its screen admits when :attr:`screen_sound`, and every node
+        otherwise (counted as ``balancer.reference_sweeps``); the
+        trajectory is the same either way (see module docstring).
         """
         if self._cache is None or self._cache.topology is not ctx.topology:
             self.reset(ctx)
-        cfg = self.config
         s = _StepState(ctx, self._cache, self._friction, self.inverse_speeds(ctx))
         probe = s.probe
         if probe is not None:
@@ -264,18 +258,11 @@ class ParticlePlaneBalancer(Balancer):
             hops0 = self.stats["hops"]
 
         self._phase_a(s)
-        if ctx.fast and cfg.friction_jitter == 0.0:
+        if self.screen_sound:
             self._phase_b_fast(s)
         else:
-            if ctx.fast and not self._warned_fallback:
-                self._warned_fallback = True
-                logger.warning(
-                    "friction_jitter=%g draws RNG per evaluated candidate, "
-                    "which the Phase-B screen cannot elide — falling back "
-                    "to the reference sweep (correct, but the fast "
-                    "engine's speedup is lost)",
-                    cfg.friction_jitter,
-                )
+            if probe is not None:
+                probe.incr("balancer.reference_sweeps")
             self._phase_b_scalar(s)
         if probe is not None:
             probe.incr(
@@ -284,6 +271,41 @@ class ParticlePlaneBalancer(Balancer):
             probe.incr("balancer.settled", int(self.stats["settled"] - settled0))
             probe.incr("balancer.hops", int(self.stats["hops"] - hops0))
         return s.migrations
+
+    @property
+    def screen_sound(self) -> bool:
+        """True when the Phase-B screen may elide work for this config.
+
+        The screen skips only visits that change nothing *and* draw no
+        RNG. Friction jitter draws RNG per evaluated candidate, so a
+        jittered config must visit every node (the reference sweep).
+        """
+        return self.config.friction_jitter == 0.0
+
+    def step_is_noop(self, ctx: BalanceContext) -> bool:
+        """True when :meth:`step` on *ctx* provably returns no orders,
+        changes no state and draws no RNG.
+
+        That needs a sound screen, no probe (a probed step emits
+        counters), a balancer already bound to the context's topology
+        (an unbound one would reset first), nothing in flight, and an
+        empty Phase-B screen over the pre-step surface.
+        """
+        cache = self._cache
+        if (
+            not self.screen_sound
+            or ctx.probe is not None
+            or self._motion
+            or cache is None
+            or cache.topology is not ctx.topology
+        ):
+            return False
+        inv_s = self.inverse_speeds(ctx)
+        # At step start `h` is the fresh surface and no link is reserved.
+        h = ctx.system.node_loads * inv_s
+        floor = ctx.system.candidate_floor(self.config.candidates_per_node)
+        ok = self.initiation_screen(floor, h, inv_s, ctx.link_costs, ctx.up_mask)
+        return not ok.any()
 
     def inverse_speeds(self, ctx: BalanceContext) -> np.ndarray:
         """``1/s_i`` per node: the effective-surface divisor of a round.
@@ -303,11 +325,12 @@ class ParticlePlaneBalancer(Balancer):
     # ----------------------------- phases ----------------------------- #
 
     def _phase_a(self, s: _StepState) -> None:
-        """Phase A: every in-flight particle, in id order (both paths)."""
+        """Phase A: every in-flight particle, in id order."""
         cfg = self.config
         system = s.system
         for tid in sorted(self._motion):
-            if not system.is_alive(tid):
+            placement = system.placement_of(tid)
+            if placement is None:
                 del self._motion[tid]
                 continue
             if system.in_transit(tid):
@@ -317,9 +340,7 @@ class ParticlePlaneBalancer(Balancer):
                 self._settle(tid)
                 continue
             s.unbox()
-            self._phase_a_decide(
-                s, tid, st, system.location_of(tid), system.load_of(tid)
-            )
+            self._phase_a_decide(s, tid, st, *placement)
 
     def _phase_b_scalar(self, s: _StepState) -> None:
         """Phase B reference loop: every node, in descending height order."""
@@ -332,8 +353,8 @@ class ParticlePlaneBalancer(Balancer):
 
     # ------------------------ decision bodies ------------------------- #
     # One body per phase, shared verbatim by the reference loops and the
-    # fast Phase-B sweep — the single place the paper's §5.1 rules live,
-    # so the two paths cannot drift.
+    # screened Phase-B sweep — the single place the paper's §5.1 rules
+    # live, so the two paths cannot drift.
 
     def _choose(self, s: _StepState, scores) -> int:
         """Arbiter choice with telemetry: same pick, same RNG stream.
@@ -490,7 +511,7 @@ class ParticlePlaneBalancer(Balancer):
             if departures >= max_dep:
                 break
 
-    # -------------------------- fast Phase B -------------------------- #
+    # ------------------------ screened Phase B ------------------------ #
 
     def initiation_screen(
         self, floor: np.ndarray, h: np.ndarray, inv_s: np.ndarray,

@@ -98,13 +98,6 @@ class BalanceContext:
         dst a pull), so async-aware balancers can consult this mask to
         avoid planning moves that will be dropped; async-oblivious
         balancers may ignore it.
-    fast:
-        True when the engine requests the vectorised large-N fast path
-        (the ``rounds-fast`` engine). Balancers that implement a batched
-        step may take it; the contract is strict — the fast path must
-        produce *exactly* the decisions (and RNG consumption) of the
-        scalar path, so the flag can never change a trajectory.
-        Balancers without a batched step ignore it.
     probe:
         The engine's telemetry sink (:class:`~repro.sim.telemetry.
         Probe`) or None. Balancers may emit structured counters into it
@@ -124,7 +117,6 @@ class BalanceContext:
     resources: Optional["ResourceMap"] = None
     node_speeds: Optional[np.ndarray] = None
     awake: Optional[np.ndarray] = None
-    fast: bool = False
     probe: Optional["Probe"] = None
 
 

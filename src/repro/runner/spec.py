@@ -73,14 +73,13 @@ class RunSpec:
     engine:
         Which execution model runs the spec: ``"rounds"`` (the
         synchronous :class:`~repro.sim.Simulator`, the default),
-        ``"rounds-fast"`` (the same protocol through
-        :class:`~repro.sim.FastSimulator`'s vectorised large-N path —
-        identical records, so large grids should prefer it),
+        ``"rounds-fast"`` (the same :class:`~repro.sim.Simulator` under
+        its own cache keys; only its specs are replicate-batched),
         ``"events"`` (the asynchronous
         :class:`~repro.sim.EventSimulator`), ``"events-fast"`` (the
         same asynchronous protocol through
-        :class:`~repro.sim.EventFastSimulator`'s batched wake waves
-        and columnar event buffers — identical records) or
+        :class:`~repro.sim.EventFastSimulator`'s columnar event
+        buffers — identical records) or
         ``"fluid"`` (the
         divisible-load :class:`~repro.sim.FluidSimulator`; requires a
         fluid algorithm). The fluid engine is a *projection*: it

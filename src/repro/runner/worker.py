@@ -8,14 +8,13 @@ pure function of the spec's content (scenario construction, balancer
 config and the simulator RNG are all seeded from ``spec.seed``), which
 is what licenses the content-addressed cache.
 
-``spec.engine`` selects the execution model: ``"rounds"`` builds the
-synchronous :class:`~repro.sim.Simulator`, ``"rounds-fast"`` its
-vectorised twin :class:`~repro.sim.FastSimulator` (identical records,
-array fast path for large N), ``"events"`` the asynchronous
-:class:`~repro.sim.EventSimulator` and ``"events-fast"`` its batched
-twin :class:`~repro.sim.EventFastSimulator` (identical records,
-columnar event buffers). The task engines receive whatever
-extras the scenario carries (per-node speeds, a churn process), so a
+``spec.engine`` selects the execution model: ``"rounds"`` and
+``"rounds-fast"`` both build the synchronous :class:`~repro.sim.Simulator`
+(the two names stay apart because they key separate cache entries),
+``"events"`` the asynchronous :class:`~repro.sim.EventSimulator` and
+``"events-fast"`` its twin :class:`~repro.sim.EventFastSimulator`
+(identical records, columnar event buffers). The task engines receive
+whatever extras the scenario carries (per-node speeds, a churn process), so a
 scenario means the same workload under any of them. ``"fluid"`` builds
 the divisible-load :class:`~repro.sim.FluidSimulator` over the
 scenario's *initial per-node loads* — the continuous-limit view of the
@@ -46,7 +45,6 @@ from repro.sim import (
     BatchSimulator,
     EventFastSimulator,
     EventSimulator,
-    FastSimulator,
     FluidSimulator,
     SimulationResult,
     Simulator,
@@ -57,7 +55,7 @@ from repro.workloads import build_scenario
 #: RunSpec; "fluid" dispatches separately below).
 _ENGINE_CLASSES = {
     "rounds": Simulator,
-    "rounds-fast": FastSimulator,
+    "rounds-fast": Simulator,
     "events": EventSimulator,
     "events-fast": EventFastSimulator,
 }
@@ -142,7 +140,7 @@ def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
     sims = []
     topology = None
     for spec in specs:
-        sims.append(_task_simulator(spec, FastSimulator, topology))
+        sims.append(_task_simulator(spec, Simulator, topology))
         topology = sims[0].topology
     return BatchSimulator(sims).run(max_rounds=specs[0].max_rounds)
 

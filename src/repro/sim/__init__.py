@@ -7,17 +7,16 @@ single load is transferred over a link"); faults are realised at round
 start; balancers observe the state and order one-hop migrations.
 
 * :class:`Simulator` — task-granular synchronous simulation (the
-  paper's setting).
-* :class:`FastSimulator` — the same synchronous protocol with the
-  vectorised large-N fast path enabled (``engine="rounds-fast"``);
-  property-tested to reproduce :class:`Simulator` exactly.
+  paper's setting); both ``engine="rounds"`` and ``engine="rounds-fast"``
+  build it. PPLB picks its own Phase-B sweep (the screened one whenever
+  it is sound), so no engine carries a fast-path switch.
 * :class:`EventSimulator` — discrete-event *asynchronous* simulation in
   continuous time: per-node clocks (heterogeneous speeds, jitter,
   stragglers), latency-delayed transfers, results sampled at epoch
   boundaries. Degenerates exactly to :class:`Simulator` under unit
   clocks / zero latency / uniform cadence.
-* :class:`EventFastSimulator` — the same asynchronous protocol with the
-  vectorised fast path enabled and columnar event buffers
+* :class:`EventFastSimulator` — the same asynchronous protocol on
+  columnar event buffers instead of a tuple heap
   (``engine="events-fast"``); differentially tested to reproduce
   :class:`EventSimulator` bit for bit on every clock model.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-
@@ -27,7 +26,7 @@ start; balancers observe the state and order one-hop migrations.
   runner): lanes whose balancer step is provably a no-op skip it, and
   lanes with nothing left to change freeze — each replicate's records,
   final loads and terminal RNG state are bit-identical to a solo
-  :class:`FastSimulator` run of that seed.
+  :class:`Simulator` run of that seed.
 * :mod:`kernel <repro.sim.kernel>` — the shared
   :class:`SimulationLoop`: every engine above is a thin driver
   supplying its round body, the kernel owns the lifecycle (observe,
@@ -45,7 +44,7 @@ start; balancers observe the state and order one-hop migrations.
 """
 
 from repro.sim.batch import BatchSimulator
-from repro.sim.engine import FastSimulator, FluidSimulator, Simulator
+from repro.sim.engine import FluidSimulator, Simulator
 from repro.sim.event_buffers import ArrivalBuffer, WakeSchedule
 from repro.sim.events import EventFastSimulator, EventSimulator
 from repro.sim.kernel import RoundDriver, RoundStats, SimulationLoop
@@ -75,7 +74,6 @@ from repro.sim.telemetry import (
 
 __all__ = [
     "Simulator",
-    "FastSimulator",
     "EventSimulator",
     "EventFastSimulator",
     "FluidSimulator",

@@ -2,14 +2,14 @@
 
 :class:`BatchSimulator` runs S independent replicates of one scenario —
 same topology, same algorithm config, different seeds — through the
-``rounds-fast`` protocol in lock-step, and saves work only where a
+synchronous protocol in lock-step, and saves work only where a
 replicate's step is provably a no-op:
 
-* **Skip.** A PPLB lane with no particle in flight whose Phase-B screen
-  (:meth:`~repro.core.balancer.ParticlePlaneBalancer.initiation_screen`,
-  the balancer's own rule) admits no node skips its balancer step: Phase
-  A exits on its empty wave and Phase B on its empty screen, so the
-  step would return no orders, touch no state and draw no RNG.
+* **Skip.** A PPLB lane whose balancer proves its own step a no-op
+  (:meth:`~repro.core.balancer.ParticlePlaneBalancer.step_is_noop`: no
+  particle in flight and an empty Phase-B screen) skips its balancer
+  step: the step would return no orders, touch no state and draw no
+  RNG.
 * **Freeze.** A skipped lane with no churn, no fault process and an
   empty wire has no source of mutation left, so every later round is the
   same skip over the same surface: the lane stops screening, and its
@@ -17,7 +17,7 @@ replicate's step is provably a no-op:
 
 Every other lane-round runs the solo engine's own round body, so each
 replicate's records, final loads and terminal RNG state are **bit
-identical** to a solo :class:`~repro.sim.engine.FastSimulator` run of
+identical** to a solo :class:`~repro.sim.engine.Simulator` run of
 that seed — property-tested in ``tests/sim/test_batch_equivalence.py``.
 Replicates converge independently: a replicate whose convergence check
 fires drops out of the batch (active mask); the rest keep going.
@@ -35,7 +35,7 @@ from typing import Sequence
 
 from repro.core.balancer import ParticlePlaneBalancer
 from repro.exceptions import ConfigurationError
-from repro.sim.engine import FastSimulator
+from repro.sim.engine import Simulator
 from repro.sim.kernel import RoundStats
 from repro.sim.metrics import imbalance_summary
 from repro.sim.results import SimulationResult
@@ -44,27 +44,27 @@ __all__ = ["BatchSimulator"]
 
 
 class BatchSimulator:
-    """Run S :class:`~repro.sim.engine.FastSimulator` replicates in
+    """Run S :class:`~repro.sim.engine.Simulator` replicates in
     lock-step, skipping and freezing idle lanes (see module docstring).
 
     Parameters
     ----------
     sims:
         The replicate simulators. All must be
-        :class:`~repro.sim.engine.FastSimulator` instances sharing one
+        :class:`~repro.sim.engine.Simulator` instances sharing one
         :class:`~repro.network.topology.Topology` *object*. Each keeps
         its own task system, RNG, links, faults and churn — the batch
         never mixes replicate state.
     """
 
-    def __init__(self, sims: Sequence[FastSimulator]):
+    def __init__(self, sims: Sequence[Simulator]):
         if not sims:
             raise ConfigurationError("BatchSimulator needs at least one replicate")
         for sim in sims:
-            if not isinstance(sim, FastSimulator):
+            if not isinstance(sim, Simulator):
                 raise ConfigurationError(
-                    "BatchSimulator replicates must be FastSimulator instances "
-                    f"(the rounds-fast engine), got {type(sim).__name__}"
+                    "BatchSimulator replicates must be Simulator instances "
+                    f"(the rounds engines), got {type(sim).__name__}"
                 )
             if sim.topology is not sims[0].topology:
                 raise ConfigurationError(
@@ -72,12 +72,9 @@ class BatchSimulator:
                 )
         self.sims = list(sims)
         self.topology = sims[0].topology
-        # A lane may skip only when its step is the vectorised PPLB fast
-        # path: jitter draws RNG per evaluated candidate, which no
-        # screen may elide.
         self._skippable = [
             isinstance(sim.balancer, ParticlePlaneBalancer)
-            and sim.balancer.config.friction_jitter == 0.0
+            and sim.balancer.screen_sound
             for sim in self.sims
         ]
 
@@ -107,7 +104,7 @@ class BatchSimulator:
                 summ = frozen_summ[l]
                 if summ is None:
                     ctx = sim._context(r, up)
-                    if not self._skips(l, ctx):
+                    if not (self._skippable[l] and sim.balancer.step_is_noop(ctx)):
                         stats = sim.round_apply(sim.balancer.step(ctx), up, r)
                         sim._loop.observe_round(states[l], stats)
                         continue
@@ -129,27 +126,3 @@ class BatchSimulator:
                 sim.probe.incr("batch.fill_ratio", round(fill, 4))
                 sim.probe.incr("batch.fallbacks", fallbacks)
         return [sims[l]._loop.end(states[l]) for l in range(n_rep)]
-
-    def _skips(self, l: int, ctx) -> bool:
-        """True when lane *l*'s step this round is provably a no-op.
-
-        That needs a skippable lane with no probe (a probed step emits
-        counters), a balancer already bound to the shared topology (an
-        unbound one would reset first), nothing in flight, and an empty
-        Phase-B screen over the pre-step surface.
-        """
-        bal = self.sims[l].balancer
-        if (
-            not self._skippable[l]
-            or ctx.probe is not None
-            or bal._motion
-            or bal._cache is None
-            or bal._cache.topology is not self.topology
-        ):
-            return False
-        inv_s = bal.inverse_speeds(ctx)
-        # At step start `h` is the fresh surface and no link is reserved.
-        h = ctx.system.node_loads * inv_s
-        floor = ctx.system.candidate_floor(bal.config.candidates_per_node)
-        ok = bal.initiation_screen(floor, h, inv_s, ctx.link_costs, ctx.up_mask)
-        return not ok.any()

@@ -308,22 +308,6 @@ class Simulator(TaskStateMixin, RoundDriver):
         return out
 
 
-class FastSimulator(Simulator):
-    """The ``rounds-fast`` engine: :class:`Simulator` with the vectorised
-    large-N fast path enabled.
-
-    Identical protocol, records and RNG stream — the only difference is
-    that every :class:`~repro.interfaces.BalanceContext` carries
-    ``fast=True``, which lets balancers with a batched step (PPLB) run
-    their CSR array path. Balancers without one behave exactly as under
-    :class:`Simulator`, so ``rounds-fast`` is always safe to select; the
-    exact-equivalence property is anchored by
-    ``tests/sim/test_fast_equivalence.py``.
-    """
-
-    _fast = True
-
-
 class FluidSimulator(RoundDriver):
     """Divisible-load simulation for :class:`FluidBalancer` algorithms.
 

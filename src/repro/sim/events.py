@@ -58,15 +58,10 @@ reproduces :meth:`Simulator.run` exactly (same seed ⇒ identical
 per-round records). ``tests/sim/test_event_equivalence.py`` holds this
 as a property, not a hope.
 
-:class:`EventFastSimulator` (the ``events-fast`` engine) is the PR 3
-vectorisation playbook applied to this engine: the same continuous-time
-protocol with the per-event Python object churn removed. Wake
-scheduling and in-flight transfers live in columnar NumPy buffers
-(:mod:`repro.sim.event_buffers`) instead of a tuple heap, and every
-balancing wave runs with ``BalanceContext.fast`` set, so balancers with
-a batched step (PPLB) screen no-effect work through whole-graph CSR
-array expressions before entering their scalar decision bodies.
-Skipped work is exactly no-effect, no-RNG work, so ``events-fast``
+:class:`EventFastSimulator` (the ``events-fast`` engine) is the same
+continuous-time protocol with the per-event Python object churn
+removed: wake scheduling and in-flight transfers live in columnar NumPy
+buffers (:mod:`repro.sim.event_buffers`) instead of a tuple heap. It
 reproduces the scalar event engine bit for bit — records, RNG state,
 final loads — across every clock model (jitter, stragglers, cadence,
 latency); ``tests/sim/test_events_fast_equivalence.py`` holds the full
@@ -434,36 +429,21 @@ class EventSimulator(TaskStateMixin, RoundDriver):
 class EventFastSimulator(EventSimulator):
     """The ``events-fast`` engine: :class:`EventSimulator`, vectorised.
 
-    Two changes, both pure evaluation-order optimisations:
-
-    * Every :class:`~repro.interfaces.BalanceContext` carries
-      ``fast=True``, so balancers with a batched step (PPLB) screen
-      no-effect wakes — the ``candidate_floor`` × ``mu_s_base``
-      monotone bound on Phase B — before entering their decision
-      bodies. The screen is sound (it only skips work the scalar sweep
-      would have done with no effect and no RNG use), and a balancer
-      whose configuration it cannot screen soundly (friction jitter
-      draws RNG per *evaluated* candidate) detects that itself and
-      falls back to the reference sweep, keeping equivalence rather
-      than speed.
-    * The per-event tuple heap is replaced by the columnar stores of
-      :mod:`repro.sim.event_buffers`: a :class:`WakeSchedule` (one
-      next-wake slot per node; a same-instant wave is one vectorised
-      compare-and-gather) and an :class:`ArrivalBuffer` (in-flight
-      transfers as parallel columns). Both consume events in the
-      heap's exact ``(time, priority, insertion)`` order, and jitter
-      draws still happen one per rescheduled wake in wave order, so
-      the clock RNG stream is untouched.
+    One change, a pure evaluation-order optimisation: the per-event
+    tuple heap is replaced by the columnar stores of
+    :mod:`repro.sim.event_buffers`, a :class:`WakeSchedule` (one
+    next-wake slot per node; a same-instant wave is one vectorised
+    compare-and-gather) and an :class:`ArrivalBuffer` (in-flight
+    transfers as parallel columns). Both consume events in the heap's
+    exact ``(time, priority, insertion)`` order, and jitter draws still
+    happen one per rescheduled wake in wave order, so the clock RNG
+    stream is untouched.
 
     The engine therefore reproduces :class:`EventSimulator` bit for bit
     on every configuration — records, RNG state, final loads, event
     counts (``tests/sim/test_events_fast_equivalence.py`` is the
-    differential anchor) — while running the large-N async studies an
-    order of magnitude faster (the ``events_fast`` block of
-    ``benchmarks/results/BENCH_engine.json``).
+    differential anchor).
     """
-
-    _fast = True
 
     def _send(self, when: float, tid: int, dst: int) -> None:
         self._arrivals.push(when, tid, dst)

@@ -144,8 +144,6 @@ class TaskStateMixin:
     ``_send(when, tid, dst)``, where a task on the wire waits to land.
     """
 
-    #: the contexts' ``fast`` flag (set by the ``*-fast`` engines)
-    _fast = False
     #: per-task journey tracking (the synchronous engine's option)
     track_journeys = False
 
@@ -226,7 +224,6 @@ class TaskStateMixin:
             resources=self.resources,
             node_speeds=self.node_speeds,
             awake=awake,
-            fast=self._fast,
             probe=self.probe if self.probe.enabled else None,
         )
 

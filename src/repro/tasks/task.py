@@ -440,7 +440,7 @@ class TaskSystem:
         ``+inf``. This is the *most migratable* candidate load per node
         — the §5.1 slope is decreasing in the moved load, so a node none
         of whose links clear the slope threshold at its floor load
-        cannot initiate anything. The vectorised fast path screens whole
+        cannot initiate anything. PPLB's Phase-B screen sweeps whole
         rounds with it. In-transit tasks (located on no node) are
         excluded.
 

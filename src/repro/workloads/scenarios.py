@@ -154,8 +154,8 @@ def _bursty_arrivals(kw: Mapping) -> ScenarioSpec:
 
 
 def _torus_32x32(kw: Mapping) -> ScenarioSpec:
-    """Large-N fixture: 1024-node torus hotspot (the scale at which the
-    vectorised ``rounds-fast`` engine starts to pay)."""
+    """Large-N fixture: 1024-node torus hotspot (the scale at which
+    PPLB's screened Phase-B sweep starts to pay)."""
     return ScenarioSpec.compose(
         _c("torus", side=32), _c("hotspot", n_tasks=kw.get("n_tasks"))
     )

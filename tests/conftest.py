@@ -76,3 +76,27 @@ def make_context(topology, system, *, round_index=0, seed=0, links=None,
         task_graph=task_graph,
         resources=resources,
     )
+
+
+class ReferencePPLB(ParticlePlaneBalancer):
+    """PPLB pinned to the reference Phase-B sweep over every node.
+
+    Plain PPLB takes the screened sweep whenever the screen is sound, on
+    every engine. The equivalence suites run this class on one side of
+    each pair they compare, so the screened sweep is always checked
+    against the reference one.
+    """
+
+    def _phase_b_fast(self, s):
+        self._phase_b_scalar(s)
+
+
+def reference_balancer(algorithm, **kwargs):
+    """``make_balancer(algorithm, **kwargs)`` with PPLB pinned to the
+    reference sweep (:class:`ReferencePPLB`); other balancers as is."""
+    from repro.runner.registry import make_balancer
+
+    balancer = make_balancer(algorithm, **kwargs)
+    if isinstance(balancer, ParticlePlaneBalancer):
+        return ReferencePPLB(balancer.config)
+    return balancer

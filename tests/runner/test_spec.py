@@ -90,27 +90,33 @@ class TestRunSpec:
         assert summary.total_migrations == full.total_migrations
         assert summary.final_summary == full.final_summary
 
-    def test_rounds_fast_engine_dispatches_and_matches_rounds(self):
+    def test_rounds_fast_engine_dispatches_and_matches_rounds(self, monkeypatch):
         # The spec level of the equivalence anchor: executing the same
-        # content through "rounds-fast" reproduces "rounds" exactly,
-        # while the cache keys stay distinct.
+        # content through "rounds-fast" reproduces "rounds" with PPLB
+        # pinned to the reference Phase-B sweep exactly, while the
+        # cache keys stay distinct.
         from repro.runner import execute_spec
+        from tests.conftest import reference_balancer
 
         base = dict(scenario="mesh-hotspot", algorithm="pplb", seed=4,
                     max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100})
         rounds = RunSpec(**base, engine="rounds")
         fast = RunSpec(**base, engine="rounds-fast")
         assert rounds.key() != fast.key()
-        a = execute_spec(rounds).to_dict()
         b = execute_spec(fast).to_dict()
+        monkeypatch.setattr("repro.runner.worker.make_balancer",
+                            reference_balancer)
+        a = execute_spec(rounds).to_dict()
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
 
-    def test_events_fast_engine_dispatches_and_matches_events(self):
+    def test_events_fast_engine_dispatches_and_matches_events(self, monkeypatch):
         # Same anchor for the async pair: "events-fast" reproduces
-        # "events" exactly through the spec layer, with distinct keys.
+        # "events" (reference sweep) exactly through the spec layer,
+        # with distinct keys.
         from repro.runner import execute_spec
+        from tests.conftest import reference_balancer
 
         base = dict(scenario="torus-hotspot", algorithm="pplb", seed=4,
                     max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100},
@@ -118,8 +124,10 @@ class TestRunSpec:
         events = RunSpec(**base, engine="events")
         fast = RunSpec(**base, engine="events-fast")
         assert events.key() != fast.key()
-        a = execute_spec(events).to_dict()
         b = execute_spec(fast).to_dict()
+        monkeypatch.setattr("repro.runner.worker.make_balancer",
+                            reference_balancer)
+        a = execute_spec(events).to_dict()
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b

@@ -1,10 +1,10 @@
-"""The replicate-batched ≡ solo rounds-fast correctness anchor.
+"""The replicate-batched ≡ solo synchronous-engine correctness anchor.
 
 :class:`~repro.sim.BatchSimulator` runs S seed replicates of one
 scenario as a single vectorised simulation. Its contract is the same
 one every fast path in this repo carries: pure evaluation-order
 optimisation, never a decision. Replicate *i* of a batch must therefore
-reproduce a solo :class:`~repro.sim.FastSimulator` run of seed *i*
+reproduce a solo :class:`~repro.sim.Simulator` run of seed *i*
 exactly — identical per-round records (every float), identical
 convergence round, identical final load vector, and an identical
 *terminal RNG state* (the batch consumed exactly the draws the solo run
@@ -22,7 +22,7 @@ import pytest
 from repro.core.balancer import ParticlePlaneBalancer
 from repro.exceptions import ConfigurationError
 from repro.runner.registry import make_balancer
-from repro.sim import BatchSimulator, FastSimulator
+from repro.sim import BatchSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.workloads import build_scenario
 
@@ -48,7 +48,7 @@ def _build_sim(scenario_name, algorithm, seed, size=SIZE, topology=None,
     scenario = build_scenario(scenario_name, seed=seed, topology=topology,
                               **size)
     extra = {} if criteria is None else {"criteria": criteria}
-    sim = FastSimulator(
+    sim = Simulator(
         scenario.topology,
         scenario.system,
         make_balancer(algorithm, **(algorithm_kwargs or {})),

@@ -7,7 +7,7 @@ from repro.core import ParticlePlaneBalancer, PPLBConfig
 from repro.exceptions import ConfigurationError, SimulationError, TopologyError
 from repro.interfaces import Balancer, Migration
 from repro.network import FaultModel, LinkAttributes, mesh
-from repro.sim import EventFastSimulator, EventSimulator, FastSimulator, Simulator
+from repro.sim import EventFastSimulator, EventSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.tasks import TaskSystem
 from repro.workloads import DynamicWorkload, single_hotspot
@@ -84,7 +84,7 @@ class TestValidationAndSetup:
 #: every task engine; all four apply orders through one path
 TASK_ENGINES = {
     "rounds": Simulator,
-    "rounds-fast": FastSimulator,
+    "rounds-fast": Simulator,
     "events": EventSimulator,
     "events-fast": EventFastSimulator,
 }

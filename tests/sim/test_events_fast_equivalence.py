@@ -1,13 +1,16 @@
-"""The events ≡ events-fast bit-exactness anchor (PR 6's key property).
+"""The events ≡ events-fast bit-exactness anchor.
 
 :class:`~repro.sim.EventFastSimulator` replays the scalar event
-engine's schedule through batched wake waves, the no-effect screen and
-columnar event buffers. None of that is allowed to show up in the
-results: same seed ⇒ identical per-round records (every float),
-identical final load vectors, identical ``events_processed`` *and*
-identical terminal RNG state — the strongest available witness that the
-fast path skipped only work that draws no randomness and changes no
-state. Unlike the sync ≡ async anchor, this property must hold on
+engine's schedule through batched wake waves and columnar event
+buffers. Each pair runs the scalar event engine with PPLB pinned to the
+reference Phase-B sweep (:class:`~tests.conftest.ReferencePPLB`)
+against ``events-fast`` with plain PPLB, which takes the screened
+sweep, so both evaluation-order changes are checked at once. Neither
+is allowed to show up in the results: same seed ⇒ identical per-round
+records (every float), identical final load vectors, identical
+``events_processed`` *and* identical terminal RNG state — the strongest
+available witness that the screen skipped only work that draws no
+randomness and changes no state. Unlike the sync ≡ async anchor, this property must hold on
 *every* clock model (jitter, latency, stragglers, churn), because
 events-fast is a reimplementation of the same engine, not a degenerate
 configuration of it.
@@ -22,6 +25,7 @@ from repro.core.balancer import ParticlePlaneBalancer
 from repro.runner.registry import make_balancer
 from repro.sim import EventFastSimulator, EventSimulator, Simulator
 from repro.workloads import build_scenario
+from tests.conftest import reference_balancer
 
 #: ≥6 scenarios covering churn (``bursty-arrivals``), heterogeneous
 #: clocks (``straggler``), link failure (``fault-storm``) and plain
@@ -68,7 +72,8 @@ def _run(engine_cls, scenario_name, algorithm, seed, balancer=None, **sim_kwargs
 
 def _assert_bit_identical(scenario, algorithm, seed=7, **sim_kwargs):
     s_res, s_loads, s_sim = _run(
-        EventSimulator, scenario, algorithm, seed, **sim_kwargs
+        EventSimulator, scenario, algorithm, seed,
+        balancer=reference_balancer(algorithm), **sim_kwargs
     )
     f_res, f_loads, f_sim = _run(
         EventFastSimulator, scenario, algorithm, seed, **sim_kwargs
@@ -113,7 +118,10 @@ class TestEventsFastEquivalence:
         # Transitivity anchor: events-fast ≡ events ≡ rounds in the
         # degenerate configuration, so the fast engine inherits the
         # sync ≡ async certificate too.
-        sync_res, sync_loads, _ = _run(Simulator, "mesh-hotspot", "pplb", seed=11)
+        sync_res, sync_loads, _ = _run(
+            Simulator, "mesh-hotspot", "pplb", seed=11,
+            balancer=reference_balancer("pplb"),
+        )
         fast_res, fast_loads, _ = _run(
             EventFastSimulator, "mesh-hotspot", "pplb", seed=11
         )
@@ -125,8 +133,8 @@ class TestEventsFastEquivalence:
 
 class TestScalarFallback:
     """Friction jitter draws RNG per *evaluated* candidate — work the
-    Phase-B screen elides — so jittered-friction configs must fall back
-    to the reference Phase-B sweep (and stay bit-exact through it)."""
+    Phase-B screen elides — so jittered-friction configs take the
+    reference Phase-B sweep (and stay bit-exact through it)."""
 
     def test_jittered_friction_stays_bit_exact(self):
         balancer_kwargs = {"friction_jitter": 0.05}

@@ -2,10 +2,12 @@
 
 Property: for *any* workload the composition grammar can express, the
 batched event engine reproduces the scalar event engine bit for bit —
-and under unit clocks both reproduce the synchronous engine. The
-scenario pool is the :func:`repro.runner.spec.expand_component_grid`
-cross product over topology × placement × links × heterogeneity ×
-dynamics axes; a seeded sampler draws a fixed pseudo-random subset so
+and under unit clocks both reproduce the synchronous engine. The scalar
+event engine runs PPLB pinned to the reference Phase-B sweep
+(:class:`~tests.conftest.ReferencePPLB`), so every pair compared has one
+side that visits every node. The scenario pool is the
+:func:`repro.runner.spec.expand_component_grid` cross product over
+topology × placement × links × heterogeneity × dynamics axes; a seeded sampler draws a fixed pseudo-random subset so
 the suite stays fast while every run exercises the same (reproducible)
 slice. Bump ``FUZZ_SEED`` to re-roll the slice.
 """
@@ -20,6 +22,7 @@ from repro.runner.registry import make_balancer
 from repro.runner.spec import expand_component_grid, grid_seeds
 from repro.sim import EventFastSimulator, EventSimulator, Simulator
 from repro.workloads import build_scenario
+from tests.conftest import reference_balancer
 
 FUZZ_SEED = 20260807
 N_SAMPLES = 8
@@ -58,7 +61,7 @@ def _sampled_specs():
 SPECS = _sampled_specs()
 
 
-def _run(engine_cls, spec, unit_clocks=False, **sim_kwargs):
+def _run(engine_cls, spec, unit_clocks=False, reference=False, **sim_kwargs):
     scenario = build_scenario(spec.scenario, seed=spec.seed)
     if unit_clocks and engine_cls is not Simulator:
         # Heterogeneity components slow straggler *clocks* along with
@@ -70,7 +73,7 @@ def _run(engine_cls, spec, unit_clocks=False, **sim_kwargs):
     sim = engine_cls(
         scenario.topology,
         scenario.system,
-        make_balancer(spec.algorithm),
+        (reference_balancer if reference else make_balancer)(spec.algorithm),
         links=scenario.links,
         dynamic=scenario.dynamic,
         node_speeds=scenario.node_speeds,
@@ -84,7 +87,8 @@ def _run(engine_cls, spec, unit_clocks=False, **sim_kwargs):
 @pytest.mark.parametrize("spec", SPECS, ids=[s.label() for s in SPECS])
 def test_three_engines_agree_under_unit_clocks(spec):
     rounds_res, rounds_loads, _ = _run(Simulator, spec)
-    ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, unit_clocks=True)
+    ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, unit_clocks=True,
+                                    reference=True)
     fast_res, fast_loads, fast_sim = _run(EventFastSimulator, spec, unit_clocks=True)
 
     rounds_records = [asdict(r) for r in rounds_res.records]
@@ -105,7 +109,8 @@ def test_event_engines_agree_under_jittered_clocks(spec):
     # Off the degenerate configuration the sync engine no longer
     # applies, but events-fast must still track events exactly.
     kwargs = {"wake_jitter": 0.3, "transfer_latency": 0.4}
-    ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, **kwargs)
+    ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, reference=True,
+                                    **kwargs)
     fast_res, fast_loads, fast_sim = _run(EventFastSimulator, spec, **kwargs)
     assert [asdict(r) for r in ev_res.records] == [
         asdict(r) for r in fast_res.records

@@ -1,14 +1,17 @@
-"""The scalar ≡ vectorized correctness anchor (ISSUE 3's key property).
+"""The screened ≡ reference Phase-B correctness anchor.
 
-The ``rounds-fast`` engine (:class:`~repro.sim.FastSimulator`) must
-reproduce the scalar synchronous :class:`~repro.sim.Simulator`
+PPLB picks its own Phase-B sweep on every engine: the screened sweep
+whenever the screen is sound, the reference sweep over every node
+otherwise. The screened sweep must reproduce the reference one
 *exactly*: same seed ⇒ identical per-round records (every float),
 identical final load vectors, identical convergence round — across
 hotspot, multi-valley, faulted-link, heterogeneous-speed and churn
-scenarios, for PPLB (stochastic and greedy) and the baselines. This is
-what certifies that the fast path is a pure evaluation-order
-optimisation: its batch screen skips exactly the work the scalar sweep
-would have done with no effect and no RNG consumption, never a
+scenarios, for PPLB (stochastic and greedy), with the baselines riding
+along as a control. Each pair runs plain PPLB against
+:class:`~tests.conftest.ReferencePPLB`, which is pinned to the
+reference sweep. This is what certifies that the screen is a pure
+evaluation-order optimisation: it skips exactly the work the reference
+sweep would have done with no effect and no RNG consumption, never a
 decision.
 """
 
@@ -24,8 +27,9 @@ from repro.core import ParticlePlaneBalancer, PPLBConfig
 from repro.runner.registry import make_balancer
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_spec
-from repro.sim import FastSimulator, Simulator
+from repro.sim import Simulator
 from repro.workloads import build_scenario
+from tests.conftest import ReferencePPLB, reference_balancer
 
 #: ≥4 scenarios × 4 algorithms as demanded by the acceptance criteria,
 #: plus faulted links (up-mask screening), heterogeneous speeds (the
@@ -40,81 +44,74 @@ SCENARIOS = [
 ]
 ALGORITHMS = ["pplb", "pplb-greedy", "diffusion", "work-stealing"]
 SIZE = {"side": 6, "n_tasks": 180}
+#: the four task engines; PPLB must pick the same sweep on each
+TASK_ENGINES = ["rounds", "rounds-fast", "events", "events-fast"]
 
 
-def _run(engine_cls, scenario_name, algorithm, seed, rounds=70, size=SIZE,
-         balancer=None):
+def _run(balancer, scenario_name, seed, rounds=70, size=SIZE, **sim_kwargs):
     scenario = build_scenario(scenario_name, seed=seed, **size)
-    sim = engine_cls(
+    sim = Simulator(
         scenario.topology,
         scenario.system,
-        balancer if balancer is not None else make_balancer(algorithm),
+        balancer,
         links=scenario.links,
         dynamic=scenario.dynamic,
         node_speeds=scenario.node_speeds,
         seed=seed,
+        **sim_kwargs,
     )
     result = sim.run(max_rounds=rounds)
     return result, np.array(scenario.system.node_loads)
 
 
-def _assert_identical(sync_result, sync_loads, fast_result, fast_loads):
-    assert [asdict(r) for r in sync_result.records] == [
-        asdict(r) for r in fast_result.records
+def _assert_identical(ref_result, ref_loads, result, loads):
+    assert [asdict(r) for r in ref_result.records] == [
+        asdict(r) for r in result.records
     ]
-    assert sync_result.converged_round == fast_result.converged_round
-    assert sync_result.initial_summary == fast_result.initial_summary
-    assert sync_result.final_summary == fast_result.final_summary
-    assert (sync_loads == fast_loads).all()
+    assert ref_result.converged_round == result.converged_round
+    assert ref_result.initial_summary == result.initial_summary
+    assert ref_result.final_summary == result.final_summary
+    assert (ref_loads == loads).all()
+
+
+def _assert_matches_reference(scenario, algorithm="pplb", seed=11,
+                              bal_kwargs=None, **run_kwargs):
+    """Plain *algorithm* reproduces its reference-sweep twin."""
+    bal_kwargs = bal_kwargs or {}
+    _assert_identical(
+        *_run(reference_balancer(algorithm, **bal_kwargs), scenario, seed,
+              **run_kwargs),
+        *_run(make_balancer(algorithm, **bal_kwargs), scenario, seed,
+              **run_kwargs),
+    )
 
 
 class TestFastEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_fast_engine_reproduces_scalar_trajectory(self, scenario, algorithm):
-        sync_result, sync_loads = _run(Simulator, scenario, algorithm, seed=11)
-        fast_result, fast_loads = _run(FastSimulator, scenario, algorithm, seed=11)
-        _assert_identical(sync_result, sync_loads, fast_result, fast_loads)
+        _assert_matches_reference(scenario, algorithm)
 
     def test_equivalence_holds_across_seeds(self):
         # The property is seed-independent, not a lucky draw.
         for seed in (0, 1, 2):
-            s, sl = _run(Simulator, "mesh-hotspot", "pplb", seed=seed)
-            f, fl = _run(FastSimulator, "mesh-hotspot", "pplb", seed=seed)
-            _assert_identical(s, sl, f, fl)
+            _assert_matches_reference("mesh-hotspot", seed=seed)
 
     def test_equivalence_at_large_n(self):
         # The screen/heap machinery sees real traffic only at scale;
         # anchor one 1024-node trajectory end to end.
-        s, sl = _run(Simulator, "torus-32x32", "pplb", seed=5, rounds=40,
-                     size={"n_tasks": 2048})
-        f, fl = _run(FastSimulator, "torus-32x32", "pplb", seed=5, rounds=40,
-                     size={"n_tasks": 2048})
-        _assert_identical(s, sl, f, fl)
+        _assert_matches_reference("torus-32x32", seed=5, rounds=40,
+                                  size={"n_tasks": 2048})
 
     def test_balancer_stats_match(self):
         # Not just the records: the balancer's own journey accounting
         # (initiated / settled / hops / heat) is identical too.
         stats = []
-        for engine_cls in (Simulator, FastSimulator):
-            scenario = build_scenario("mesh-hotspot", seed=7, **SIZE)
-            balancer = ParticlePlaneBalancer(PPLBConfig())
-            sim = engine_cls(scenario.topology, scenario.system, balancer,
-                             links=scenario.links, seed=7)
-            sim.run(max_rounds=70)
+        for balancer_cls in (ReferencePPLB, ParticlePlaneBalancer):
+            balancer = balancer_cls(PPLBConfig())
+            _run(balancer, "mesh-hotspot", seed=7, size=SIZE)
             stats.append(dict(balancer.stats))
         assert stats[0] == stats[1]
-
-    def test_jittered_config_falls_back_and_still_matches(self):
-        # Friction jitter draws RNG per evaluated candidate, which the
-        # screen cannot reproduce — the fast engine must detect this and
-        # take the scalar path, keeping equivalence rather than speed.
-        cfg = PPLBConfig(friction_jitter=0.3)
-        s, sl = _run(Simulator, "mesh-hotspot", "pplb", seed=3,
-                     balancer=ParticlePlaneBalancer(cfg))
-        f, fl = _run(FastSimulator, "mesh-hotspot", "pplb", seed=3,
-                     balancer=ParticlePlaneBalancer(cfg))
-        _assert_identical(s, sl, f, fl)
 
     @pytest.mark.parametrize("overrides", [
         {"motion_rule": "energy-only"},
@@ -125,12 +122,8 @@ class TestFastEquivalence:
         {"kappa": 0.5},
     ])
     def test_config_variants_match(self, overrides):
-        cfg = PPLBConfig(**overrides)
-        s, sl = _run(Simulator, "mesh-two-valleys", "pplb", seed=13,
-                     balancer=ParticlePlaneBalancer(cfg))
-        f, fl = _run(FastSimulator, "mesh-two-valleys", "pplb", seed=13,
-                     balancer=ParticlePlaneBalancer(cfg))
-        _assert_identical(s, sl, f, fl)
+        _assert_matches_reference("mesh-two-valleys", seed=13,
+                                  bal_kwargs=overrides)
 
     @pytest.mark.parametrize("sim_kwargs", [
         {"transfer_latency": 2},
@@ -139,32 +132,54 @@ class TestFastEquivalence:
     def test_engine_kwargs_match(self, sim_kwargs):
         # Wire transit (tasks on no node) and multi-task links flow
         # through the task index and the reservation mask respectively.
-        results = []
-        for engine_cls in (Simulator, FastSimulator):
-            scenario = build_scenario("mesh-hotspot", seed=9, **SIZE)
-            sim = engine_cls(scenario.topology, scenario.system,
-                             make_balancer("pplb"), links=scenario.links,
-                             seed=9, **sim_kwargs)
-            results.append((sim.run(max_rounds=70),
-                            np.array(scenario.system.node_loads)))
-        (s, sl), (f, fl) = results
-        _assert_identical(s, sl, f, fl)
+        _assert_matches_reference("mesh-hotspot", seed=9, **sim_kwargs)
 
-    def test_fast_context_flag_is_set(self):
-        # Sanity: the dispatch actually reaches the balancer (the
-        # equivalence above would hold vacuously if fast were never on).
-        seen = []
 
-        class Probe(ParticlePlaneBalancer):
-            def step(self, ctx):
-                seen.append(ctx.fast)
-                return super().step(ctx)
+def _sweep_calls(monkeypatch, engine, reference=False, **bal_kwargs):
+    """Calls of each of PPLB's Phase-B sweeps in one *engine* run.
 
-        scenario = build_scenario("mesh-hotspot", seed=0, **SIZE)
-        sim = FastSimulator(scenario.topology, scenario.system, Probe(),
-                            links=scenario.links, seed=0)
-        sim.run(max_rounds=3)
-        assert seen and all(seen)
+    The run goes through the runner's own engine dispatch; *reference*
+    builds :class:`~tests.conftest.ReferencePPLB` in place of PPLB.
+    """
+    calls = {"_phase_b_scalar": 0, "_phase_b_fast": 0}
+    for name in calls:
+        original = getattr(ParticlePlaneBalancer, name)
+
+        def spy(self, s, name=name, original=original):
+            calls[name] += 1
+            original(self, s)
+
+        monkeypatch.setattr(ParticlePlaneBalancer, name, spy)
+    if reference:
+        monkeypatch.setattr("repro.runner.worker.make_balancer",
+                            reference_balancer)
+    execute_spec(RunSpec(scenario="mesh:6x6+hotspot", algorithm="pplb",
+                         seed=0, max_rounds=10, engine=engine,
+                         algorithm_kwargs=bal_kwargs))
+    return calls
+
+
+class TestSweepChoice:
+    """PPLB, not the engine, decides which Phase-B sweep runs."""
+
+    @pytest.mark.parametrize("engine", TASK_ENGINES)
+    def test_sound_screen_takes_the_screened_sweep(self, monkeypatch, engine):
+        calls = _sweep_calls(monkeypatch, engine)
+        assert calls["_phase_b_fast"] > 0 and calls["_phase_b_scalar"] == 0
+
+    @pytest.mark.parametrize("engine", TASK_ENGINES)
+    def test_friction_jitter_takes_the_reference_sweep(self, monkeypatch, engine):
+        # Jitter draws RNG per evaluated candidate, which the screen
+        # would elide: every node must be visited.
+        calls = _sweep_calls(monkeypatch, engine, friction_jitter=0.05)
+        assert calls["_phase_b_scalar"] > 0 and calls["_phase_b_fast"] == 0
+
+    @pytest.mark.parametrize("engine", TASK_ENGINES)
+    def test_reference_subclass_never_screens(self, monkeypatch, engine):
+        # The equivalence suites compare against this class; were it to
+        # screen too, they would compare the screened sweep with itself.
+        calls = _sweep_calls(monkeypatch, engine, reference=True)
+        assert calls["_phase_b_scalar"] > 0 and calls["_phase_b_fast"] == 0
 
 
 class TestPhaseBVisitScreen:
@@ -190,6 +205,8 @@ class TestPhaseBVisitScreen:
         assert len(visits) > 500
         assert visits.count(False) <= 0.01 * len(visits)
         monkeypatch.undo()
+        monkeypatch.setattr("repro.runner.worker.make_balancer",
+                            reference_balancer)
         scalar = execute_spec(dataclasses.replace(spec, engine="rounds"))
         assert [asdict(r) for r in fast.records] == [
             asdict(r) for r in scalar.records

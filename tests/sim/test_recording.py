@@ -17,8 +17,8 @@ from repro.baselines import FluidDiffusion
 from repro.exceptions import ConfigurationError
 from repro.runner.registry import make_balancer
 from repro.sim import (
+    EventFastSimulator,
     EventSimulator,
-    FastSimulator,
     FluidSimulator,
     FullRecorder,
     RoundLog,
@@ -133,7 +133,7 @@ def run_scenario(engine_cls, recorder, scenario="mesh-hotspot", seed=3,
     return sim.run(max_rounds=rounds)
 
 
-ENGINES = [Simulator, FastSimulator, EventSimulator]
+ENGINES = [Simulator, EventSimulator, EventFastSimulator]
 
 
 class TestRecorderParity:

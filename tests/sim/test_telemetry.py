@@ -6,11 +6,11 @@ bit-identical whether a run carries the null probe, the counters probe
 or the trace probe, and a probe-less payload has no ``telemetry`` key
 at all (byte-identical to the pre-telemetry wire format). *Fidelity*:
 the counters a probe reports describe the decisions actually taken, so
-the decision-invariant subset must agree exactly between each scalar
-engine and its vectorised twin (``rounds`` ↔ ``rounds-fast``,
-``events`` ↔ ``events-fast``) while the screen-effectiveness counters
-(``balancer.phase_b_nodes``, ``screen.*``) are exactly the ones allowed
-to differ.
+the decision-invariant subset must agree exactly between PPLB pinned to
+the reference Phase-B sweep and plain PPLB, which screens (on
+``rounds``, and from ``events`` to ``events-fast``), while the
+screen-effectiveness counters (``balancer.phase_b_nodes``,
+``screen.*``) are exactly the ones allowed to differ.
 """
 
 import dataclasses
@@ -24,7 +24,6 @@ from repro.sim import (
     CountersProbe,
     EventFastSimulator,
     EventSimulator,
-    FastSimulator,
     NullProbe,
     Probe,
     SimulationResult,
@@ -35,10 +34,11 @@ from repro.sim import (
 )
 from repro.sim.telemetry import DEFAULT_TRACE_PATH, NULL_PROBE
 from repro.workloads import build_scenario
+from tests.conftest import reference_balancer
 
 SIZE = {"side": 6, "n_tasks": 180}
 
-#: counters that must agree between an engine and its vectorised twin:
+#: counters that must agree between the reference and screened sweeps:
 #: everything describing a *decision* (what moved, what the RNG fed).
 DECISION_INVARIANT = [
     "balancer.initiated",
@@ -53,9 +53,11 @@ DECISION_INVARIANT = [
 
 
 def _run(engine_cls, scenario="mesh-hotspot", seed=11, rounds=60,
-         algorithm="pplb", probe="null", **bal_kwargs):
+         algorithm="pplb", probe="null", reference=False, **bal_kwargs):
     sc = build_scenario(scenario, seed=seed, **SIZE)
-    bal = make_balancer(algorithm, **bal_kwargs)
+    bal = (reference_balancer if reference else make_balancer)(
+        algorithm, **bal_kwargs
+    )
     sim = engine_cls(
         sc.topology, sc.system, bal,
         links=sc.links, dynamic=sc.dynamic, node_speeds=sc.node_speeds,
@@ -110,7 +112,7 @@ class TestNullProbePassivity:
     """The default probe provably changes nothing."""
 
     @pytest.mark.parametrize("engine_cls", [
-        Simulator, FastSimulator, EventSimulator, EventFastSimulator,
+        Simulator, EventSimulator, EventFastSimulator,
     ])
     def test_counters_probe_changes_no_records(self, engine_cls):
         base = _run(engine_cls)
@@ -180,24 +182,24 @@ class TestCountersProbe:
 
 
 class TestDifferentialCounters:
-    """The probes report the same decisions from scalar and fast paths."""
+    """The probes report the same decisions from both Phase-B sweeps."""
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_rounds_vs_rounds_fast(self, seed):
-        scalar = _run(Simulator, seed=seed, probe="counters")
-        fast = _run(FastSimulator, seed=seed, probe="counters")
+    def test_reference_vs_screened_sweep(self, seed):
+        scalar = _run(Simulator, seed=seed, probe="counters", reference=True)
+        fast = _run(Simulator, seed=seed, probe="counters")
         assert _records(scalar) == _records(fast)
         cs, cf = (r.telemetry["counters"] for r in (scalar, fast))
         for name in DECISION_INVARIANT:
             assert cs.get(name, 0) == cf.get(name, 0), name
-        # The fast path exists to *skip* Phase-B work; the screen
+        # The screened sweep exists to *skip* Phase-B work; the screen
         # counters must show it actually did.
         assert cf["balancer.phase_b_nodes"] < cs["balancer.phase_b_nodes"]
         assert "screen.waves" in cf and "screen.waves" not in cs
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_events_vs_events_fast(self, seed):
-        heap = _run(EventSimulator, seed=seed, probe="counters")
+        heap = _run(EventSimulator, seed=seed, probe="counters", reference=True)
         fast = _run(EventFastSimulator, seed=seed, probe="counters")
         assert _records(heap) == _records(fast)
         ch, cf = (r.telemetry["counters"] for r in (heap, fast))

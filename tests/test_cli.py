@@ -363,6 +363,26 @@ class TestProfileCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "nope"])
 
+    @pytest.mark.parametrize("jitter,sweeps", [(0.05, 20), (0.0, 0)])
+    def test_reference_sweeps_counter_shows_in_profile(self, capsys, jitter,
+                                                       sweeps):
+        # A jittered PPLB cannot screen Phase B; each of its steps is
+        # counted, and the count is printed with the profile's counters.
+        from repro.cli import _print_telemetry
+        from repro.runner.spec import RunSpec
+        from repro.runner.worker import execute_spec
+
+        spec = RunSpec(scenario="mesh:5x5+hotspot", algorithm="pplb", seed=3,
+                       max_rounds=20, engine="rounds-fast", probe="counters",
+                       algorithm_kwargs={"friction_jitter": jitter})
+        result = execute_spec(spec)
+        assert len(result.records) == 20  # one balancer step per round
+        counters = result.telemetry["counters"]
+        assert counters.get("balancer.reference_sweeps", 0) == sweeps
+        _print_telemetry(result.telemetry)
+        shown = "balancer.reference_sweeps" in capsys.readouterr().out
+        assert shown == (sweeps > 0)
+
 
 class TestLoggingFlags:
     def test_verbosity_flags_parse(self):
@@ -384,24 +404,6 @@ class TestLoggingFlags:
         configure_logging(log_level="error", verbosity=2)
         assert logging.getLogger().level == logging.ERROR
         configure_logging()  # restore the default floor
-
-    def test_fast_engine_scalar_fallback_warns(self, caplog):
-        from repro.runner.registry import make_balancer
-        from repro.sim import FastSimulator
-        from repro.workloads import build_scenario
-
-        scenario = build_scenario("mesh-hotspot", seed=3, side=5, n_tasks=100)
-        balancer = make_balancer("pplb", friction_jitter=0.05)
-        sim = FastSimulator(
-            scenario.topology, scenario.system, balancer,
-            links=scenario.links, dynamic=scenario.dynamic,
-            node_speeds=scenario.node_speeds, seed=3,
-        )
-        with caplog.at_level("WARNING", logger="repro.core.balancer"):
-            sim.run(max_rounds=20)
-        fallbacks = [rec for rec in caplog.records
-                     if "friction_jitter" in rec.message]
-        assert len(fallbacks) == 1  # warned once, not per round
 
 
 class TestTuneCommand:
