@@ -1,4 +1,5 @@
-"""Property tests for the transfer-latency wire model."""
+"""Property tests for the transfer-latency wire model (every run under
+:class:`~tests.physics_checker.PhysicsChecker`)."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from repro.network import mesh
 from repro.sim import Simulator
 from repro.tasks import TaskSystem
 from repro.workloads import single_hotspot, uniform_random
+from tests.physics_checker import PhysicsChecker
 
 _SETTINGS = dict(max_examples=12, deadline=None)
 
@@ -33,7 +35,7 @@ def test_wire_conserves_load_and_empties(latency, n_tasks, seed, use_pplb):
         else TaskDiffusion()
     )
     sim = Simulator(topo, system, bal, transfer_latency=latency, seed=seed)
-    res = sim.run(max_rounds=150)
+    res = PhysicsChecker(sim).run(max_rounds=150)
     assert system.total_load == pytest.approx(total0)
     if res.converged:
         assert system.n_in_transit == 0
@@ -56,7 +58,7 @@ def test_latency_only_delays_final_placement_quality(seed):
             transfer_latency=latency,
             seed=seed,
         )
-        res = sim.run(max_rounds=800)
+        res = PhysicsChecker(sim).run(max_rounds=800)
         assert res.converged
         return res.final_cov
 

@@ -9,7 +9,9 @@ side that visits every node. The scenario pool is the
 :func:`repro.runner.spec.expand_component_grid` cross product over
 topology × placement × links × heterogeneity × dynamics axes; a seeded sampler draws a fixed pseudo-random subset so
 the suite stays fast while every run exercises the same (reproducible)
-slice. Bump ``FUZZ_SEED`` to re-roll the slice.
+slice. Bump ``FUZZ_SEED`` to re-roll the slice. Every run goes through
+:class:`~tests.physics_checker.PhysicsChecker`, so each engine must also
+keep the paper's invariants round by round.
 """
 
 import random
@@ -23,6 +25,7 @@ from repro.runner.spec import expand_component_grid, grid_seeds
 from repro.sim import EventFastSimulator, EventSimulator, Simulator
 from repro.workloads import build_scenario
 from tests.conftest import reference_balancer
+from tests.physics_checker import PhysicsChecker
 
 FUZZ_SEED = 20260807
 N_SAMPLES = 8
@@ -80,7 +83,7 @@ def _run(engine_cls, spec, unit_clocks=False, reference=False, **sim_kwargs):
         seed=spec.seed,
         **sim_kwargs,
     )
-    result = sim.run(max_rounds=spec.max_rounds)
+    result = PhysicsChecker(sim).run(max_rounds=spec.max_rounds)
     return result, np.array(scenario.system.node_loads), sim
 
 
@@ -107,7 +110,7 @@ def test_three_engines_agree_under_unit_clocks(spec):
 @pytest.mark.parametrize("spec", SPECS, ids=[s.label() for s in SPECS])
 def test_event_engines_agree_under_jittered_clocks(spec):
     # Off the degenerate configuration the sync engine no longer
-    # applies, but events-fast must still track events exactly.
+    # applies, but the columnar driver must still track the heap exactly.
     kwargs = {"wake_jitter": 0.3, "transfer_latency": 0.4}
     ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, reference=True,
                                     **kwargs)
