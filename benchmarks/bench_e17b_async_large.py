@@ -1,11 +1,12 @@
-"""E17b — the asynchronous study at scale: 4096 nodes on events-fast.
+"""E17b — the asynchronous study at scale: 4096 nodes on the events engine.
 
 Paper context: E17 established that asynchronous execution does not
 qualitatively break the algorithm ranking — on 64- and 256-node
-topologies, sizes where the scalar event engine is still usable. This
-extension pushes the async axis to a 64×64 mesh (4096 nodes, the top
-of the scaling curve), which is only tractable through the batched
-``events-fast`` engine, and runs the grid through the persistent pool
+topologies. This extension pushes the async axis to a 64×64 mesh (4096
+nodes, the top of the scaling curve), which is only tractable through
+the ``events`` engine's columnar event buffers (the heap-driven
+:class:`~repro.sim.EventSimulator` oracle cannot touch it), and runs the
+grid through the persistent pool
 backend — the two specs (hotspot transient, uniform steady state)
 execute concurrently on warm workers.
 
@@ -20,8 +21,8 @@ runs), and the backend's spawn count pins the pool reuse.
 
 Expected shape: the balancer still flattens the 4096-node hotspot
 (CoV strictly decreasing from the initial placement) while the uniform
-workload stays balanced, and the events-fast engine sustains a
-meaningful event rate at a node count the scalar engine cannot touch.
+workload stays balanced, and the events engine sustains a meaningful
+event rate at a node count the heap-driven driver cannot touch.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_e17b_async_large.py -s``
 """
@@ -58,7 +59,7 @@ def _grid() -> list[RunSpec]:
             seed=0,
             max_rounds=EPOCHS,
             sim_kwargs=dict(ASYNC_SIM_KWARGS),
-            engine="events-fast",
+            engine="events",
             recorder="summary",
             probe="counters",
         )
@@ -128,7 +129,7 @@ def test_e17b_async_at_scale(benchmark, tmp_path):
         })
     emit(
         "E17b_async_large",
-        format_table(rows, title="E17b — events-fast at 4096 nodes "
+        format_table(rows, title="E17b — events engine at 4096 nodes "
                                  "(64x64 mesh, jittered clocks, pplb, "
                                  "persistent pool backend)"),
     )
@@ -152,7 +153,7 @@ def test_e17b_async_at_scale(benchmark, tmp_path):
     out_path = RESULTS_DIR / "E17b_async_large.json"
     payload = {
         "e17b": {
-            "engine": "events-fast",
+            "engine": "events",
             "backend": "pool",
             "epochs": EPOCHS,
             "points": e17b_points,

@@ -4,16 +4,16 @@ Paper claim (conclusion): the framework's parameters can be "easily
 … fine-tun[ed]" per system. E19 operationalises that as an experiment:
 the optimizer harness (:mod:`repro.tuning`) searches the physics
 parameter space per scenario family — successive halving over cheap
-``rounds-fast``/``summary`` evaluations, survivors promoted to the full
+``rounds``/``summary`` evaluations, survivors promoted to the full
 budget, then a small genetic refinement — and the winners enter a
 leaderboard against paper-default PPLB and the three baselines across
-the full 18-scenario × {rounds-fast, events-fast} matrix.
+the full 18-scenario × {rounds, events} matrix.
 
 Expected shape: on every family it was tuned for, tuned PPLB's
 objective is no worse than paper-default PPLB's (the optimizer re-scores
 the default at the full budget, so this is a guarantee on the tuning
 engine, and the tuned families carry no clock heterogeneity, so it
-holds bit-for-bit on the events engines too); across the whole matrix
+holds bit-for-bit on the events engine too); across the whole matrix
 the tuned entrant's mean rank is no worse than default PPLB's.
 
 The whole experiment is deterministic and cache-addressed: with
@@ -37,13 +37,13 @@ from repro.workloads import SCENARIOS
 from _harness import emit, once
 
 #: the families the optimizer tunes (static, clock-homogeneous —
-#: so the tuned-beats-default guarantee transfers to the event engines).
+#: so the tuned-beats-default guarantee transfers to the event engine).
 TUNE_FAMILIES = ["mesh-hotspot", "torus-hotspot", "power-law"]
 BUDGET = TuneBudget(
     n_initial=6, eta=2, base_rounds=40, full_rounds=160, eval_seeds=2,
-    engine="rounds-fast", recorder="summary", ga_generations=2, ga_population=3,
+    engine="rounds", recorder="summary", ga_generations=2, ga_population=3,
 )
-ENGINES = ["rounds-fast", "events-fast"]
+ENGINES = ["rounds", "events"]
 SEED = 0
 
 
@@ -96,7 +96,7 @@ def test_e19_leaderboard(benchmark):
     # ------- tuned >= default on every family it was tuned for ------- #
     # Exact on the tuning engine (same budget, same seeds — the scores
     # are the tuning scores); the tuned families are static and
-    # clock-homogeneous, so events-fast reproduces rounds-fast and the
+    # clock-homogeneous, so events reproduces rounds and the
     # guarantee transfers. The 1e-5 slack absorbs the payload's
     # 6-decimal rounding only.
     tuned_families = {r.scenario for r in reports.values()}

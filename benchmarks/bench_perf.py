@@ -36,13 +36,13 @@ section is one entry here. The sections:
   (exactly how ``run_grid(..., batch_replicates=…)`` groups a grid's
   seed axis). Bound: batched ≥3× the per-seed loop in specs/sec.
 * **events** / **events_steady** — jittered clocks (so waves are
-  genuinely per-node): the scalar ``events`` engine with PPLB's
-  reference sweep vs the columnar ``events-fast`` engine with PPLB's
-  screened sweep on the same 16×16 torus, in the decision-bound
-  *hotspot transient* (rates tracked, no bound) and the *steady-state
-  serving* regime, where every wake is a no-effect visit the screen
-  rejects wholesale. Bound: events-fast ≥10× scalar events/sec at
-  steady state.
+  genuinely per-node): the heap-driven ``EventSimulator`` with PPLB's
+  reference sweep vs the columnar ``EventFastSimulator`` (the
+  ``events`` engine) with PPLB's screened sweep on the same 16×16
+  torus, in the decision-bound *hotspot transient* (rates tracked, no
+  bound) and the *steady-state serving* regime, where every wake is a
+  no-effect visit the screen rejects wholesale. Bound: columnar ≥10×
+  heap events/sec at steady state.
 
 The scalar side of the curve and event pairs runs :class:`_ReferencePPLB`,
 PPLB pinned to the reference Phase-B sweep; PPLB itself screens
@@ -119,11 +119,11 @@ EVENT_ROUNDS = 40
 #: steady-state serving pair: uniform-random placement on the same
 #: 256-node torus balances within a couple of epochs, after which the
 #: engines keep serving wake waves with nothing left to move — exactly
-#: the no-effect regime the events-fast screen rejects without touching
+#: the no-effect regime the events engine's screen rejects without touching
 #: scalar decision bodies (or the RNG).
 EVENT_STEADY_SCENARIO = "torus:side=16+uniform:n_tasks=2048"
 EVENT_STEADY_ROUNDS = 10
-#: the async acceptance bar: events-fast ≥ 10x scalar events/sec on the
+#: the async acceptance bar: columnar ≥ 10x heap events/sec on the
 #: steady-state pair — machine-independent by construction (the engines
 #: process the identical event stream back to back, so the events/sec
 #: ratio is the wall-time ratio).
@@ -308,7 +308,7 @@ def _grid_dispatch() -> dict:
         list(range(DISPATCH_SEEDS)),
         max_rounds=DISPATCH_ROUNDS,
         scenario_kwargs={"side": 4, "n_tasks": 64},
-        engine="rounds-fast",  # default full recorder: the payloads
+        engine="rounds",  # default full recorder: the payloads
         # carry per-round records, like any real experiment grid.
     )
     with tempfile.TemporaryDirectory() as root:
@@ -392,8 +392,8 @@ def _batch_throughput() -> dict:
 
 def _timed_event_pair(scenario_name: str, scenario_kwargs: dict,
                       rounds: int, criteria=None) -> dict:
-    """Scalar event engine with the reference sweep vs events-fast with
-    the screened sweep on one workload, verified equal."""
+    """Heap-driven event engine with the reference sweep vs the columnar
+    one with the screened sweep on one workload, verified equal."""
 
     def run(engine_cls, balancer):
         scenario = build_scenario(scenario_name, seed=SEED, **scenario_kwargs)
@@ -407,7 +407,7 @@ def _timed_event_pair(scenario_name: str, scenario_kwargs: dict,
     scalar_sim, scalar = run(EventSimulator, _reference())
     fast_sim, fast = run(EventFastSimulator, make_balancer(ALGORITHM))
     assert _same_records(scalar, fast), (
-        f"events-fast diverged from events on {scenario_name}"
+        f"the columnar event driver diverged from the heap on {scenario_name}"
     )
     assert scalar_sim.events_processed == fast_sim.events_processed
     events = scalar_sim.events_processed
@@ -646,7 +646,7 @@ def test_perf_baseline(benchmark):
         "BENCH_engine",
         format_table(rows, title="BENCH — engine perf: reference vs screened "
                                  f"Phase-B sweep ({CURVE_SCENARIO}, {ALGORITHM}) "
-                                 "+ events vs events-fast async pairs"),
+                                 "+ heap vs columnar event-driver pairs"),
     )
 
     # Shape, not absolute speed — only the machine-independent bounds

@@ -34,7 +34,7 @@ OUT="${TUNE_SMOKE_OUT:-tune-smoke-leaderboard.json}"
 TUNE="--scenarios mesh-hotspot torus-hotspot --seed 0 \
       --initial 4 --eta 2 --base-rounds 40 --full-rounds 80 --eval-seeds 1 \
       --ga-generations 1 --ga-population 2 \
-      --engine rounds-fast --recorder summary --cache-dir $WORK/cache"
+      --engine rounds --recorder summary --cache-dir $WORK/cache"
 
 echo "==> tune (2 scenarios, <=16 evals, cold cache)"
 python -m repro.cli tune $TUNE --registry "$WORK/reg-a.json" | tee "$WORK/tune_a.out"
@@ -64,7 +64,7 @@ echo "    round trip byte-identical"
 
 # Same rounds/seed/engine/recorder/cache as the tune: the tuned and
 # default PPLB cells replay straight from the tuning evaluations.
-BOARD="--scenarios mesh-hotspot torus-hotspot --engines rounds-fast \
+BOARD="--scenarios mesh-hotspot torus-hotspot --engines rounds \
        --seeds 1 --rounds 80 --recorder summary \
        --registry $WORK/reg-a.json --cache-dir $WORK/cache"
 

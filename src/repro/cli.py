@@ -44,18 +44,13 @@ validated at parse time (unknown components or parameters fail before
 anything runs).
 
 ``run``, ``compare`` and ``run-grid`` all accept ``--engine
-{rounds,rounds-fast,events,events-fast,fluid}``:
-``rounds`` and ``rounds-fast`` are both the paper's synchronous
-protocol (:class:`repro.sim.Simulator`; the names key separate cache
-entries, and ``run-grid``/``tune``/``leaderboard`` take
-``--batch-replicates N`` to run ``rounds-fast`` seed replicates as one
+{rounds,events,fluid}``, one name per time model:
+``rounds`` is the paper's synchronous protocol
+(:class:`repro.sim.Simulator`; ``run-grid``/``tune``/``leaderboard``
+take ``--batch-replicates N`` to run its seed replicates as one
 :class:`repro.sim.BatchSimulator` run, bit-identical per seed with
-shared cache keys),
-``events`` the
-discrete-event asynchronous engine (:class:`repro.sim.EventSimulator`),
-``events-fast`` the same asynchronous protocol through columnar event
-buffers
-(:class:`repro.sim.EventFastSimulator` — identical records)
+shared cache keys), ``events`` the discrete-event asynchronous engine
+(:class:`repro.sim.EventFastSimulator`, columnar event buffers)
 and ``fluid`` the divisible-load engine
 (:class:`repro.sim.FluidSimulator`) over the scenario's initial
 per-node loads — it requires one of the fluid algorithms
@@ -112,6 +107,7 @@ from repro.runner import (
     grid_seeds,
     run_grid,
 )
+from repro.runner.spec import canonical_engine
 from repro.sim.telemetry import DEFAULT_TRACE_PATH, probe_tag
 from repro.tuning import (
     DEFAULT_BASELINES,
@@ -356,9 +352,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         # BatchSimulator run under the counters probe (the per-lane
         # Chrome trace has no joint-loop equivalent), then the first
         # lane's telemetry — including the batch.* counters — printed.
-        if args.engine != "rounds-fast":
+        if args.engine != "rounds":
             print(
-                "error: --batch-replicates profiles the rounds-fast "
+                "error: --batch-replicates profiles the rounds "
                 f"engine only, got {args.engine!r}",
                 file=sys.stderr,
             )
@@ -369,7 +365,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             RunSpec(
                 scenario=args.scenario, algorithm=args.algorithm,
                 seed=args.seed + lane, max_rounds=args.rounds,
-                engine="rounds-fast", probe="counters",
+                engine="rounds", probe="counters",
             )
             for lane in range(args.batch_replicates)
         ]
@@ -381,7 +377,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             [result.summary_row()],
             title=f"profile — {args.algorithm} on {args.scenario} "
                   f"(seeds {args.seed}..{args.seed + args.batch_replicates - 1} "
-                  f"batched, rounds-fast engine, {elapsed * 1e3:.1f} ms wall; "
+                  f"batched, rounds engine, {elapsed * 1e3:.1f} ms wall; "
                   f"first replicate shown)",
         ))
         _print_telemetry(result.telemetry)
@@ -546,7 +542,7 @@ def _human_bytes(n: int) -> str:
 def cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
-        engine = getattr(args, "engine", None)
+        engine = canonical_engine(args.engine) if args.engine else None
         if engine is not None and engine not in ENGINES:
             # Plain argparse choices would also catch this, but the
             # filter deliberately shares the runner's diagnostic so an
@@ -639,12 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine(p: argparse.ArgumentParser) -> None:
         p.add_argument("--engine", choices=sorted(ENGINES), default="rounds",
-                       help="execution model: synchronous rounds, "
-                            "rounds-fast (the same engine under its own cache "
-                            "keys), the asynchronous "
-                            "discrete-event engine, its columnar events-fast "
-                            "twin (identical records), or the divisible-load "
-                            "fluid engine (fluid-* algorithms only)")
+                       help="execution model: synchronous rounds, the "
+                            "asynchronous discrete-event engine, or the "
+                            "divisible-load fluid engine (fluid-* "
+                            "algorithms only)")
         p.add_argument("--recorder", default="full", metavar="POLICY",
                        help="recording policy: 'full' (every round), "
                             "'thin:<k>' (every k-th round + last, exact "
@@ -677,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="group up to N seed replicates of one "
                             "(scenario, algorithm) cell into a single "
-                            "replicate-batched rounds-fast simulation "
+                            "replicate-batched rounds simulation "
                             "(bit-identical per seed; other engines run "
                             "solo); default: off")
 
@@ -755,9 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--batch-replicates", type=int, default=1,
                         metavar="N",
                         help="profile N seed replicates (seeds SEED..SEED+N-1) "
-                             "as one replicate-batched rounds-fast run under "
+                             "as one replicate-batched rounds run under "
                              "the counters probe; prints the batch.* "
-                             "counters (rounds-fast engine only)")
+                             "counters (rounds engine only)")
     p_prof.set_defaults(fn=cmd_profile)
 
     def scenario_or_all(value: str) -> str:
@@ -799,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--ga-population", type=int, default=4,
                         help="population size seeding the genetic search")
     p_tune.add_argument("--engine", choices=sorted(TUNABLE_ENGINES),
-                        default="rounds-fast",
+                        default="rounds",
                         help="engine candidate evaluations run on")
     p_tune.add_argument("--recorder", default="summary", metavar="POLICY",
                         help="recording policy for evaluations (summary "
@@ -828,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "registered scenario")
     p_board.add_argument("--engines", nargs="+",
                          choices=sorted(TUNABLE_ENGINES),
-                         default=["rounds-fast"],
+                         default=["rounds"],
                          help="task engines forming the matrix columns")
     p_board.add_argument("--baselines", nargs="+",
                          choices=sorted(ALGORITHMS),

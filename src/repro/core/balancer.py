@@ -588,7 +588,7 @@ class ParticlePlaneBalancer(Balancer):
         too (a screened node needs ``h_i > 0``, hence the tail's first
         node would break immediately). This makes a fully balanced wave
         — the steady-state common case in the event engine — one array
-        expression, which is where the ``events-fast`` throughput floor
+        expression, which is where the ``events`` throughput floor
         comes from.
         """
         topo = s.topo

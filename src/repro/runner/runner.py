@@ -204,7 +204,7 @@ def _replicate_tasks(
 
     With ``batch_replicates > 1``, specs that are identical up to
     ``seed`` — same canonical dict minus the seed field — and eligible
-    for replicate batching (rounds-fast engine, null probe) are grouped
+    for replicate batching (rounds engine, null probe) are grouped
     into one batched task of at most ``batch_replicates`` replicates.
     Everything else stays a singleton task. Group membership follows
     pending order, so tasks — and therefore batches — are deterministic
@@ -216,7 +216,7 @@ def _replicate_tasks(
     open_group: dict[str, list[int]] = {}
     for i in pending:
         spec = specs[i]
-        if spec.engine != "rounds-fast" or spec.probe != "null":
+        if spec.engine != "rounds" or spec.probe != "null":
             tasks.append([i])
             continue
         d = spec.to_dict()
@@ -289,7 +289,7 @@ def run_grid(
         JSON).
     batch_replicates:
         ``N > 1`` groups cache-missing specs that are identical up to
-        ``seed`` (rounds-fast engine, null probe) into batched tasks of
+        ``seed`` (rounds engine, null probe) into batched tasks of
         up to N replicates, each executed as one
         :class:`~repro.sim.BatchSimulator` run. Transparent: every
         replicate's result is bit-identical to its solo execution, so

@@ -32,11 +32,20 @@ from typing import Mapping, Sequence
 from repro.exceptions import ConfigurationError
 from repro.rng import seed_for
 
-#: execution models a spec may request (see :mod:`repro.runner.worker`).
-#: Replicate batching is not an engine: it is an execution strategy the
-#: runner applies to ``rounds-fast`` specs under
+#: execution models a spec may request, one per time model (see
+#: :mod:`repro.runner.worker`). Replicate batching is not an engine: it
+#: is an execution strategy the runner applies to ``rounds`` specs under
 #: ``run_grid(..., batch_replicates=N)``.
-ENGINES = frozenset({"rounds", "rounds-fast", "events", "events-fast", "fluid"})
+ENGINES = frozenset({"rounds", "events", "fluid"})
+
+#: older engine spellings -> the engine each names (the one place that
+#: knows them; a legacy spelling gets its base engine's cache key).
+_LEGACY_ENGINES = {"rounds-fast": "rounds", "events-fast": "events"}
+
+
+def canonical_engine(name: str) -> str:
+    """*name* with a legacy spelling mapped to its engine; others as is."""
+    return _LEGACY_ENGINES.get(name, name)
 
 
 @dataclass
@@ -72,15 +81,11 @@ class RunSpec:
         accept ``cadence``, ``wake_jitter``, ``stragglers``, …).
     engine:
         Which execution model runs the spec: ``"rounds"`` (the
-        synchronous :class:`~repro.sim.Simulator`, the default),
-        ``"rounds-fast"`` (the same :class:`~repro.sim.Simulator` under
-        its own cache keys; only its specs are replicate-batched),
-        ``"events"`` (the asynchronous
-        :class:`~repro.sim.EventSimulator`), ``"events-fast"`` (the
-        same asynchronous protocol through
+        synchronous :class:`~repro.sim.Simulator`, the default; its
+        specs are the ones replicate-batched), ``"events"`` (the
+        asynchronous protocol through
         :class:`~repro.sim.EventFastSimulator`'s columnar event
-        buffers — identical records) or
-        ``"fluid"`` (the
+        buffers) or ``"fluid"`` (the
         divisible-load :class:`~repro.sim.FluidSimulator`; requires a
         fluid algorithm). The fluid engine is a *projection*: it
         simulates the scenario's initial per-node load surface in the
@@ -88,7 +93,8 @@ class RunSpec:
         fault realisation) have no divisible-load counterpart and do
         not apply, so e.g. ``straggler`` under ``fluid`` is exactly
         the ``torus-hotspot`` surface. Part of the content hash, so
-        engines never share cache entries.
+        engines never share cache entries; a legacy spelling is read
+        as its base engine (:func:`canonical_engine`).
     recorder:
         Recording policy for the run: ``"full"`` (every round, the
         default), ``"thin:<k>"`` or ``"summary"`` — see
@@ -122,6 +128,7 @@ class RunSpec:
             raise ConfigurationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
             )
+        self.engine = canonical_engine(self.engine)
         if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; available: {sorted(ENGINES)}"

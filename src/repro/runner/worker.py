@@ -8,12 +8,11 @@ pure function of the spec's content (scenario construction, balancer
 config and the simulator RNG are all seeded from ``spec.seed``), which
 is what licenses the content-addressed cache.
 
-``spec.engine`` selects the execution model: ``"rounds"`` and
-``"rounds-fast"`` both build the synchronous :class:`~repro.sim.Simulator`
-(the two names stay apart because they key separate cache entries),
-``"events"`` the asynchronous :class:`~repro.sim.EventSimulator` and
-``"events-fast"`` its twin :class:`~repro.sim.EventFastSimulator`
-(identical records, columnar event buffers). The task engines receive
+``spec.engine`` selects the execution model: ``"rounds"`` builds the
+synchronous :class:`~repro.sim.Simulator` and ``"events"`` the
+asynchronous :class:`~repro.sim.EventFastSimulator` (columnar event
+buffers; the heap-driven :class:`~repro.sim.EventSimulator` it is
+tested against has no engine name). The task engines receive
 whatever extras the scenario carries (per-node speeds, a churn process), so a
 scenario means the same workload under any of them. ``"fluid"`` builds
 the divisible-load :class:`~repro.sim.FluidSimulator` over the
@@ -44,7 +43,6 @@ from repro.runner.spec import RunSpec
 from repro.sim import (
     BatchSimulator,
     EventFastSimulator,
-    EventSimulator,
     FluidSimulator,
     SimulationResult,
     Simulator,
@@ -53,12 +51,7 @@ from repro.workloads import build_scenario
 
 #: spec.engine -> task-granular simulator class (validated upstream by
 #: RunSpec; "fluid" dispatches separately below).
-_ENGINE_CLASSES = {
-    "rounds": Simulator,
-    "rounds-fast": Simulator,
-    "events": EventSimulator,
-    "events-fast": EventFastSimulator,
-}
+_ENGINE_CLASSES = {"rounds": Simulator, "events": EventFastSimulator}
 
 
 def execute_spec(spec: RunSpec) -> SimulationResult:
@@ -117,7 +110,7 @@ def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
     """Run replicate specs as one batched simulation; results per spec.
 
     The specs must be identical up to ``seed``, request the
-    ``rounds-fast`` engine and carry the null probe (the runner's
+    ``rounds`` engine and carry the null probe (the runner's
     grouping pass guarantees all three). The scenario is built once per
     seed but the *topology* only once — every lane shares the first
     lane's topology object, which is what lets
@@ -130,9 +123,9 @@ def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
     if not specs:
         raise ConfigurationError("execute_batch needs at least one spec")
     for spec in specs:
-        if spec.engine != "rounds-fast":
+        if spec.engine != "rounds":
             raise ConfigurationError(
-                f"replicate batching runs the rounds-fast engine only, "
+                f"replicate batching runs the rounds engine only, "
                 f"got {spec.engine!r}"
             )
     if len(specs) == 1:

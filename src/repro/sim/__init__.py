@@ -7,17 +7,18 @@ single load is transferred over a link"); faults are realised at round
 start; balancers observe the state and order one-hop migrations.
 
 * :class:`Simulator` — task-granular synchronous simulation (the
-  paper's setting); both ``engine="rounds"`` and ``engine="rounds-fast"``
-  build it. PPLB picks its own Phase-B sweep (the screened one whenever
-  it is sound), so no engine carries a fast-path switch.
+  paper's setting; ``engine="rounds"``). PPLB picks its own Phase-B
+  sweep (the screened one whenever it is sound), so no engine carries
+  a fast-path switch.
 * :class:`EventSimulator` — discrete-event *asynchronous* simulation in
   continuous time: per-node clocks (heterogeneous speeds, jitter,
   stragglers), latency-delayed transfers, results sampled at epoch
   boundaries. Degenerates exactly to :class:`Simulator` under unit
-  clocks / zero latency / uniform cadence.
+  clocks / zero latency / uniform cadence. No engine name builds it;
+  it is the heap-driven oracle the ``events`` engine is tested against.
 * :class:`EventFastSimulator` — the same asynchronous protocol on
   columnar event buffers instead of a tuple heap
-  (``engine="events-fast"``); differentially tested to reproduce
+  (``engine="events"``); differentially tested to reproduce
   :class:`EventSimulator` bit for bit on every clock model.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-
   family theory checks.

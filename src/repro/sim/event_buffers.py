@@ -4,7 +4,7 @@ The scalar :class:`~repro.sim.events.EventSimulator` keeps every
 pending event as a Python tuple on a ``heapq`` — one object per wake,
 arrival and epoch marker, compared element-wise on every push and pop.
 At large N the heap churn alone costs more than the balancing decisions
-it schedules. The ``events-fast`` engine replaces that heap with two
+it schedules. The ``events`` engine replaces that heap with two
 columnar stores in the spirit of the PR 4
 :class:`~repro.sim.results.RoundLog` (one preallocated, geometrically
 grown NumPy array per field, no per-event Python objects):
@@ -18,7 +18,7 @@ grown NumPy array per field, no per-event Python objects):
 Both stores reproduce the heap's ordering contract exactly: events are
 consumed in ``(time, insertion order)`` order, where the insertion
 *rank* is a monotone counter standing in for the heap's tie-breaking
-sequence number. That is what lets ``events-fast`` replay the scalar
+sequence number. That is what lets the ``events`` engine replay the scalar
 engine's schedule bit for bit (``tests/sim/
 test_events_fast_equivalence.py``).
 """

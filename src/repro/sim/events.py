@@ -58,14 +58,14 @@ reproduces :meth:`Simulator.run` exactly (same seed ⇒ identical
 per-round records). ``tests/sim/test_event_equivalence.py`` holds this
 as a property, not a hope.
 
-:class:`EventFastSimulator` (the ``events-fast`` engine) is the same
+:class:`EventFastSimulator` (the ``events`` engine) is the same
 continuous-time protocol with the per-event Python object churn
 removed: wake scheduling and in-flight transfers live in columnar NumPy
 buffers (:mod:`repro.sim.event_buffers`) instead of a tuple heap. It
 reproduces the scalar event engine bit for bit — records, RNG state,
 final loads — across every clock model (jitter, stragglers, cadence,
 latency); ``tests/sim/test_events_fast_equivalence.py`` holds the full
-differential suite.
+differential suite; no engine name builds its heap-driven oracle.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
 
 
 class EventFastSimulator(EventSimulator):
-    """The ``events-fast`` engine: :class:`EventSimulator`, vectorised.
+    """The ``events`` engine: :class:`EventSimulator`, vectorised.
 
     One change, a pure evaluation-order optimisation: the per-event
     tuple heap is replaced by the columnar stores of

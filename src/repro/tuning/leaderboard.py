@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.runner import ResultCache, RunnerMetrics, RunSpec, grid_seeds, run_grid
+from repro.runner.spec import canonical_engine
 from repro.tuning.optimizer import TUNABLE_ENGINES, score_result
 from repro.tuning.registry import TunedConfigRegistry
 
@@ -34,7 +35,7 @@ TUNED_NAME = "pplb-tuned"
 
 def build_leaderboard(
     scenarios: Sequence[str],
-    engines: Sequence[str] = ("rounds-fast",),
+    engines: Sequence[str] = ("rounds",),
     registry: TunedConfigRegistry | None = None,
     baselines: Sequence[str] = DEFAULT_BASELINES,
     n_seeds: int = 2,
@@ -74,6 +75,8 @@ def build_leaderboard(
     """
     if not scenarios:
         raise ConfigurationError("leaderboard needs at least one scenario")
+    # One column per engine: a legacy spelling joins its base name's.
+    engines = list(dict.fromkeys(canonical_engine(e) for e in engines))
     for engine in engines:
         if engine not in TUNABLE_ENGINES:
             raise ConfigurationError(
@@ -118,7 +121,7 @@ def build_leaderboard(
                     coords.append((spec.scenario, engine, display, overrides))
 
     # batch_replicates groups each entrant's seed axis into one
-    # replicate-batched simulation (rounds-fast cells only; other
+    # replicate-batched simulation (rounds cells only; other
     # engines run solo). Bit-identical per seed, so every row, rank and
     # the full payload are byte-identical to the unbatched build.
     outcomes = run_grid(specs, workers=workers, cache=cache, metrics=metrics,
@@ -208,7 +211,7 @@ def build_leaderboard(
         "base_seed": base_seed,
         "recorder": recorder,
         "scenarios": seen_scenarios,
-        "engines": list(engines),
+        "engines": engines,
         "algorithms": names,
         "rows": rows,
         "summary": summary,

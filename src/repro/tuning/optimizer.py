@@ -5,7 +5,7 @@ Search shape
 ------------
 **Successive halving** is the workhorse: a pool of candidate configs
 (the paper default always rides as candidate 0) is evaluated on a
-*cheap* budget — few rounds, the ``rounds-fast`` engine, the O(1)
+*cheap* budget — few rounds, the ``rounds`` engine, the O(1)
 ``summary`` recorder — and only the top ``1/eta`` fraction is promoted
 to the next rung, whose round budget is ``eta`` times larger, until the
 full budget is reached. Bad configs cost almost nothing; good ones are
@@ -44,6 +44,7 @@ from typing import Mapping, Sequence
 from repro.exceptions import ConfigurationError
 from repro.rng import derive
 from repro.runner import ResultCache, RunSpec, grid_seeds, run_grid
+from repro.runner.spec import canonical_engine
 from repro.sim import SimulationResult
 from repro.tuning.space import ParamSpace, default_pplb_space
 
@@ -58,7 +59,7 @@ _ROUNDS_WEIGHT = 0.01
 
 #: engines a tuning session may evaluate on (task balancers only — the
 #: fluid engine runs a different algorithm family).
-TUNABLE_ENGINES = ("rounds", "rounds-fast", "events", "events-fast")
+TUNABLE_ENGINES = ("rounds", "events")
 
 
 def score_result(result: SimulationResult, max_rounds: int) -> float:
@@ -77,7 +78,7 @@ class TuneBudget:
     base_rounds: int = 50
     full_rounds: int = 200
     eval_seeds: int = 2
-    engine: str = "rounds-fast"
+    engine: str = "rounds"
     recorder: str = "summary"
     ga_generations: int = 4
     ga_population: int = 4
@@ -99,6 +100,7 @@ class TuneBudget:
                 f"ga_generations must be >= 0 and ga_population >= 1, got "
                 f"{self.ga_generations}/{self.ga_population}"
             )
+        self.engine = canonical_engine(self.engine)
         if self.engine not in TUNABLE_ENGINES:
             raise ConfigurationError(
                 f"engine {self.engine!r} is not tunable; available: "
@@ -270,7 +272,7 @@ def tune_scenario(
     batch_replicates:
         Forwarded to :func:`~repro.runner.run_grid`: groups each
         candidate's ``eval_seeds`` repetitions into one replicate-
-        batched simulation (rounds-fast engine only). Bit-identical per
+        batched simulation (rounds engine only). Bit-identical per
         replicate, so the winner, every score and the whole history are
         unchanged — only the evaluation wall time drops.
 

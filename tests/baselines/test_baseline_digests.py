@@ -4,14 +4,16 @@ Every baseline trajectory on a churning (``diurnal``) and a faulting
 (``fault-storm``) 8×8 scenario is pinned by the sha256 of its result
 payload. The digests were frozen before the baselines' per-candidate
 loops moved from NumPy scalars to plain Python values, so any change to
-a decision, its order or its RNG draws shows up here. Both fast engines
+a decision, its order or its RNG draws shows up here. Both task engines
 must reproduce them.
 
 The desynchronised-clock table pins the event engines where a partial
 wake wave applies orders: jittered clocks with size-proportional
 latency split almost every epoch into several waves, so the asleep
 rule, the per-epoch link budget and the in-flight arrivals all shape
-the payload.
+the payload. That table runs both event drivers by class: the heap-driven
+:class:`~repro.sim.EventSimulator` oracle and the columnar
+:class:`~repro.sim.EventFastSimulator` the ``events`` engine builds.
 """
 
 import hashlib
@@ -21,6 +23,8 @@ import pytest
 
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_spec
+from repro.sim import EventFastSimulator, EventSimulator
+from tests.conftest import run_on
 
 #: sha256 of ``to_dict()`` minus ``wall_time_s``: side=8, 40 rounds, seed 0.
 BASELINE_DIGESTS = {
@@ -60,8 +64,8 @@ DESYNC_DIGESTS = {
 }
 
 
-def _run(scenario, algorithm, engine, sim_kwargs=None):
-    spec = RunSpec(
+def _spec(scenario, algorithm, engine="rounds", sim_kwargs=None):
+    return RunSpec(
         scenario=scenario,
         algorithm=algorithm,
         seed=0,
@@ -70,7 +74,6 @@ def _run(scenario, algorithm, engine, sim_kwargs=None):
         scenario_kwargs={"side": 8},
         sim_kwargs=sim_kwargs or {},
     )
-    return execute_spec(spec)
 
 
 def _digest(result):
@@ -80,22 +83,25 @@ def _digest(result):
 
 
 class TestBaselineDigests:
-    """Baseline trajectories stay byte-identical on both fast engines."""
+    """Baseline trajectories stay byte-identical on both task engines."""
 
-    @pytest.mark.parametrize("engine", ["rounds-fast", "events-fast"])
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
     @pytest.mark.parametrize("scenario,algorithm", list(BASELINE_DIGESTS))
     def test_result_digest_is_frozen(self, scenario, algorithm, engine):
-        assert _digest(_run(scenario, algorithm, engine)) == BASELINE_DIGESTS[scenario, algorithm]
+        result = execute_spec(_spec(scenario, algorithm, engine))
+        assert _digest(result) == BASELINE_DIGESTS[scenario, algorithm]
 
-    @pytest.mark.parametrize("engine", ["events", "events-fast"])
+    @pytest.mark.parametrize("engine_cls", [EventSimulator, EventFastSimulator],
+                             ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("scenario,algorithm", list(DESYNC_DIGESTS))
-    def test_desync_digest_is_frozen(self, scenario, algorithm, engine):
-        result = _run(scenario, algorithm, engine, DESYNC_KWARGS)
+    def test_desync_digest_is_frozen(self, scenario, algorithm, engine_cls):
+        result = run_on(engine_cls, _spec(scenario, algorithm, "events",
+                                          DESYNC_KWARGS))
         assert _digest(result) == DESYNC_DIGESTS[scenario, algorithm]
 
     @pytest.mark.parametrize("scenario,algorithm", list(BASELINE_DIGESTS))
     def test_runs_migrate_tasks(self, scenario, algorithm):
         # A digest of a run that never moves a task would pin nothing of
         # the baseline's decisions.
-        result = _run(scenario, algorithm, "rounds-fast")
+        result = execute_spec(_spec(scenario, algorithm))
         assert sum(r.n_migrations for r in result.records) > 0

@@ -91,6 +91,15 @@ class ReferencePPLB(ParticlePlaneBalancer):
         self._phase_b_scalar(s)
 
 
+def run_on(engine_cls, spec):
+    """Run *spec*'s scenario and balancer on the task engine class
+    *engine_cls*, whatever engine name the spec carries: the heap-driven
+    :class:`~repro.sim.EventSimulator` oracle has no engine name."""
+    from repro.runner.worker import _task_simulator
+
+    return _task_simulator(spec, engine_cls).run(max_rounds=spec.max_rounds)
+
+
 def reference_balancer(algorithm, **kwargs):
     """``make_balancer(algorithm, **kwargs)`` with PPLB pinned to the
     reference sweep (:class:`ReferencePPLB`); other balancers as is."""

@@ -5,7 +5,8 @@ be *invisible* in every output the runner produces: per-spec outcomes in input o
 identical to serial execution (modulo the measured ``wall_time_s``
 inside the payload — the one execution-varying field), index sidecar
 lines that answer metric-level replays, and cache keys shared with
-plain ``rounds-fast`` runs so batched and solo caches interoperate.
+plain ``rounds`` runs (the default engine) so batched and solo caches
+interoperate.
 """
 
 import json
@@ -26,7 +27,7 @@ from repro.runner.runner import _replicate_tasks
 SIZE = {"side": 5, "n_tasks": 100}
 
 
-def _specs(seeds=4, engine="rounds-fast", scenarios=("mesh-hotspot",),
+def _specs(seeds=4, engine="rounds", scenarios=("mesh-hotspot",),
            algorithms=("pplb",), probe="null"):
     return expand_grid(
         list(scenarios), list(algorithms), grid_seeds(seeds),
@@ -112,8 +113,9 @@ class TestBatchedGrid:
         tasks = _replicate_tasks(mixed, range(len(mixed)), 4)
         assert [len(t) for t in tasks] == [2, 1, 1, 1, 1]
 
-    def test_batch_replicates_batches_whole_cell(self):
-        specs = _specs(seeds=3)
+    @pytest.mark.parametrize("engine", ["rounds", "rounds-fast"])
+    def test_batch_replicates_batches_whole_cell(self, engine):
+        specs = _specs(seeds=3, engine=engine)
         spy = _SpyBackend()
         batched = run_grid(specs, backend=spy, batch_replicates=3)
         assert len(spy.items) == 1 and spy.items[0].get("__batch__")

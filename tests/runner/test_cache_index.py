@@ -19,7 +19,7 @@ def tiny_grid():
         [11, 22],
         max_rounds=40,
         scenario_kwargs={"side": 4, "n_tasks": 64},
-        engine="rounds-fast",
+        engine="rounds",
         recorder="summary",
     )
 
@@ -72,7 +72,7 @@ class TestStatsFastPath:
         assert legacy["indexed"] == 0
         for field in ("entries", "total_bytes", "mean_bytes", "by_engine"):
             assert fast[field] == legacy[field]
-        assert fast["by_engine"] == {"rounds-fast": len(outcomes)}
+        assert fast["by_engine"] == {"rounds": len(outcomes)}
 
     def test_rebuild_index_restores_fast_path(self, warm_cache):
         cache, outcomes = warm_cache
@@ -135,7 +135,7 @@ specs = expand_grid(
     [7, int(base_seed)],  # seed 7 overlaps between both writers
     max_rounds=30,
     scenario_kwargs={"side": 4, "n_tasks": 64},
-    engine="rounds-fast", recorder="summary",
+    engine="rounds", recorder="summary",
 )
 run_grid(specs, cache=ResultCache(root))
 """

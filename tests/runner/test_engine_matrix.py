@@ -3,14 +3,14 @@
 Each cell builds the scenario, runs 5 rounds under the ``summary``
 recorder and checks the result shape — so every component (placements,
 links, heterogeneity, dynamics) is exercised through the full
-spec → worker → engine → recorder stack on all five execution models.
+spec → worker → engine → recorder stack on all three execution models.
 Sizes are overridden down through the legacy shared-kwargs path to keep
 the matrix cheap.
 """
 
 import pytest
 
-from repro.runner import ResultCache, RunSpec, execute_spec, run_grid
+from repro.runner import ENGINES, ResultCache, RunSpec, execute_spec, run_grid
 from repro.workloads import SCENARIOS
 
 def small_kwargs(scenario: str) -> dict:
@@ -25,10 +25,10 @@ def small_kwargs(scenario: str) -> dict:
         return {"dim": 3, "n_tasks": 32}
     return {"side": 4, "n_tasks": 32}
 
-TASK_ENGINES = ("rounds", "rounds-fast", "events", "events-fast")
+TASK_ENGINES = ("rounds", "events")
 
-#: the genuinely new compositions the refactor ships (acceptance:
-#: each must run under all four engines).
+#: the genuinely new compositions the refactor ships (each must run
+#: under both task engines).
 NEW_SCENARIOS = (
     "diurnal",
     "moving-hotspot",
@@ -103,8 +103,8 @@ def test_fully_dressed_composed_string_runs_everywhere(engine):
     assert 1 <= result.n_rounds <= 5
 
 
-class TestEventsFastCaching:
-    """The fifth engine through the cached runner stack."""
+class TestEventsCaching:
+    """The event engine through the cached runner stack."""
 
     BASE = dict(algorithm="pplb", seed=5, max_rounds=15,
                 scenario_kwargs={"side": 5, "n_tasks": 60})
@@ -113,7 +113,7 @@ class TestEventsFastCaching:
         # Run → populate → replay: the second pass must be a pure cache
         # hit whose payload equals the freshly executed one.
         cache = ResultCache(tmp_path)
-        specs = [RunSpec(scenario="torus-hotspot", engine="events-fast",
+        specs = [RunSpec(scenario="torus-hotspot", engine="events",
                          **self.BASE)]
         first = run_grid(specs, cache=cache)
         assert not first[0].cached
@@ -126,16 +126,21 @@ class TestEventsFastCaching:
         assert a == b
 
     def test_engines_never_share_cache_entries(self):
-        keys = {
-            RunSpec(scenario="torus-hotspot", engine=e, **self.BASE).key()
-            for e in TASK_ENGINES
-        }
-        assert len(keys) == len(TASK_ENGINES)
+        # One entry per behaviour: the three engines key apart, and a
+        # legacy spelling shares its base name's entry.
+        def key(engine):
+            algorithm = "fluid-diffusion" if engine == "fluid" else "pplb"
+            return RunSpec(scenario="torus-hotspot", engine=engine,
+                           **{**self.BASE, "algorithm": algorithm}).key()
+
+        assert len({key(e) for e in ENGINES}) == len(ENGINES) == 3
+        assert key("rounds-fast") == key("rounds")
+        assert key("events-fast") == key("events")
 
     def test_old_events_cache_keys_are_untouched(self):
-        # Adding the fifth engine must not re-key existing caches: the
-        # canonical encoding (and the library version) of an "events"
-        # spec is exactly what it was before events-fast existed.
+        # Neither adding events-fast nor folding it back into "events"
+        # re-keys existing caches: the canonical encoding (and the
+        # library version) of an "events" spec is what it always was.
         spec = RunSpec("torus-hotspot", "pplb", seed=1, max_rounds=5,
                        scenario_kwargs={"side": 4, "n_tasks": 32},
                        engine="events")

@@ -27,7 +27,7 @@ def tiny_grid():
         [11, 22],
         max_rounds=40,
         scenario_kwargs={"side": 4, "n_tasks": 64},
-        engine="rounds-fast",
+        engine="rounds",
         recorder="summary",
     )
 

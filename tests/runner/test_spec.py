@@ -1,5 +1,7 @@
 """Unit tests for RunSpec identity, grid expansion and seed derivation."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -37,8 +39,6 @@ class TestRunSpec:
             {"algorithm_kwargs": {"beta0": 0.5}},
             {"sim_kwargs": {"link_capacity": 2}},
             {"engine": "events"},
-            {"engine": "rounds-fast"},
-            {"engine": "events-fast"},
             {"recorder": "summary"},
             {"recorder": "thin:5"},
         ],
@@ -58,8 +58,22 @@ class TestRunSpec:
         assert RunSpec.from_dict(ev.to_dict()) == ev
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError, match="engine"):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown engine 'warp'; available: \['events', 'fluid', 'rounds'\]",
+        ):
             RunSpec(scenario="mesh-hotspot", algorithm="pplb", engine="warp")
+
+    @pytest.mark.parametrize("legacy, engine", [("rounds-fast", "rounds"),
+                                                ("events-fast", "events")])
+    def test_legacy_engine_spelling_is_the_base_engine(self, legacy, engine):
+        base = dict(scenario="mesh-hotspot", algorithm="pplb", seed=1)
+        old = RunSpec(**base, engine=legacy)
+        assert old.engine == engine
+        assert old.key() == RunSpec(**base, engine=engine).key()
+        # A manifest stored under the legacy name rebuilds as the base.
+        stored = {**old.to_dict(), "engine": legacy}
+        assert RunSpec.from_dict(stored) == RunSpec(**base, engine=engine)
 
     def test_recorder_defaults_to_full_and_roundtrips(self):
         spec = RunSpec(scenario="mesh-hotspot", algorithm="pplb")
@@ -90,44 +104,43 @@ class TestRunSpec:
         assert summary.total_migrations == full.total_migrations
         assert summary.final_summary == full.final_summary
 
-    def test_rounds_fast_engine_dispatches_and_matches_rounds(self, monkeypatch):
-        # The spec level of the equivalence anchor: executing the same
-        # content through "rounds-fast" reproduces "rounds" with PPLB
-        # pinned to the reference Phase-B sweep exactly, while the
-        # cache keys stay distinct.
+    def test_rounds_engine_matches_the_reference_sweep(self, monkeypatch):
+        # The spec level of the equivalence anchor: the "rounds" engine
+        # (plain PPLB, screened sweep) reproduces Simulator with PPLB
+        # pinned to the reference Phase-B sweep exactly.
         from repro.runner import execute_spec
-        from tests.conftest import reference_balancer
+        from repro.sim import Simulator
+        from tests.conftest import reference_balancer, run_on
 
-        base = dict(scenario="mesh-hotspot", algorithm="pplb", seed=4,
-                    max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100})
-        rounds = RunSpec(**base, engine="rounds")
-        fast = RunSpec(**base, engine="rounds-fast")
-        assert rounds.key() != fast.key()
-        b = execute_spec(fast).to_dict()
+        spec = RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=4,
+                       max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100})
+        b = execute_spec(spec).to_dict()
         monkeypatch.setattr("repro.runner.worker.make_balancer",
                             reference_balancer)
-        a = execute_spec(rounds).to_dict()
+        a = run_on(Simulator, spec).to_dict()
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
 
-    def test_events_fast_engine_dispatches_and_matches_events(self, monkeypatch):
-        # Same anchor for the async pair: "events-fast" reproduces
-        # "events" (reference sweep) exactly through the spec layer,
-        # with distinct keys.
+    def test_events_engine_matches_the_heap_oracle(self, monkeypatch):
+        # Same anchor for the async engine: "events" runs the columnar
+        # driver (it counts buffer pops, not heap pops) and reproduces
+        # the heap-driven EventSimulator (reference sweep) exactly.
         from repro.runner import execute_spec
-        from tests.conftest import reference_balancer
+        from repro.sim import EventSimulator
+        from tests.conftest import reference_balancer, run_on
 
-        base = dict(scenario="torus-hotspot", algorithm="pplb", seed=4,
-                    max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100},
-                    sim_kwargs={"wake_jitter": 0.25})
-        events = RunSpec(**base, engine="events")
-        fast = RunSpec(**base, engine="events-fast")
-        assert events.key() != fast.key()
-        b = execute_spec(fast).to_dict()
+        spec = RunSpec(scenario="torus-hotspot", algorithm="pplb", seed=4,
+                       max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100},
+                       sim_kwargs={"wake_jitter": 0.25}, engine="events")
+        b = execute_spec(spec).to_dict()
+        probed = execute_spec(dataclasses.replace(spec, probe="counters"))
+        counters = probed.telemetry["counters"]
+        assert "engine.buffer_pops" in counters
+        assert "engine.heap_pops" not in counters
         monkeypatch.setattr("repro.runner.worker.make_balancer",
                             reference_balancer)
-        a = execute_spec(events).to_dict()
+        a = run_on(EventSimulator, spec).to_dict()
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
@@ -177,7 +190,7 @@ class TestComposedScenarios:
     def test_composed_spec_roundtrips(self):
         spec = RunSpec(
             scenario="torus:6+clustered+fault-storm:frac=0.2+tiered",
-            algorithm="diffusion", seed=3, engine="rounds-fast",
+            algorithm="diffusion", seed=3, engine="events",
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
 

@@ -49,21 +49,21 @@ class TestValidationAndSetup:
     @pytest.mark.parametrize(
         "engine, kwargs, message",
         [
-            ("rounds", {"node_speeds": [1.0] * 5, "link_capacity": 0},
+            (Simulator, {"node_speeds": [1.0] * 5, "link_capacity": 0},
              r"node_speeds must have shape \(16,\)"),
-            ("rounds", {"transfer_latency": -1, "links": "other"},
+            (Simulator, {"transfer_latency": -1, "links": "other"},
              "transfer_latency must be >= 0"),
-            ("rounds-fast", {"link_capacity": 0, "recorder": "bogus"},
+            (Simulator, {"link_capacity": 0, "recorder": "bogus"},
              "link_capacity must be >= 1"),
-            ("events", {"link_capacity": 0, "node_speeds": [1.0] * 5},
+            (EventSimulator, {"link_capacity": 0, "node_speeds": [1.0] * 5},
              "link_capacity must be >= 1"),
-            ("events", {"cadence": 0, "recorder": "bogus"},
+            (EventSimulator, {"cadence": 0, "recorder": "bogus"},
              "cadence must be positive"),
-            ("events", {"node_speeds": [1.0] * 5, "wake_jitter": 2},
+            (EventSimulator, {"node_speeds": [1.0] * 5, "wake_jitter": 2},
              r"wake_jitter must be in \[0, 1\)"),
-            ("events-fast", {"stragglers": {99: 2.0}, "links": "other"},
+            (EventFastSimulator, {"stragglers": {99: 2.0}, "links": "other"},
              r"straggler node 99 out of range \[0, 16\)"),
-            ("events-fast", {"epoch": 0, "probe": "bogus"},
+            (EventFastSimulator, {"epoch": 0, "probe": "bogus"},
              "epoch must be positive"),
         ],
     )
@@ -72,7 +72,7 @@ class TestValidationAndSetup:
         if kwargs.get("links") == "other":
             kwargs = {**kwargs, "links": LinkAttributes.uniform(mesh(3, 3))}
         with pytest.raises(ConfigurationError, match=message):
-            TASK_ENGINES[engine](mesh4, TaskSystem(mesh4), NoBalancer(), **kwargs)
+            engine(mesh4, TaskSystem(mesh4), NoBalancer(), **kwargs)
 
     def test_criteria_validation(self):
         with pytest.raises(ConfigurationError):
@@ -81,12 +81,12 @@ class TestValidationAndSetup:
             ConvergenceCriteria(spread_tol=-1.0)
 
 
-#: every task engine; all four apply orders through one path
+#: every task engine class, the heap-driven event oracle included; all
+#: three apply orders through one path
 TASK_ENGINES = {
-    "rounds": Simulator,
-    "rounds-fast": Simulator,
-    "events": EventSimulator,
-    "events-fast": EventFastSimulator,
+    "Simulator": Simulator,
+    "EventSimulator": EventSimulator,
+    "EventFastSimulator": EventFastSimulator,
 }
 
 #: clocks that make the event engines' t=1 wave partial: nodes 0 and 15
@@ -167,20 +167,20 @@ class TestOrderValidation:
         system = TaskSystem(mesh4)
         tid = system.add_task(1.0, 0)
         balancer = RecordingScript({round_index: [Migration(tid, 0, dst)]})
-        kwargs = {"stragglers": CORNER_STRAGGLERS} if engine.startswith("events") else {}
+        kwargs = {"stragglers": CORNER_STRAGGLERS} if engine.startswith("Event") else {}
         sim = TASK_ENGINES[engine](mesh4, system, balancer, **kwargs)
         with pytest.raises(
             TopologyError, match=f"^no edge between 0 and {dst} in topology 'mesh-4x4'$"
         ):
             sim.run(max_rounds=3)
         awake = balancer.awake[round_index]
-        if engine.startswith("events") and round_index == 1:
+        if engine.startswith("Event") and round_index == 1:
             assert not awake[0] and not awake[15] and awake[1:15].all()
         else:
             assert awake is None
 
 
-@pytest.mark.parametrize("engine", ["events", "events-fast"])
+@pytest.mark.parametrize("engine", ["EventSimulator", "EventFastSimulator"])
 def test_order_between_sleeping_nodes_is_dropped(mesh4, engine):
     system = TaskSystem(mesh4)
     tid = system.add_task(1.0, 0)

@@ -1,10 +1,11 @@
-"""The events ≡ events-fast bit-exactness anchor.
+"""The heap ≡ columnar event-driver bit-exactness anchor.
 
 :class:`~repro.sim.EventFastSimulator` replays the scalar event
 engine's schedule through batched wake waves and columnar event
 buffers. Each pair runs the scalar event engine with PPLB pinned to the
 reference Phase-B sweep (:class:`~tests.conftest.ReferencePPLB`)
-against ``events-fast`` with plain PPLB, which takes the screened
+against :class:`~repro.sim.EventFastSimulator` (what the ``events``
+engine builds) with plain PPLB, which takes the screened
 sweep, so both evaluation-order changes are checked at once. Neither
 is allowed to show up in the results: same seed ⇒ identical per-round
 records (every float), identical final load vectors, identical
@@ -12,7 +13,7 @@ records (every float), identical final load vectors, identical
 available witness that the screen skipped only work that draws no
 randomness and changes no state. Unlike the sync ≡ async anchor, this property must hold on
 *every* clock model (jitter, latency, stragglers, churn), because
-events-fast is a reimplementation of the same engine, not a degenerate
+the columnar driver is a reimplementation of the same engine, not a degenerate
 configuration of it.
 """
 
@@ -115,7 +116,7 @@ class TestEventsFastEquivalence:
             )
 
     def test_matches_sync_engine_under_unit_clocks(self):
-        # Transitivity anchor: events-fast ≡ events ≡ rounds in the
+        # Transitivity anchor: columnar ≡ heap ≡ synchronous in the
         # degenerate configuration, so the fast engine inherits the
         # sync ≡ async certificate too.
         sync_res, sync_loads, _ = _run(

@@ -16,6 +16,7 @@ decision.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import asdict
@@ -26,10 +27,10 @@ import pytest
 from repro.core import ParticlePlaneBalancer, PPLBConfig
 from repro.runner.registry import make_balancer
 from repro.runner.spec import RunSpec
-from repro.runner.worker import execute_spec
-from repro.sim import Simulator
+from repro.runner.worker import execute_batch, execute_spec
+from repro.sim import EventFastSimulator, EventSimulator, Simulator
 from repro.workloads import build_scenario
-from tests.conftest import ReferencePPLB, reference_balancer
+from tests.conftest import ReferencePPLB, reference_balancer, run_on
 
 #: ≥4 scenarios × 4 algorithms as demanded by the acceptance criteria,
 #: plus faulted links (up-mask screening), heterogeneous speeds (the
@@ -44,8 +45,9 @@ SCENARIOS = [
 ]
 ALGORITHMS = ["pplb", "pplb-greedy", "diffusion", "work-stealing"]
 SIZE = {"side": 6, "n_tasks": 180}
-#: the four task engines; PPLB must pick the same sweep on each
-TASK_ENGINES = ["rounds", "rounds-fast", "events", "events-fast"]
+#: the task engine classes, the heap-driven event oracle included;
+#: PPLB must pick the same sweep on each
+TASK_ENGINES = [Simulator, EventSimulator, EventFastSimulator]
 
 
 def _run(balancer, scenario_name, seed, rounds=70, size=SIZE, **sim_kwargs):
@@ -136,10 +138,12 @@ class TestFastEquivalence:
 
 
 def _sweep_calls(monkeypatch, engine, reference=False, **bal_kwargs):
-    """Calls of each of PPLB's Phase-B sweeps in one *engine* run.
+    """Calls of each of PPLB's Phase-B sweeps in one run on the engine
+    class *engine*.
 
-    The run goes through the runner's own engine dispatch; *reference*
-    builds :class:`~tests.conftest.ReferencePPLB` in place of PPLB.
+    The run builds its balancer through the runner's registry;
+    *reference* builds :class:`~tests.conftest.ReferencePPLB` in place
+    of PPLB.
     """
     calls = {"_phase_b_scalar": 0, "_phase_b_fast": 0}
     for name in calls:
@@ -153,28 +157,28 @@ def _sweep_calls(monkeypatch, engine, reference=False, **bal_kwargs):
     if reference:
         monkeypatch.setattr("repro.runner.worker.make_balancer",
                             reference_balancer)
-    execute_spec(RunSpec(scenario="mesh:6x6+hotspot", algorithm="pplb",
-                         seed=0, max_rounds=10, engine=engine,
-                         algorithm_kwargs=bal_kwargs))
+    run_on(engine, RunSpec(scenario="mesh:6x6+hotspot", algorithm="pplb",
+                           seed=0, max_rounds=10, algorithm_kwargs=bal_kwargs))
     return calls
 
 
 class TestSweepChoice:
     """PPLB, not the engine, decides which Phase-B sweep runs."""
 
-    @pytest.mark.parametrize("engine", TASK_ENGINES)
+    pytestmark = pytest.mark.parametrize(
+        "engine", TASK_ENGINES, ids=lambda cls: cls.__name__
+    )
+
     def test_sound_screen_takes_the_screened_sweep(self, monkeypatch, engine):
         calls = _sweep_calls(monkeypatch, engine)
         assert calls["_phase_b_fast"] > 0 and calls["_phase_b_scalar"] == 0
 
-    @pytest.mark.parametrize("engine", TASK_ENGINES)
     def test_friction_jitter_takes_the_reference_sweep(self, monkeypatch, engine):
         # Jitter draws RNG per evaluated candidate, which the screen
         # would elide: every node must be visited.
         calls = _sweep_calls(monkeypatch, engine, friction_jitter=0.05)
         assert calls["_phase_b_scalar"] > 0 and calls["_phase_b_fast"] == 0
 
-    @pytest.mark.parametrize("engine", TASK_ENGINES)
     def test_reference_subclass_never_screens(self, monkeypatch, engine):
         # The equivalence suites compare against this class; were it to
         # screen too, they would compare the screened sweep with itself.
@@ -200,14 +204,14 @@ class TestPhaseBVisitScreen:
 
         monkeypatch.setattr(ParticlePlaneBalancer, "_phase_b_node", spy)
         spec = RunSpec(scenario="mesh:32x32+clustered", algorithm="pplb",
-                       seed=2, max_rounds=40, engine="rounds-fast")
+                       seed=2, max_rounds=40)
         fast = execute_spec(spec)
         assert len(visits) > 500
         assert visits.count(False) <= 0.01 * len(visits)
         monkeypatch.undo()
         monkeypatch.setattr("repro.runner.worker.make_balancer",
                             reference_balancer)
-        scalar = execute_spec(dataclasses.replace(spec, engine="rounds"))
+        scalar = execute_spec(spec)
         assert [asdict(r) for r in fast.records] == [
             asdict(r) for r in scalar.records
         ]
@@ -242,17 +246,33 @@ HUB_DIGESTS = {
 }
 
 
+def _first_lane(spec):
+    """*spec* run as the first lane of a two-replicate batch."""
+    return execute_batch([spec, dataclasses.replace(spec, seed=spec.seed + 1)])[0]
+
+
+#: every way a hub spec runs: (engine name, runner). Both task engines
+#: through the runner, the rounds engine replicate-batched, and the
+#: heap-driven event oracle by class (no engine name builds it).
+HUB_RUNS = {
+    "rounds": ("rounds", execute_spec),
+    "rounds-batched": ("rounds", _first_lane),
+    "events": ("events", execute_spec),
+    "EventSimulator": ("events", functools.partial(run_on, EventSimulator)),
+}
+
+
 class TestHubDigests:
     """High-degree trajectories stay byte-identical on every engine."""
 
-    @pytest.mark.parametrize("engine",
-                             ["rounds", "rounds-fast", "events", "events-fast"])
+    @pytest.mark.parametrize("run", list(HUB_RUNS))
     @pytest.mark.parametrize("scenario,config", list(HUB_DIGESTS))
-    def test_hub_result_digest_is_frozen(self, scenario, config, engine):
+    def test_hub_result_digest_is_frozen(self, scenario, config, run):
+        engine, execute = HUB_RUNS[run]
         spec = RunSpec(scenario=scenario, algorithm="pplb", seed=0,
                        max_rounds=60, engine=engine,
                        algorithm_kwargs=json.loads(config))
-        payload = execute_spec(spec).to_dict()
+        payload = execute(spec).to_dict()
         del payload["wall_time_s"]
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()

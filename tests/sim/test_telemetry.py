@@ -8,7 +8,9 @@ at all (byte-identical to the pre-telemetry wire format). *Fidelity*:
 the counters a probe reports describe the decisions actually taken, so
 the decision-invariant subset must agree exactly between PPLB pinned to
 the reference Phase-B sweep and plain PPLB, which screens (on
-``rounds``, and from ``events`` to ``events-fast``), while the
+:class:`~repro.sim.Simulator`, and from the heap-driven
+:class:`~repro.sim.EventSimulator` to the ``events`` engine's
+:class:`~repro.sim.EventFastSimulator`), while the
 screen-effectiveness counters (``balancer.phase_b_nodes``,
 ``screen.*``) are exactly the ones allowed to differ.
 """

@@ -111,12 +111,14 @@ class TestEngineFlag:
         out = capsys.readouterr().out
         assert "1 specs: 1 executed, 0 from cache" in out
 
-    def test_run_with_events_fast_engine(self, capsys):
-        rc = main(["run", "--scenario", "torus-hotspot", "--algorithm", "pplb",
-                   "--rounds", "40", "--seed", "1", "--engine", "events-fast"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "events-fast engine" in out
+    @pytest.mark.parametrize("command", ["run", "compare", "run-grid", "profile"])
+    def test_engine_choices_are_the_three_time_models(self, command):
+        argv = [command, "mesh-hotspot"] if command == "profile" else [command]
+        for engine in ("rounds", "events", "fluid"):
+            assert build_parser().parse_args([*argv, "--engine", engine]).engine == engine
+        for legacy in ("rounds-fast", "events-fast"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--engine", legacy])
 
 
 class TestCacheStats:
@@ -125,7 +127,7 @@ class TestCacheStats:
 
     def test_stats_break_entries_down_by_engine(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(self.GRID + ["--engine", "events-fast",
+        assert main(self.GRID + ["--engine", "events",
                                  "--cache-dir", cache_dir]) == 0
         assert main(self.GRID + ["--engine", "rounds",
                                  "--cache-dir", cache_dir]) == 0
@@ -133,18 +135,21 @@ class TestCacheStats:
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "entries    : 2" in out
-        assert "events-fast: 1" in out
+        assert "events     : 1" in out
         assert "rounds     : 1" in out
 
     def test_stats_engine_filter(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(self.GRID + ["--engine", "events-fast",
+        assert main(self.GRID + ["--engine", "events",
                                  "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache_dir,
+                     "--engine", "events"]) == 0
+        assert "entries    : 1 (events)" in capsys.readouterr().out
+        # The legacy spelling counts its base engine's entries.
+        assert main(["cache", "stats", "--cache-dir", cache_dir,
                      "--engine", "events-fast"]) == 0
-        out = capsys.readouterr().out
-        assert "entries    : 1 (events-fast)" in out
+        assert "entries    : 1 (events)" in capsys.readouterr().out
 
     def test_stats_unknown_engine_is_a_clean_error(self, capsys, tmp_path):
         # Pinned diagnostic: an unknown engine name must fail with the
@@ -154,7 +159,7 @@ class TestCacheStats:
         assert rc == 2
         err = capsys.readouterr().err
         assert ("error: unknown engine 'warp'; available: "
-                "['events', 'events-fast', 'fluid', 'rounds', 'rounds-fast']"
+                "['events', 'fluid', 'rounds']"
                 ) in err
 
 
@@ -340,7 +345,7 @@ class TestProbeFlag:
 class TestProfileCommand:
     def test_profile_runs_and_writes_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
-        rc = main(["profile", "mesh:8x8+hotspot", "--engine", "events-fast",
+        rc = main(["profile", "mesh:8x8+hotspot", "--engine", "events",
                    "--rounds", "40", "--trace-out", str(trace)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -354,6 +359,16 @@ class TestProfileCommand:
         events = payload["traceEvents"]
         assert events and all(e["ph"] == "X" for e in events)
         assert {"play_round", "wake_wave"} <= {e["name"] for e in events}
+
+    def test_profile_batches_the_default_rounds_engine(self, capsys):
+        rc = main(["profile", "mesh:4x4+hotspot", "--rounds", "10",
+                   "--batch-replicates", "2"])
+        assert rc == 0
+        assert "batched, rounds engine" in capsys.readouterr().out
+        rc = main(["profile", "mesh:4x4+hotspot", "--rounds", "10",
+                   "--batch-replicates", "2", "--engine", "events"])
+        assert rc == 2
+        assert "rounds engine only" in capsys.readouterr().err
 
     def test_profile_requires_a_scenario(self):
         with pytest.raises(SystemExit):
@@ -373,7 +388,7 @@ class TestProfileCommand:
         from repro.runner.worker import execute_spec
 
         spec = RunSpec(scenario="mesh:5x5+hotspot", algorithm="pplb", seed=3,
-                       max_rounds=20, engine="rounds-fast", probe="counters",
+                       max_rounds=20, probe="counters",
                        algorithm_kwargs={"friction_jitter": jitter})
         result = execute_spec(spec)
         assert len(result.records) == 20  # one balancer step per round
@@ -415,7 +430,7 @@ class TestTuneCommand:
         args = build_parser().parse_args(["tune"])
         assert args.scenarios == ["mesh-hotspot", "torus-hotspot"]
         assert args.algorithm == "pplb"
-        assert args.engine == "rounds-fast"
+        assert args.engine == "rounds"
         assert args.recorder == "summary"
 
     def test_rejects_non_pplb_algorithm(self):
@@ -461,7 +476,7 @@ class TestTuneCommand:
 class TestLeaderboardCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["leaderboard"])
-        assert args.engines == ["rounds-fast"]
+        assert args.engines == ["rounds"]
         assert args.seeds == 2
 
     def test_accepts_all_literal(self):

@@ -16,7 +16,7 @@ from repro.tuning import (
 )
 
 SCENARIOS = ["mesh:4x4+hotspot", "mesh:6x6+hotspot"]
-KW = dict(engines=["rounds-fast"], n_seeds=1, max_rounds=16, recorder="summary")
+KW = dict(engines=["rounds"], n_seeds=1, max_rounds=16, recorder="summary")
 
 
 def small_board(registry=None, **overrides):
@@ -31,6 +31,12 @@ class TestValidation:
     def test_rejects_fluid_engine(self):
         with pytest.raises(ConfigurationError, match="fluid"):
             build_leaderboard(SCENARIOS, engines=["fluid"])
+
+    def test_legacy_engine_spelling_joins_its_base_column(self):
+        # One column per behaviour: "rounds-fast" is the rounds engine.
+        payload = small_board(engines=["rounds", "rounds-fast"])
+        assert payload == small_board()
+        assert payload["engines"] == ["rounds"]
 
 
 class TestPayloadShape:
@@ -56,8 +62,8 @@ class TestPayloadShape:
         by_key = {(r["scenario"], r["engine"], r["algorithm"]): r
                   for r in payload["rows"]}
         for scenario in payload["scenarios"]:
-            tuned = by_key[(scenario, "rounds-fast", TUNED_NAME)]
-            default = by_key[(scenario, "rounds-fast", "pplb")]
+            tuned = by_key[(scenario, "rounds", TUNED_NAME)]
+            default = by_key[(scenario, "rounds", "pplb")]
             assert tuned["mean_final_cov"] == default["mean_final_cov"]
             assert tuned["rank"] < default["rank"]
 

@@ -9,7 +9,7 @@ from repro.tuning import TuneBudget, score_result, tune_scenario, tune_scenarios
 #: tiny but complete: 3 candidates, two rungs (8 -> 16), one GA child.
 TINY = dict(
     n_initial=3, eta=2, base_rounds=8, full_rounds=16, eval_seeds=1,
-    engine="rounds-fast", recorder="summary", ga_generations=1, ga_population=2,
+    engine="rounds", recorder="summary", ga_generations=1, ga_population=2,
 )
 SCENARIO = "mesh:4x4+hotspot"
 
@@ -43,6 +43,11 @@ class TestTuneBudget:
     def test_to_dict_round_trips(self):
         budget = tiny_budget()
         assert TuneBudget(**budget.to_dict()) == budget
+
+    @pytest.mark.parametrize("legacy, engine", [("rounds-fast", "rounds"),
+                                                ("events-fast", "events")])
+    def test_legacy_engine_spelling_is_the_base_engine(self, legacy, engine):
+        assert tiny_budget(engine=legacy) == tiny_budget(engine=engine)
 
 
 class TestScoreResult:

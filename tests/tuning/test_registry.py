@@ -86,9 +86,9 @@ class TestRegistryAccess:
 class TestSpecFor:
     def test_untuned_spec_key_equals_plain_default_spec(self):
         registry = TunedConfigRegistry()
-        tuned = registry.spec_for("mesh-hotspot", max_rounds=100, engine="rounds-fast")
+        tuned = registry.spec_for("mesh-hotspot", max_rounds=100, engine="rounds")
         plain = RunSpec(scenario="mesh-hotspot", algorithm="pplb",
-                        max_rounds=100, engine="rounds-fast")
+                        max_rounds=100, engine="rounds")
         assert tuned.key() == plain.key()
 
     def test_empty_override_entry_spec_key_equals_default(self):
@@ -112,14 +112,14 @@ class TestSpecFor:
         registry = TunedConfigRegistry()
         registry.put("mesh-hotspot", entry(mu_s_base=2.0, candidates_per_node=8))
         local = registry.spec_for("mesh-hotspot", max_rounds=100,
-                                  engine="rounds-fast").key()
+                                  engine="rounds").key()
         script = (
             "from repro.tuning import TunedConfig, TunedConfigRegistry\n"
             "r = TunedConfigRegistry()\n"
             "r.put('mesh-hotspot', TunedConfig(overrides="
             "{'mu_s_base': 2.0, 'candidates_per_node': 8}))\n"
             "print(r.spec_for('mesh-hotspot', max_rounds=100, "
-            "engine='rounds-fast').key())\n"
+            "engine='rounds').key())\n"
         )
         fresh = subprocess.run(
             [sys.executable, "-c", script],

@@ -14,7 +14,7 @@ def session_budget():
     final default re-score."""
     return TuneBudget(
         n_initial=32, eta=2, base_rounds=10, full_rounds=40, eval_seeds=1,
-        engine="rounds-fast", recorder="summary",
+        engine="rounds", recorder="summary",
         ga_generations=8, ga_population=4,
     )
 
@@ -22,7 +22,7 @@ def session_budget():
 def small_budget():
     return TuneBudget(
         n_initial=4, eta=2, base_rounds=8, full_rounds=16, eval_seeds=1,
-        engine="rounds-fast", recorder="summary",
+        engine="rounds", recorder="summary",
         ga_generations=1, ga_population=2,
     )
 
@@ -87,7 +87,7 @@ class TestPersistentPoolSpawns:
 class TestLeaderboardBackend:
     def test_leaderboard_identical_through_pool(self, tmp_path):
         kwargs = dict(
-            scenarios=[SCENARIO], engines=("rounds-fast",),
+            scenarios=[SCENARIO], engines=("rounds",),
             n_seeds=1, max_rounds=20,
         )
         serial = build_leaderboard(cache=ResultCache(tmp_path / "a"), **kwargs)
