@@ -4,14 +4,22 @@ Each cell builds the scenario, runs 5 rounds under the ``summary``
 recorder and checks the result shape — so every component (placements,
 links, heterogeneity, dynamics) is exercised through the full
 spec → worker → engine → recorder stack on all three execution models.
-Sizes are overridden down through the legacy shared-kwargs path to keep
-the matrix cheap.
+The task-engine cells also run replicate-batched and on the heap-driven
+event oracle, and each of those runs must reproduce its solo, runner-built
+counterpart exactly. Sizes are overridden down through the legacy
+shared-kwargs path to keep the matrix cheap.
 """
+
+import dataclasses
+import functools
 
 import pytest
 
 from repro.runner import ENGINES, ResultCache, RunSpec, execute_spec, run_grid
+from repro.runner.worker import execute_batch
+from repro.sim import EventSimulator
 from repro.workloads import SCENARIOS
+from tests.conftest import run_on
 
 def small_kwargs(scenario: str) -> dict:
     """Tiny-machine overrides per scenario.
@@ -25,10 +33,25 @@ def small_kwargs(scenario: str) -> dict:
         return {"dim": 3, "n_tasks": 32}
     return {"side": 4, "n_tasks": 32}
 
-TASK_ENGINES = ("rounds", "events")
+def _first_lane(spec):
+    """*spec* run as the first lane of a two-replicate batch."""
+    return execute_batch([spec, dataclasses.replace(spec, seed=spec.seed + 1)])[0]
+
+
+#: every way a task-engine cell runs: (engine name, runner). Both task
+#: engines through the runner, the rounds engine replicate-batched, and
+#: the heap-driven event oracle by class (no engine name builds it).
+#: A run whose runner is not ``execute_spec`` must equal the
+#: ``execute_spec`` result of the same spec.
+TASK_RUNS = {
+    "rounds": ("rounds", execute_spec),
+    "rounds-batched": ("rounds", _first_lane),
+    "events": ("events", execute_spec),
+    "EventSimulator": ("events", functools.partial(run_on, EventSimulator)),
+}
 
 #: the genuinely new compositions the refactor ships (each must run
-#: under both task engines).
+#: under every task-engine run).
 NEW_SCENARIOS = (
     "diurnal",
     "moving-hotspot",
@@ -39,17 +62,36 @@ NEW_SCENARIOS = (
 )
 
 
-def run_cell(scenario: str, engine: str, algorithm: str):
+def _payload(result) -> dict:
+    payload = result.to_dict()
+    del payload["wall_time_s"]
+    return payload
+
+
+def run_spec(spec: RunSpec, run: str):
+    """Run *spec* the way *run* names (a :data:`TASK_RUNS` key, or
+    ``"fluid"``), checking an indirect run against the solo one."""
+    if run == "fluid":
+        return execute_spec(spec)
+    engine, execute = TASK_RUNS[run]
+    spec = dataclasses.replace(spec, engine=engine)
+    result = execute(spec)
+    if execute is not execute_spec:
+        assert _payload(result) == _payload(execute_spec(spec))
+    return result
+
+
+def run_cell(scenario: str, run: str, algorithm: str):
     spec = RunSpec(
         scenario=scenario,
         algorithm=algorithm,
         seed=1,
         max_rounds=5,
         scenario_kwargs=small_kwargs(scenario),
-        engine=engine,
+        engine="fluid" if run == "fluid" else "rounds",
         recorder="summary",
     )
-    result = execute_spec(spec)
+    result = run_spec(spec, run)
     assert 1 <= result.n_rounds <= 5
     assert len(result.records) == 0  # summary keeps no per-round rows
     assert result.final_cov >= 0.0
@@ -58,10 +100,10 @@ def run_cell(scenario: str, engine: str, algorithm: str):
     return result
 
 
-@pytest.mark.parametrize("engine", TASK_ENGINES)
+@pytest.mark.parametrize("run", list(TASK_RUNS))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_every_scenario_runs_on_every_task_engine(scenario, engine):
-    run_cell(scenario, engine, "diffusion")
+def test_every_scenario_runs_on_every_task_engine(scenario, run):
+    run_cell(scenario, run, "diffusion")
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -85,21 +127,22 @@ def test_fluid_engine_is_a_projection_onto_the_initial_surface():
     assert a == b
 
 
-@pytest.mark.parametrize("engine", TASK_ENGINES)
+@pytest.mark.parametrize("run", list(TASK_RUNS))
 @pytest.mark.parametrize("scenario", NEW_SCENARIOS)
-def test_new_compositions_balance_under_pplb(scenario, engine):
+def test_new_compositions_balance_under_pplb(scenario, run):
     # The paper's own algorithm on each new composition, not just the
     # cheap baseline.
-    run_cell(scenario, engine, "pplb")
+    run_cell(scenario, run, "pplb")
 
 
-@pytest.mark.parametrize("engine", TASK_ENGINES + ("fluid",))
-def test_fully_dressed_composed_string_runs_everywhere(engine):
+@pytest.mark.parametrize("run", [*TASK_RUNS, "fluid"])
+def test_fully_dressed_composed_string_runs_everywhere(run):
     scenario = "mesh:6x6+clustered+fault-storm+tiered+diurnal"
-    algorithm = "fluid-diffusion" if engine == "fluid" else "pplb"
+    algorithm = "fluid-diffusion" if run == "fluid" else "pplb"
     spec = RunSpec(scenario=scenario, algorithm=algorithm, seed=2,
-                   max_rounds=5, engine=engine, recorder="summary")
-    result = execute_spec(spec)
+                   max_rounds=5, engine="fluid" if run == "fluid" else "rounds",
+                   recorder="summary")
+    result = run_spec(spec, run)
     assert 1 <= result.n_rounds <= 5
 
 
