@@ -10,7 +10,6 @@ out the test matrix.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import TopologyError
@@ -125,6 +124,8 @@ def star(n: int) -> Topology:
     """Star: node 0 is the hub connected to ``n-1`` leaves."""
     if n < 2:
         raise TopologyError(f"star needs at least 2 nodes, got {n}")
+    import networkx as nx
+
     g = nx.star_graph(n - 1)
     coords = np.zeros((n, 2), dtype=np.float64)
     coords[0] = (0.5, 0.5)
@@ -137,6 +138,8 @@ def complete(n: int) -> Topology:
     """Complete graph: the LAN-style 'all nodes adjacent' setting of §1."""
     if n < 2:
         raise TopologyError(f"complete graph needs at least 2 nodes, got {n}")
+    import networkx as nx
+
     g = nx.complete_graph(n)
     theta = 2 * np.pi * np.arange(n) / n
     coords = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
@@ -147,6 +150,8 @@ def tree(branching: int, depth: int) -> Topology:
     """Complete *branching*-ary tree of the given *depth* (root = node 0)."""
     if branching < 1 or depth < 0:
         raise TopologyError(f"invalid tree parameters: branching={branching}, depth={depth}")
+    import networkx as nx
+
     g = nx.balanced_tree(branching, depth)
     n = g.number_of_nodes()
     coords = np.zeros((n, 2), dtype=np.float64)
@@ -189,6 +194,8 @@ def kary_ncube(k: int, n: int) -> Topology:
         return hypercube(n)
     if k < 3:
         raise TopologyError(f"need k >= 3 (or exactly 2 for the hypercube), got {k}")
+    import networkx as nx
+
     total = k**n
     g = nx.Graph()
     g.add_nodes_from(range(total))
@@ -233,6 +240,8 @@ def random_connected(n: int, avg_degree: float = 4.0, seed: RngLike = None) -> T
     if n < 2:
         raise TopologyError(f"random topology needs at least 2 nodes, got {n}")
     rng = ensure_rng(seed)
+    import networkx as nx
+
     p = min(max(avg_degree / max(n - 1, 1), 0.0), 1.0)
     g = nx.Graph()
     g.add_nodes_from(range(n))

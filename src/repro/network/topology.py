@@ -19,14 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: largest number of BFS sources handed to one ``dijkstra`` call by the
 #: eccentricity bounding pass (bounds the ``(k, n)`` working set).
@@ -178,6 +180,8 @@ class Topology:
         construction — exactly what wrapping that networkx graph always
         produced.
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_nodes) if self._node_order is None else self._node_order)
         g.add_edges_from(self._edge_seq.tolist())
@@ -197,6 +201,8 @@ class Topology:
         not supply natural coordinates.
         """
         if self._coords is None:
+            import networkx as nx
+
             pos = nx.spring_layout(self.graph, seed=0)
             self._coords = np.asarray([pos[i] for i in range(self.n_nodes)], dtype=np.float64)
         return self._coords

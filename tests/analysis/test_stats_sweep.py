@@ -36,6 +36,34 @@ class TestMeanCI:
             mean_ci([1.0], confidence=1.5)
 
 
+class TestTQuantilePin:
+    """mean_ci's t quantile is scipy.stats.t.ppf's, bit for bit."""
+
+    CONFIDENCES = [0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
+    SAMPLES = [*range(2, 201), 10**3, 10**6]
+
+    def test_quantile_equals_t_ppf(self):
+        from scipy import stats
+
+        from repro.analysis.stats import t_quantile
+
+        for c in self.CONFIDENCES:
+            for n in self.SAMPLES:
+                expected = float(stats.t.ppf(0.5 + c / 2, df=n - 1))
+                assert t_quantile(c, n - 1) == expected, (c, n)
+
+    def test_half_width_is_t_ppf_times_sem(self):
+        import numpy as np
+        from scipy import stats
+
+        for n in self.SAMPLES:
+            x = np.sqrt(np.arange(n, dtype=np.float64))
+            sem = float(x.std(ddof=1) / np.sqrt(n))
+            for c in self.CONFIDENCES:
+                t = float(stats.t.ppf(0.5 + c / 2, df=n - 1))
+                assert mean_ci(x, c) == (float(x.mean()), t * sem), (c, n)
+
+
 def _fake_run(name="algo", cov=0.1, rounds=10, converged=5):
     res = SimulationResult(balancer_name=name)
     for r in range(rounds):

@@ -25,6 +25,7 @@ from repro.runner.registry import make_balancer
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.workloads import build_scenario
+from tests.physics_checker import PhysicsChecker
 
 #: ≥6 scenarios × 4 algorithms as demanded by the acceptance criteria:
 #: faulted links (up-mask screening), heterogeneous speeds (the
@@ -66,7 +67,8 @@ def _batch_vs_solo(scenario_name, algorithm, seeds=SEEDS, rounds=60,
                    size=SIZE, criteria=None, probe="null",
                    algorithm_kwargs=None):
     """Run seeds batched and solo; return [(batch, solo), ...] where
-    each element is an (result, final_loads, rng_state) triple."""
+    each element is an (result, final_loads, rng_state) triple. Every
+    round of every batch lane passes the physics checker."""
     sims = []
     topology = None
     for seed in seeds:
@@ -76,7 +78,12 @@ def _batch_vs_solo(scenario_name, algorithm, seeds=SEEDS, rounds=60,
         if topology is None:
             topology = sim.topology
         sims.append(sim)
+    checkers = [PhysicsChecker(sim) for sim in sims]
     batch_results = BatchSimulator(sims).run(max_rounds=rounds)
+    for checker, result in zip(checkers, batch_results):
+        checker.finish(result)
+        # Skipped and frozen rounds too, not only the stepped ones.
+        assert checker.rounds_checked == result.n_rounds
     pairs = []
     for seed, sim, batch_result in zip(seeds, sims, batch_results):
         solo = _build_sim(scenario_name, algorithm, seed, size=size,
@@ -200,6 +207,19 @@ class TestBatchEquivalence:
     def test_rejects_empty_batch(self):
         with pytest.raises(ConfigurationError):
             BatchSimulator([])
+
+
+class TestBatchPhysics:
+    """Three-replicate batches over a static and a churning surface, for
+    a balancer whose lanes skip idle steps and one whose lanes never do
+    (every batch in this file is physics-checked by `_batch_vs_solo`)."""
+
+    @pytest.mark.parametrize("scenario", ["mesh-hotspot", "diurnal"])
+    @pytest.mark.parametrize("algorithm", ["pplb", "diffusion"])
+    def test_checked_lanes_reproduce_solo_runs(self, scenario, algorithm):
+        for batch, solo in _batch_vs_solo(scenario, algorithm, seeds=[0, 1, 2],
+                                          rounds=120):
+            _assert_identical(batch, solo)
 
 
 class TestComposedScenarioFuzz:

@@ -15,6 +15,8 @@ from repro.baselines import FluidDiffusion
 from repro.baselines.diffusion import optimal_alpha
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.interfaces import FluidBalancer
+from repro.network import builders
+from repro.runner.registry import FLUID_FACTORIES, make_balancer
 from repro.sim import FluidSimulator
 from repro.sim.engine import ConvergenceCriteria
 
@@ -86,6 +88,35 @@ class TestBehaviour:
         sim.run(max_rounds=1)
         assert sim.h[0] == pytest.approx(1.5)
         assert sim.h[1] == pytest.approx(0.5)
+
+
+class TestPerRoundConservation:
+    """Every fluid balancer only moves load: after every round the total
+    is the initial one and no node is negative."""
+
+    @pytest.mark.parametrize("algorithm", sorted(FLUID_FACTORIES))
+    @pytest.mark.parametrize(
+        "topology", [builders.mesh(6), builders.torus(5), builders.hypercube(4)],
+        ids=lambda t: t.name,
+    )
+    def test_sum_and_sign_after_every_round(self, algorithm, topology):
+        h0 = np.random.default_rng(7).exponential(3.0, topology.n_nodes)
+        h0[0] += 10.0 * topology.n_nodes
+        total = float(h0.sum())
+        sim = FluidSimulator(topology, h0, make_balancer(algorithm))
+        play_round = sim.play_round
+        checked = []
+
+        def checked_play_round(round_index):
+            stats = play_round(round_index)
+            assert float(sim.h.sum()) == pytest.approx(total, rel=1e-9, abs=0.0)
+            assert sim.h.min() >= -1e-9
+            checked.append(round_index)
+            return stats
+
+        sim.play_round = checked_play_round
+        res = sim.run(max_rounds=150)
+        assert checked == list(range(res.n_rounds)) and res.n_rounds > 1
 
 
 class TestKernelRecordParity:
