@@ -11,6 +11,23 @@ Robustness: writes are atomic (temp file + ``os.replace``) so an
 interrupted run never leaves a truncated entry, and unreadable/corrupt
 entries are treated as misses rather than errors.
 
+Entry format 2: packed round columns
+------------------------------------
+A result's per-round log is twelve equal-length lists, ~800 numbers for
+a 67-round run, and parsing them one JSON float at a time was most of
+a replay's cost. So when a payload's ``"columns"`` holds exactly the
+:data:`~repro.sim.results.ROUND_FIELDS` lists, a version-2 entry
+stores them as ``{"rounds": n, "b64": ...}``: one base64 block of the
+six int64 columns, then the six float64 columns, little-endian, each
+column ``n`` values long (96 bytes per round). :meth:`ResultCache.get`
+decodes it back into the same lists in the same key order, so callers
+see the payload :meth:`~repro.sim.SimulationResult.to_dict` produced,
+``json.dumps``-identical. Every other key, and every payload without
+such columns (the legacy ``"records"`` form, arbitrary payloads), is
+stored as plain JSON. Version-1 entries (lists throughout) still
+replay; builds that only read version 1 see version-2 entries as
+misses and re-execute, so a shared cache never crashes either.
+
 The index sidecar
 -----------------
 ``<root>/index.jsonl`` is an append-only metadata log: one line per
@@ -33,19 +50,103 @@ writer) with last-write-wins per key.
 
 from __future__ import annotations
 
+import binascii
 import json
 import logging
 import os
 import pathlib
 import tempfile
 
+import numpy as np
+
+from repro.sim.results import ROUND_FIELDS
+
 logger = logging.getLogger(__name__)
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+#: entry versions :meth:`ResultCache.get` replays (1: columns as lists).
+_READABLE_VERSIONS = (1, 2)
 
 #: the metadata sidecar's filename (lives at the cache root, outside
 #: the two-hex-digit shard directories so entry scans never see it).
 INDEX_NAME = "index.jsonl"
+
+_COLUMN_NAMES = tuple(name for name, _ in ROUND_FIELDS)
+_COLUMN_SET = frozenset(_COLUMN_NAMES)
+_INT_NAMES = tuple(name for name, dtype in ROUND_FIELDS if dtype is np.int64)
+_FLOAT_NAMES = tuple(name for name, dtype in ROUND_FIELDS if dtype is np.float64)
+_INT_BLOCK = np.dtype("<i8")
+_FLOAT_BLOCK = np.dtype("<f8")
+#: packed bytes per round: one int64 or float64 per field.
+_ROUND_BYTES = 8 * len(_COLUMN_NAMES)
+
+
+def _pack_columns(payload: object) -> object:
+    """*payload* with its round columns packed for the entry format.
+
+    The columns go through the same two conversions
+    :meth:`~repro.sim.results.RoundLog.from_columns` makes, so the
+    entry rebuilds into the same result; a
+    :meth:`~repro.sim.SimulationResult.to_dict` payload also replays
+    ``json.dumps``-identical. Returns the payload itself when
+    ``"columns"`` is not exactly the :data:`ROUND_FIELDS` lists of one
+    length that int64 and float64 blocks hold; those stay plain JSON.
+    """
+    columns = payload.get("columns") if isinstance(payload, dict) else None
+    if not isinstance(columns, dict) or columns.keys() != _COLUMN_SET:
+        return payload
+    try:
+        ints = np.array([columns[name] for name in _INT_NAMES], dtype=_INT_BLOCK)
+        floats = np.array([columns[name] for name in _FLOAT_NAMES], dtype=_FLOAT_BLOCK)
+    except (TypeError, ValueError, OverflowError):
+        return payload  # ragged, or values no numeric block holds
+    if ints.ndim != 2 or floats.shape != ints.shape:
+        return payload
+    block = binascii.b2a_base64(ints.tobytes() + floats.tobytes(), newline=False)
+    return {**payload,
+            "columns": {"rounds": ints.shape[1], "b64": block.decode("ascii")}}
+
+
+def _unpack_columns(packed: dict) -> dict[str, list] | None:
+    """The :data:`ROUND_FIELDS` lists of a packed block, or None when
+    the block is malformed (bad ``rounds``, not base64, wrong length)."""
+    rounds, text = packed.get("rounds"), packed.get("b64")
+    if type(rounds) is not int or rounds < 0 or not isinstance(text, str):
+        return None
+    size = _ROUND_BYTES * rounds
+    # Exactly the characters *size* bytes encode to: a2b_base64 skips
+    # characters outside the alphabet, so any such character leaves
+    # the decoded block short of *size* (or fails the padding check).
+    if len(text) != 4 * -(-size // 3):
+        return None
+    try:
+        block = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error, or non-ASCII text
+        return None
+    if len(block) != size:
+        return None
+    n_ints, n_floats = len(_INT_NAMES), len(_FLOAT_NAMES)
+    ints = np.frombuffer(block, _INT_BLOCK, count=n_ints * rounds)
+    floats = np.frombuffer(block, _FLOAT_BLOCK, offset=8 * n_ints * rounds)
+    lists = dict(zip(_INT_NAMES, ints.reshape(n_ints, rounds).tolist()))
+    lists.update(zip(_FLOAT_NAMES, floats.reshape(n_floats, rounds).tolist()))
+    return {name: lists[name] for name in _COLUMN_NAMES}
+
+
+def _entry_result(entry: object) -> object | None:
+    """The JSON-ready result payload of a parsed entry, or None when
+    the entry is not one :meth:`ResultCache.get` can replay."""
+    if not isinstance(entry, dict) or entry.get("version") not in _READABLE_VERSIONS:
+        return None
+    result = entry.get("result")
+    if entry["version"] == 2 and isinstance(result, dict):
+        columns = result.get("columns")
+        if isinstance(columns, dict) and "b64" in columns:
+            columns = _unpack_columns(columns)
+            if columns is None:
+                return None
+            result["columns"] = columns
+    return result
 
 
 class ResultCache:
@@ -84,22 +185,27 @@ class ResultCache:
         """Stored payload for *key*, or None (corrupt entries = miss)."""
         path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            with open(path, "rb") as fh:
+                result = _entry_result(json.loads(fh.read()))
         except (OSError, ValueError):
             # ValueError covers both JSONDecodeError and the
             # UnicodeDecodeError a binary stray file raises.
-            self.misses += 1
-            return None
-        if (
-            not isinstance(entry, dict)
-            or "result" not in entry
-            or entry.get("version") != CACHE_FORMAT_VERSION
-        ):
+            result = None
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
-        return entry["result"]
+        return result
+
+    def reject(self) -> None:
+        """Recount the last :meth:`get` hit as a miss.
+
+        For a payload that parsed but that the caller cannot rebuild
+        into a result: the spec re-executes and :meth:`put` rewrites
+        the entry whole.
+        """
+        self.hits -= 1
+        self.misses += 1
 
     def put(
         self,
@@ -120,7 +226,7 @@ class ResultCache:
             "version": CACHE_FORMAT_VERSION,
             "key": key,
             "spec": spec_dict,
-            "result": result_payload,
+            "result": _pack_columns(result_payload),
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -255,8 +361,8 @@ class ResultCache:
                 if self.root.is_dir():
                     for path in sorted(self.root.glob("*/*.json")):
                         try:
-                            with open(path, "r", encoding="utf-8") as entry_fh:
-                                entry = json.load(entry_fh)
+                            with open(path, "rb") as entry_fh:
+                                entry = json.loads(entry_fh.read())
                             key = entry["key"]
                             spec = entry.get("spec") or {}
                         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -269,7 +375,7 @@ class ResultCache:
                         if with_metrics:
                             try:
                                 result = SimulationResult.from_dict(
-                                    entry["result"]
+                                    _entry_result(entry)
                                 )
                                 metrics = default_metrics(result)
                             except Exception as exc:

@@ -35,12 +35,19 @@ from dataclasses import dataclass, field
 from os import PathLike
 from typing import Callable, Optional, Sequence
 
+from repro.exceptions import ConfigurationError
 from repro.runner.backends import ExecutionBackend, resolve_backend
 from repro.runner.cache import ResultCache
 from repro.runner.sink import ColumnarResultLog, default_metrics
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_batch_payload, execute_payload
 from repro.sim import SimulationResult
+
+#: what rebuilding a cached payload that parsed as JSON but is no
+#: result raises (a scalar, a foreign dict, columns missing fields).
+_MALFORMED_PAYLOAD = (
+    ConfigurationError, KeyError, TypeError, ValueError, OverflowError,
+)
 
 #: progress callback signature: (outcome, completed count, total count)
 ProgressFn = Callable[["RunOutcome", int, int], None]
@@ -177,8 +184,6 @@ class RunOutcome:
         balancer's self-reported display name is kept as ``balancer``.
         """
         if self.result is None:
-            from repro.exceptions import ConfigurationError
-
             raise ConfigurationError(
                 "cannot build a summary row from a metric-level outcome "
                 "(run_grid(..., keep_results=False)); re-run with "
@@ -349,8 +354,14 @@ def run_grid(
                 continue
         payload = cache.get(keys[i])
         if payload is not None:
-            result = SimulationResult.from_dict(payload)
-            spec_metrics = default_metrics(result) if want_metrics else None
+            try:
+                result = SimulationResult.from_dict(payload)
+                spec_metrics = default_metrics(result) if want_metrics else None
+            except _MALFORMED_PAYLOAD:
+                # Parseable JSON but no result: a miss, not a crash.
+                cache.reject()
+                pending.append(i)
+                continue
             emit(i, RunOutcome(
                 spec=spec,
                 key=keys[i],

@@ -100,7 +100,9 @@ ROUND_FIELDS: tuple[tuple[str, type], ...] = (
     ("asleep", _INT),
 )
 _FIELD_NAMES = tuple(name for name, _ in ROUND_FIELDS)
-_INT_FIELDS = frozenset(name for name, dtype in ROUND_FIELDS if dtype is _INT)
+_INT_NAMES = tuple(name for name, dtype in ROUND_FIELDS if dtype is _INT)
+_FLOAT_NAMES = tuple(name for name, dtype in ROUND_FIELDS if dtype is _FLOAT)
+_INT_FIELDS = frozenset(_INT_NAMES)
 _MIN_CAPACITY = 64
 
 
@@ -204,10 +206,16 @@ class RoundLog:
                 f"columnar payload has ragged columns (lengths {sorted(lengths)})"
             )
         n = lengths.pop() if lengths else 0
-        log = cls(capacity=n)
-        for name, dtype in ROUND_FIELDS:
-            log._arrays[name][:n] = np.asarray(columns[name], dtype=dtype)
-        log._n = n
+        # Two conversions, not twelve: each row of a 2-D block is a
+        # contiguous column the log then owns at capacity n.
+        ints = np.array([columns[name] for name in _INT_NAMES], dtype=_INT)
+        floats = np.array([columns[name] for name in _FLOAT_NAMES], dtype=_FLOAT)
+        if ints.ndim != 2 or floats.ndim != 2:
+            raise ConfigurationError("columnar payload holds non-scalar values")
+        log = cls.__new__(cls)
+        log._arrays = dict(zip(_INT_NAMES, ints))
+        log._arrays.update(zip(_FLOAT_NAMES, floats))
+        log._n = log._capacity = n
         return log
 
     @classmethod

@@ -29,7 +29,7 @@ class TestResultCache:
         entry = json.loads(path.read_text())
         assert entry["spec"] == {"scenario": "mesh-hotspot", "seed": 5}
         assert entry["key"] == KEY
-        assert entry["version"] == 1
+        assert entry["version"] == 2
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -94,6 +94,13 @@ class TestRoundLog:
         with pytest.raises(ConfigurationError, match="missing"):
             RoundLog.from_columns(cols)
 
+    def test_nested_column_values_rejected(self):
+        cols = {name: [[v] for v in values]
+                for name, values in RoundLog.from_records([rec(0), rec(1)])
+                .to_columns().items()}
+        with pytest.raises(ConfigurationError, match="non-scalar"):
+            RoundLog.from_columns(cols)
+
 
 class TestMakeRecorder:
     def test_spec_strings(self):
