@@ -16,8 +16,8 @@ Conventions:
   monotonicity, bounds) — never absolute numbers.
 * Grid-shaped experiments go through :func:`run_grid_specs`, the
   parallel runner's entry point: serial by default, parallel when
-  ``PPLB_BENCH_WORKERS`` is set (parallel results are identical to
-  serial ones), cached when ``PPLB_BENCH_CACHE`` names a directory.
+  ``PPLB_WORKERS`` is set (parallel results are identical to serial
+  ones), cached when ``PPLB_BENCH_CACHE`` names a directory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pathlib
 from typing import Callable, Sequence
 
 from repro.core import ParticlePlaneBalancer, PPLBConfig
-from repro.exceptions import ConfigurationError
 from repro.interfaces import Balancer
 from repro.runner import RunOutcome, RunSpec, run_grid
 from repro.sim import SimulationResult, Simulator
@@ -87,20 +86,12 @@ def default_pplb(**overrides) -> ParticlePlaneBalancer:
 def run_grid_specs(specs: Sequence[RunSpec]) -> list[RunOutcome]:
     """Run an experiment grid through the parallel runner.
 
-    Workers come from ``PPLB_BENCH_WORKERS`` (default 1 = serial, so
-    benchmark results are reproducible with no environment setup;
-    0 = one per core); set ``PPLB_BENCH_CACHE`` to a directory to reuse
-    results across benchmark invocations.
+    Serial unless ``PPLB_WORKERS`` pins a width (0 = one per core),
+    so benchmark results are reproducible with no environment setup;
+    set ``PPLB_BENCH_CACHE`` to a directory to reuse results across
+    benchmark invocations.
     """
-    raw = os.environ.get("PPLB_BENCH_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"PPLB_BENCH_WORKERS must be an integer (0 = one per core), got {raw!r}"
-        ) from None
-    cache = os.environ.get("PPLB_BENCH_CACHE") or None
-    return run_grid(specs, workers=workers, cache=cache)
+    return run_grid(specs, cache=os.environ.get("PPLB_BENCH_CACHE") or None)
 
 
 def once(benchmark, fn: Callable[[], object]):

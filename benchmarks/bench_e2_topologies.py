@@ -8,7 +8,7 @@ the hypercube [6]; PPLB claims topology-independent convergence
 Reproduced artifact: a table of (final CoV, rounds to quiesce, total
 traffic) per algorithm × topology. The 12-run grid goes through the
 parallel runner (see ``_harness.run_grid_specs``): serial by default,
-``PPLB_BENCH_WORKERS=4`` fans it across 4 processes with identical
+``PPLB_WORKERS=4`` fans it across 4 processes with identical
 results.
 
 Expected shape: PPLB converges on every topology; richer topologies

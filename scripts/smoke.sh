@@ -42,8 +42,7 @@ grep -q "8 specs: 8 executed, 0 from cache" "$CACHE_DIR/first.out"
 grep -q "runner: pool backend, 2 worker(s)" "$CACHE_DIR/first.out"
 
 echo "==> runner grid again (must be fully cached, via the pool backend)"
-python -m repro.cli run-grid $GRID --workers 2 --backend pool \
-    | tee "$CACHE_DIR/second.out"
+python -m repro.cli run-grid $GRID --workers 2 | tee "$CACHE_DIR/second.out"
 grep -q "8 specs: 0 executed, 8 from cache" "$CACHE_DIR/second.out"
 
 echo "==> event-engine grid (2 specs, async execution model)"

@@ -25,7 +25,7 @@ Package map
 ``repro.core``      — the PPLB algorithm (§4-5)
 ``repro.baselines`` — diffusion, dimension exchange, GM, CWN, … (§2)
 ``repro.sim``       — simulation engines (synchronous rounds + async events)
-``repro.analysis``  — convergence fits, sweeps, tables, ASCII plots
+``repro.analysis``  — convergence fits, statistics, tables, ASCII plots
 ``repro.runner``    — parallel experiment runner with result caching
 """
 

@@ -6,9 +6,6 @@
   record objects.
 * :mod:`stats <repro.analysis.stats>` — multi-seed means and confidence
   intervals.
-* :mod:`sweep <repro.analysis.sweep>` — parameter-sweep harness used by
-  the benchmark suite (fans out across processes via
-  :mod:`repro.runner` when asked; serial results are bit-identical).
 * :mod:`tables <repro.analysis.tables>` / :mod:`plots
   <repro.analysis.plots>` — ASCII rendering of the paper-style tables
   and series (the environment is headless; figures are printed, not
@@ -20,7 +17,6 @@
 
 from repro.analysis.convergence import fit_convergence_rate, rounds_to_fraction
 from repro.analysis.stats import mean_ci, summarize_runs
-from repro.analysis.sweep import SweepResult, run_sweep
 from repro.analysis.tables import format_table
 from repro.analysis.plots import ascii_plot
 
@@ -29,8 +25,6 @@ __all__ = [
     "rounds_to_fraction",
     "mean_ci",
     "summarize_runs",
-    "run_sweep",
-    "SweepResult",
     "format_table",
     "ascii_plot",
 ]

@@ -66,13 +66,12 @@ decision counters onto the result, ``trace`` additionally writes a
 Chrome trace-event JSON per run. Probes observe, never steer: results
 are bit-identical under every probe.
 
-``compare``, ``run-grid``, ``tune`` and ``leaderboard`` additionally
-accept ``--backend {serial,pool}``: where execution happens. The
-default follows ``--workers`` (serial at width 1, the persistent
-chunked worker pool otherwise); backends are shared per process, so
-consecutive grids in one invocation reuse warm workers. The
-``PPLB_WORKERS`` environment variable pins the resolved worker count
-everywhere.
+On ``compare``, ``run-grid``, ``tune`` and ``leaderboard``,
+``--workers`` alone picks where execution happens: serial at width 1,
+the persistent chunked worker pool otherwise. The pool is shared per
+process, so consecutive grids in one invocation reuse warm workers.
+The ``PPLB_WORKERS`` environment variable pins the resolved worker
+count everywhere.
 
 Global flags (before the subcommand): ``-v``/``-vv`` raise log
 verbosity to INFO/DEBUG, ``--log-level LEVEL`` sets it exactly.
@@ -95,7 +94,6 @@ from repro.analysis import ascii_plot, format_table
 from repro.core import PPLBConfig
 from repro.exceptions import ReproError
 from repro.runner import (
-    BACKENDS,
     ENGINES,
     FACTORIES,
     FLUID_FACTORIES,
@@ -263,8 +261,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for name in names
         if name != "none"
     ]
-    outcomes = run_grid(specs, workers=args.workers, cache=_cache_from(args),
-                        backend=args.backend)
+    outcomes = run_grid(specs, workers=args.workers, cache=_cache_from(args))
     rows = [o.row() for o in outcomes]
     print(format_table(
         rows,
@@ -317,7 +314,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     outcomes = run_grid(specs, workers=args.workers, cache=cache,
                         progress=progress, metrics=metrics,
-                        backend=args.backend,
                         batch_replicates=args.batch_replicates)
     elapsed = time.perf_counter() - started
 
@@ -432,7 +428,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
             budget=budget,
             workers=args.workers,
             cache=cache,
-            backend=args.backend,
             batch_replicates=args.batch_replicates,
         )
         registry.put(report.scenario, TunedConfig(
@@ -498,7 +493,6 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=_cache_from(args),
         metrics=metrics,
-        backend=args.backend,
         batch_replicates=args.batch_replicates,
     )
     print(format_table(
@@ -659,13 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="disable the result cache")
 
-    def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                       help="execution backend: 'serial' (in-process "
-                            "reference loop) or 'pool' (persistent chunked "
-                            "worker pool, reused across grids); default "
-                            "follows --workers")
-
     def add_batch_replicates(p: argparse.ArgumentParser) -> None:
         p.add_argument("--batch-replicates", type=int, default=None,
                        metavar="N",
@@ -703,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (1 = serial, 0 = one per core)")
     add_engine(p_cmp)
     add_cache_args(p_cmp)
-    add_backend(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_grid = sub.add_parser(
@@ -725,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (1 = serial, 0 = one per core)")
     add_engine(p_grid)
     add_cache_args(p_grid)
-    add_backend(p_grid)
     add_batch_replicates(p_grid)
     p_grid.set_defaults(fn=cmd_run_grid)
 
@@ -806,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tuned-config registry JSON to merge winners "
                              "into (created if missing)")
     add_cache_args(p_tune)
-    add_backend(p_tune)
     add_batch_replicates(p_tune)
     p_tune.set_defaults(fn=cmd_tune)
 
@@ -844,7 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_board.add_argument("--output", default=None, metavar="PATH",
                          help="write the deterministic leaderboard JSON here")
     add_cache_args(p_board)
-    add_backend(p_board)
     add_batch_replicates(p_board)
     p_board.set_defaults(fn=cmd_leaderboard)
 

@@ -165,14 +165,6 @@ class LinkAttributes:
         """The paper's ``BW`` matrix (0 where no edge)."""
         return self._to_matrix(self.bandwidth)
 
-    def d_matrix(self) -> np.ndarray:
-        """The paper's ``D`` matrix (0 where no edge)."""
-        return self._to_matrix(self.distance)
-
-    def f_matrix(self) -> np.ndarray:
-        """The paper's ``F`` matrix (0 where no edge)."""
-        return self._to_matrix(self.fault_prob)
-
 
 def link_costs(
     attrs: LinkAttributes, c1: float = 1.0, e0: float = 1.0

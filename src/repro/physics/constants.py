@@ -81,7 +81,3 @@ class PhysicsParams:
     def frictionless(self) -> "PhysicsParams":
         """Copy of these parameters with ``µs = µk = 0`` (Corollary 1 setting)."""
         return replace(self, mu_s=0.0, mu_k=0.0)
-
-    def with_friction(self, mu_s: float, mu_k: float) -> "PhysicsParams":
-        """Copy with the given friction coefficients."""
-        return replace(self, mu_s=mu_s, mu_k=mu_k)

@@ -167,12 +167,6 @@ class HeightField:
         dzdy = ((z01 - z00) * (1 - tx) + (z11 - z10) * tx) / self.dy
         return float(dzdx), float(dzdy)
 
-    def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate vectors ``(xs, ys)`` of the grid nodes."""
-        xs = np.linspace(0.0, self.extent[0], self.nx)
-        ys = np.linspace(0.0, self.extent[1], self.ny)
-        return xs, ys
-
     def min_height(self) -> float:
         """Lowest grid height (the global valley floor)."""
         return float(self.z.min())

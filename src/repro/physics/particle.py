@@ -54,10 +54,6 @@ class ParticleState:
         """Horizontal speed ``|v|``."""
         return float(np.linalg.norm(self.velocity))
 
-    def kinetic_energy(self) -> float:
-        """``E_k = m·v²/2`` (paper §3.3)."""
-        return 0.5 * self.mass * self.speed**2
-
     def copy(self) -> "ParticleState":
         """Deep copy (arrays are duplicated)."""
         return ParticleState(

@@ -54,11 +54,9 @@ def seed_for(seed: RngLike, *keys: int) -> int:
     """Reduce the :func:`derive` stream keyed by (*seed*, \\*keys) to an int.
 
     The canonical way to mint one deterministic integer seed per grid
-    cell. Both the sweep harness (``seed_for(base_seed, point_index,
-    repetition)``) and the parallel runner's ``grid_seeds``
-    (``seed_for(base_seed, repetition)``) derive their seeds through
-    this helper — each with its own key layout, so seeds are stable
-    within a harness when its grid grows.
+    cell. The parallel runner's ``grid_seeds``
+    (``seed_for(base_seed, repetition)``) derives its seeds through
+    this helper, so seeds stay stable when a grid grows.
     """
     return int(derive(seed, *keys).integers(0, 2**31 - 1))
 

@@ -10,11 +10,11 @@ computed results from an on-disk cache:
   shared with the CLI.
 * :mod:`worker <repro.runner.worker>` — spec execution (the pure
   function spec → result that runs inside workers).
-* :mod:`backends <repro.runner.backends>` — pluggable execution
-  backends behind one :class:`ExecutionBackend` contract: ``serial``
-  (in-process reference loop) and ``pool`` (persistent, chunked
-  worker pool reused across grids, tune sessions and
-  :func:`repro.analysis.sweep.run_sweep`), plus
+* :mod:`backends <repro.runner.backends>` — execution backends
+  behind one :class:`ExecutionBackend` contract, picked by the
+  resolved worker count: :class:`SerialBackend` (in-process reference
+  loop) at width 1, :class:`PoolBackend` (persistent, chunked worker
+  pool reused across grids and tune sessions) above it; plus
   :func:`resolve_workers`.
 * :mod:`cache <repro.runner.cache>` — content-addressed JSON result
   store with an append-only ``index.jsonl`` sidecar (O(entries)
@@ -28,9 +28,6 @@ computed results from an on-disk cache:
   :class:`RunnerMetrics` to measure the execution pass itself
   (cache split, per-spec task time, worker utilization, queue wait,
   backend worker spawns).
-* :mod:`merge <repro.runner.merge>` — adapters into the existing
-  analysis structures (``SweepResult``, table rows, runner-metric
-  rows).
 
 Typical use (also exposed as ``pplb run-grid``)::
 
@@ -46,26 +43,17 @@ cached executions return results identical to it.
 """
 
 from repro.runner.backends import (
-    BACKENDS,
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    make_backend,
     resolve_backend,
     resolve_workers,
     shutdown_backends,
 )
 from repro.runner.cache import ResultCache
-from repro.runner.merge import (
-    default_metrics,
-    metrics_to_rows,
-    outcomes_to_rows,
-    outcomes_to_sweep,
-    spec_value,
-)
 from repro.runner.registry import FACTORIES, FLUID_FACTORIES, make_balancer
 from repro.runner.runner import RunnerMetrics, RunOutcome, run_grid
-from repro.runner.sink import METRIC_FIELDS, ColumnarResultLog
+from repro.runner.sink import METRIC_FIELDS, ColumnarResultLog, default_metrics
 from repro.runner.spec import (
     ENGINES,
     RunSpec,
@@ -76,7 +64,6 @@ from repro.runner.spec import (
 from repro.runner.worker import execute_spec
 
 __all__ = [
-    "BACKENDS",
     "ENGINES",
     "FACTORIES",
     "FLUID_FACTORIES",
@@ -93,15 +80,10 @@ __all__ = [
     "expand_component_grid",
     "expand_grid",
     "grid_seeds",
-    "make_backend",
     "make_balancer",
-    "metrics_to_rows",
-    "outcomes_to_rows",
-    "outcomes_to_sweep",
     "resolve_backend",
     "resolve_workers",
     "run_grid",
     "RunnerMetrics",
     "shutdown_backends",
-    "spec_value",
 ]

@@ -1,42 +1,40 @@
-"""Pluggable execution backends: where grid tasks actually run.
+"""Execution backends: where grid tasks actually run.
 
-The one place process-pool mechanics live. Every fan-out in the repo —
-:func:`~repro.runner.runner.run_grid`, the tuning loop and the generic
-sweep harness (:func:`repro.analysis.sweep.run_sweep`) — resolves a
-backend here and calls :meth:`ExecutionBackend.map_timed`, so a
-tuning session's hundreds of small evaluation batches share one set of
-warm workers instead of re-paying worker spawn (cold interpreter + full
-``repro`` import per process) per batch. The seam:
+The one place process-pool mechanics live. :func:`run_grid
+<repro.runner.runner.run_grid>` (and the tuning loop through it)
+resolves a backend here and calls :meth:`ExecutionBackend.map_timed`.
+The resolved worker count alone picks the backend
+(:func:`resolve_backend`):
 
-* :class:`SerialBackend` — the in-process loop, bit-identical to the
-  historical ``workers <= 1`` path. The reference implementation.
-* :class:`PoolBackend` — a **persistent** worker pool. The executor
-  spawns lazily on first use and survives across calls (and therefore
-  across ``run_grid``/``tune_scenario`` invocations), and tasks are
-  submitted in contiguous **chunks** so a 200-spec grid costs ~tens of
-  pickles, not hundreds. Spawns are observable: every chunk reports
-  the worker PID that ran it, so :meth:`PoolBackend.stats` (and
+* :class:`SerialBackend` at width 1 — the in-process loop, the
+  reference implementation.
+* :class:`PoolBackend` above it — a **persistent** worker pool. The
+  executor spawns lazily on first use and survives across calls (and
+  therefore across ``run_grid``/``tune_scenario`` invocations), so a
+  tuning session's hundreds of small evaluation batches share one set
+  of warm workers instead of re-paying worker spawn per batch. Tasks
+  are submitted in contiguous **chunks** of ``ceil(n / (4 · workers))``
+  items, so a 200-spec grid costs ~tens of pickles, not hundreds.
+  Every chunk reports the worker PID that ran it, so
+  :meth:`PoolBackend.stats` (and
   :class:`~repro.runner.runner.RunnerMetrics.workers_spawned`) count
   real process creations, not submissions.
+
+Code that manages its own lifecycle (a benchmark, a test spy) may pass
+an :class:`ExecutionBackend` instance instead; it is used as given.
 
 The contract every backend obeys: :meth:`ExecutionBackend.map_timed`
 returns ``(results, task_seconds)`` in **input order**, re-raises
 worker exceptions (cancelling not-yet-started work), and times each
 task inside the executing process. Because results cross the seam as
-the same JSON payloads the cache stores, *every* backend produces
+the same JSON payloads the cache stores, both backends produce
 bit-identical results for identical specs — the differential tests in
 ``tests/runner/test_backends.py`` pin this.
-
-A future distributed backend (SSH / work queue, following psim's
-``sweep_base.py`` worker-farm pattern) plugs in here: implement
-``map_timed`` over the remote transport, register it in
-:data:`_BACKENDS`, and the runner, the tuner and the CLI pick it up
-unchanged — nothing above this seam knows how tasks travel.
 
 Module-level helpers (:class:`_ChunkCall`) are picklable by reference,
 as the pool transport requires; task functions handed to a pool must be
 module-level too. This module must stay import-light — it is imported
-inside worker processes and by :mod:`repro.analysis.sweep`.
+inside worker processes.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ def resolve_workers(workers: int | None) -> int:
 
     A non-empty ``PPLB_WORKERS`` environment variable *pins* the width
     for every entry point that resolves through here (the runner, the
-    sweep harness, the execution backends, tuning) — so CI and the
+    execution backends, tuning) — so CI and the
     smoke scripts can fix parallelism without threading a flag through
     every call site. Semantics match the argument: ``0`` means one per
     core, anything else is used directly (floor 1).
@@ -115,7 +113,7 @@ class ExecutionBackend:
     :meth:`close` must be idempotent.
     """
 
-    #: registry name (what ``--backend`` selects).
+    #: reported as ``RunnerMetrics.backend`` and ``stats()["backend"]``.
     name = "abstract"
 
     def __init__(self) -> None:
@@ -188,16 +186,11 @@ class SerialBackend(ExecutionBackend):
 class PoolBackend(ExecutionBackend):
     """Persistent process pool with chunked task submission.
 
-    Parameters
-    ----------
-    workers:
-        Pool width (``0``/``None`` = one per core, via
-        :func:`resolve_workers`, so the
-        ``PPLB_WORKERS`` env override applies here too).
-    chunk_size:
-        Items per submitted chunk; default splits each call into
-        ``~4 × workers`` chunks (enough slack for load balancing,
-        few enough pickles to amortise IPC on large grids).
+    *workers* is the pool width (``0``/``None`` = one per core, via
+    :func:`resolve_workers`, so the ``PPLB_WORKERS`` env override
+    applies here too). Each call is split into ``~4 × workers`` chunks:
+    enough slack for load balancing, few enough pickles to amortise IPC
+    on large grids.
 
     The executor spawns lazily on the first :meth:`map_timed` and is
     *reused* by every later call until :meth:`close` — a tuning
@@ -209,14 +202,9 @@ class PoolBackend(ExecutionBackend):
 
     name = "pool"
 
-    def __init__(self, workers: int | None = None, chunk_size: int | None = None):
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
+    def __init__(self, workers: int | None = None):
         super().__init__()
         self._workers = resolve_workers(workers)
-        self._chunk_size = chunk_size
         self._executor: ProcessPoolExecutor | None = None
         self._pids_seen: set[int] = set()
 
@@ -229,10 +217,7 @@ class PoolBackend(ExecutionBackend):
 
     def _chunk_bounds(self, n: int) -> list[tuple[int, int]]:
         """Contiguous ``[start, stop)`` slices covering ``range(n)``."""
-        if self._chunk_size is not None:
-            size = self._chunk_size
-        else:
-            size = max(1, -(-n // (self._workers * 4)))  # ceil division
+        size = max(1, -(-n // (self._workers * 4)))  # ceil division
         return [(start, min(start + size, n)) for start in range(0, n, size)]
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -289,56 +274,36 @@ class PoolBackend(ExecutionBackend):
             self._executor = None
 
 
-#: registry of constructible backends (``--backend`` choices). A
-#: distributed (SSH / work-queue) backend registers here when it lands.
-_BACKENDS: dict[str, type[ExecutionBackend]] = {
-    SerialBackend.name: SerialBackend,
-    PoolBackend.name: PoolBackend,
-}
-
-BACKENDS = frozenset(_BACKENDS)
-
-#: shared long-lived instances, keyed by (name, resolved width) — the
+#: shared long-lived instances, keyed by resolved width — the
 #: persistence that lets consecutive run_grid calls reuse one pool.
-_shared: dict[tuple[str, int], ExecutionBackend] = {}
-
-
-def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
-    """A *fresh* backend instance by registry name (owned by the caller)."""
-    cls = _BACKENDS.get(name)
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
-        )
-    return cls() if cls is SerialBackend else cls(workers=workers)
+_shared: dict[int, ExecutionBackend] = {}
 
 
 def resolve_backend(
-    backend: ExecutionBackend | str | None,
+    backend: ExecutionBackend | None,
     workers: int | None = 1,
 ) -> ExecutionBackend:
     """The backend a runner call should execute on.
 
-    * an :class:`ExecutionBackend` instance passes through unchanged
-      (the caller owns its lifecycle);
-    * a registry name returns the *shared* instance of that backend at
-      the resolved worker width (created on first use, reused after);
-    * ``None`` keeps the historical behaviour: serial for a resolved
-      width of 1, the shared pool otherwise — so ``run_grid(...,
-      workers=4)`` transparently upgrades to the persistent pool.
+    An :class:`ExecutionBackend` instance passes through unchanged (the
+    caller owns its lifecycle). ``None`` returns the shared instance for
+    the resolved worker width — serial at 1, the persistent pool above
+    it — created on first use and reused after. Anything else (a
+    backend name, say) is a :class:`ConfigurationError`: the worker
+    count picks serial or pool.
     """
-    if isinstance(backend, ExecutionBackend):
+    if backend is not None:
+        if not isinstance(backend, ExecutionBackend):
+            raise ConfigurationError(
+                f"backend must be an ExecutionBackend instance or None, "
+                f"got {backend!r}; the worker count picks serial or pool"
+            )
         return backend
     width = resolve_workers(workers)
-    if backend is None:
-        backend = SerialBackend.name if width <= 1 else PoolBackend.name
-    if backend == SerialBackend.name:
-        width = 1
-    key = (backend, width)
-    instance = _shared.get(key)
+    instance = _shared.get(width)
     if instance is None:
-        instance = make_backend(backend, workers=width)
-        _shared[key] = instance
+        instance = SerialBackend() if width == 1 else PoolBackend(width)
+        _shared[width] = instance
     return instance
 
 

@@ -244,7 +244,7 @@ def run_grid(
     cache: ResultCache | str | PathLike | None = None,
     progress: Optional[ProgressFn] = None,
     metrics: RunnerMetrics | None = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: ExecutionBackend | None = None,
     sink: ColumnarResultLog | None = None,
     keep_results: bool = True,
     batch_replicates: int | None = None,
@@ -273,11 +273,10 @@ def run_grid(
         worker utilization, queue wait, backend spawns). Collection is
         passive — it never changes which specs run or what they return.
     backend:
-        Where execution happens: an
-        :class:`~repro.runner.backends.ExecutionBackend` instance, a
-        registry name (``"serial"``/``"pool"``), or None for the
-        historical behaviour (serial at width 1, the shared persistent
-        pool otherwise). Named/default backends are shared and survive
+        An :class:`~repro.runner.backends.ExecutionBackend` instance
+        the caller owns, used instead of (and ignoring) ``workers``;
+        None (the default) picks from the resolved width: serial at 1,
+        the shared persistent pool otherwise. Shared backends survive
         across calls, so consecutive grids reuse warm workers.
     sink:
         Optional :class:`~repro.runner.sink.ColumnarResultLog`:

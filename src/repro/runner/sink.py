@@ -12,10 +12,8 @@ monitoring tail sees results the moment they finish and a killed sweep
 keeps everything already landed).
 
 The metric schema is :func:`default_metrics` — the same seven scalars
-the analysis layer aggregates — which lives here (re-exported by
-:mod:`repro.runner.merge` for compatibility) so the sink, the cache
-index and the merge layer agree on one definition without import
-cycles.
+a grid reports — which lives here so the sink and the cache index
+agree on one definition without import cycles.
 
 Rows land in completion order (parallel backends complete out of
 order); every read surface (:meth:`rows`, :meth:`column`) sorts by the

@@ -18,8 +18,7 @@ cache entry.
 product in deterministic order; :func:`expand_component_grid` does the
 same over *component axes* (topology × placement × links × … —
 the workload cross product as data); :func:`grid_seeds` mints the per-
-repetition seeds with the same :func:`repro.rng.seed_for` discipline the
-sweep harness uses.
+repetition seeds through :func:`repro.rng.seed_for`.
 """
 
 from __future__ import annotations

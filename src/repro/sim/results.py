@@ -234,9 +234,12 @@ class RoundLog:
             return NotImplemented
         if self._n != other._n:
             return False
+        # NaN is a value a round can record (an undefined metric), so
+        # a NaN cell matches a NaN cell.
         return all(
             np.array_equal(
-                self._arrays[name][: self._n], other._arrays[name][: other._n]
+                self._arrays[name][: self._n], other._arrays[name][: other._n],
+                equal_nan=name not in _INT_FIELDS,
             )
             for name in _FIELD_NAMES
         )

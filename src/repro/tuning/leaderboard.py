@@ -45,7 +45,6 @@ def build_leaderboard(
     workers: int = 1,
     cache: ResultCache | str | PathLike | None = None,
     metrics: RunnerMetrics | None = None,
-    backend=None,
     batch_replicates: int | None = None,
 ) -> dict:
     """Run the comparison matrix and return the leaderboard payload.
@@ -125,7 +124,7 @@ def build_leaderboard(
     # engines run solo). Bit-identical per seed, so every row, rank and
     # the full payload are byte-identical to the unbatched build.
     outcomes = run_grid(specs, workers=workers, cache=cache, metrics=metrics,
-                        backend=backend, batch_replicates=batch_replicates)
+                        batch_replicates=batch_replicates)
 
     # ------------------------- aggregation -------------------------- #
     cells: dict[tuple[str, str, str], dict] = {}

@@ -49,8 +49,7 @@ from repro.sim import SimulationResult
 from repro.tuning.space import ParamSpace, default_pplb_space
 
 #: spawn-key tags for the tuner's derived RNG streams (disjoint from
-#: the scenario streams 0-3 and the sweep harness's layouts by the
-#: (seed, tag, scenario-crc) keying).
+#: the scenario streams 0-3 by the (seed, tag, scenario-crc) keying).
 _SAMPLE_STREAM = 101
 _GA_STREAM = 102
 
@@ -164,12 +163,11 @@ class _Evaluator:
 
     def __init__(self, report: TuneReport, seeds: Sequence[int],
                  workers: int, cache: ResultCache | None,
-                 backend=None, batch_replicates: int | None = None):
+                 batch_replicates: int | None = None):
         self.report = report
         self.seeds = list(seeds)
         self.workers = workers
         self.cache = cache
-        self.backend = backend
         self.batch_replicates = batch_replicates
         # canonical-json -> {rounds -> score}: dedup repeated evals (the
         # GA may re-propose a known candidate; the cache would absorb
@@ -199,7 +197,7 @@ class _Evaluator:
             spec_of.append(fresh[-1])
         outcomes = run_grid(
             fresh, workers=self.workers, cache=self.cache,
-            backend=self.backend, batch_replicates=self.batch_replicates,
+            batch_replicates=self.batch_replicates,
         ) if fresh else []
         self.report.n_specs += len(fresh)
         self.report.cache_hits += sum(1 for o in outcomes if o.cached)
@@ -240,7 +238,6 @@ def tune_scenario(
     budget: TuneBudget | None = None,
     workers: int = 1,
     cache: ResultCache | str | PathLike | None = None,
-    backend=None,
     batch_replicates: int | None = None,
 ) -> TuneReport:
     """Search the balancer parameter space for one scenario family.
@@ -261,14 +258,13 @@ def tune_scenario(
         :func:`~repro.runner.grid_seeds`).
     budget:
         A :class:`TuneBudget`; the default is a small smoke-size search.
-    workers, cache, backend:
+    workers, cache:
         Forwarded to :func:`~repro.runner.run_grid` for every
         evaluation batch, so tuning parallelises and replays like any
-        other grid. A persistent ``backend`` (an
-        :class:`~repro.runner.PoolBackend` instance, or the shared
-        ``"pool"``) keeps the *same* warm worker processes across every
-        halving rung and GA generation — one spawn per worker for the
-        whole session instead of one pool per evaluation batch.
+        other grid. Above width 1 the shared persistent pool keeps the
+        *same* warm worker processes across every halving rung and GA
+        generation — one spawn per worker for the whole session instead
+        of one pool per evaluation batch.
     batch_replicates:
         Forwarded to :func:`~repro.runner.run_grid`: groups each
         candidate's ``eval_seeds`` repetitions into one replicate-
@@ -304,7 +300,6 @@ def tune_scenario(
         seeds=grid_seeds(budget.eval_seeds, base_seed=seed),
         workers=workers,
         cache=cache,
-        backend=backend,
         batch_replicates=batch_replicates,
     )
 

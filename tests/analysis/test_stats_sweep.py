@@ -1,8 +1,8 @@
-"""Unit tests for repro.analysis.stats and repro.analysis.sweep."""
+"""Unit tests for repro.analysis.stats."""
 
 import pytest
 
-from repro.analysis import mean_ci, run_sweep, summarize_runs
+from repro.analysis import mean_ci, summarize_runs
 from repro.exceptions import ConfigurationError
 from repro.sim import RoundRecord, SimulationResult
 
@@ -97,39 +97,3 @@ class TestSummarizeRuns:
         assert row["converged"] == "0/1"
         assert row["converged_round"] == "—"
 
-
-class TestRunSweep:
-    def test_grid_and_aggregation(self):
-        def experiment(value, seed):
-            return {"metric": float(value) * 2.0, "noise": float(seed % 7)}
-
-        res = run_sweep("knob", [1, 2, 3], experiment, repetitions=3, base_seed=0)
-        assert res.points == [1, 2, 3]
-        assert res.series("metric") == [2.0, 4.0, 6.0]
-        assert len(res.raw) == 3
-        assert all(len(r) == 3 for r in res.raw)
-        assert "metric_ci" in res.rows[0]
-
-    def test_deterministic_seeding(self):
-        seen = {}
-
-        def experiment(value, seed):
-            seen.setdefault(value, []).append(seed)
-            return {"m": 0.0}
-
-        run_sweep("k", [1, 2], experiment, repetitions=2, base_seed=9)
-        first = dict(seen)
-        seen.clear()
-        run_sweep("k", [1, 2], experiment, repetitions=2, base_seed=9)
-        assert seen == first
-        # distinct seeds across (point, repetition) pairs
-        all_seeds = [s for v in first.values() for s in v]
-        assert len(set(all_seeds)) == len(all_seeds)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_sweep("k", [], lambda v, s: {"m": 0.0})
-        with pytest.raises(ConfigurationError):
-            run_sweep("k", [1], lambda v, s: {"m": 0.0}, repetitions=0)
-        with pytest.raises(ConfigurationError):
-            run_sweep("k", [1], lambda v, s: {})

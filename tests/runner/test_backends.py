@@ -8,18 +8,16 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.runner import (
-    BACKENDS,
     PoolBackend,
     ResultCache,
     RunnerMetrics,
     SerialBackend,
     expand_grid,
-    make_backend,
     resolve_backend,
     resolve_workers,
     run_grid,
 )
-from repro.runner.backends import _shared
+from repro.runner.backends import _shared, shutdown_backends
 
 
 def composed_grid():
@@ -57,7 +55,7 @@ def _boom(x):
 class TestBackendEquivalence:
     def test_serial_pool_cached_identical(self, tmp_path):
         """The tentpole differential: serial ≡ pool ≡ cached replay,
-        bit-identical SweepResult-grade payloads on a composed grid."""
+        bit-identical result payloads on a composed grid."""
         specs = composed_grid()
         cache = ResultCache(tmp_path)
         serial = run_grid(specs, backend=SerialBackend())
@@ -74,11 +72,11 @@ class TestBackendEquivalence:
         assert reference == json.dumps(deterministic_payloads(pooled))
         assert reference == json.dumps(deterministic_payloads(cached))
 
-    def test_explicit_names_match_default_path(self):
+    def test_explicit_instance_matches_default_path(self):
         specs = composed_grid()[:2]
-        by_name = run_grid(specs, backend="serial")
+        by_instance = run_grid(specs, backend=SerialBackend())
         by_default = run_grid(specs)
-        assert json.dumps(deterministic_payloads(by_name)) == json.dumps(
+        assert json.dumps(deterministic_payloads(by_instance)) == json.dumps(
             deterministic_payloads(by_default)
         )
 
@@ -100,19 +98,26 @@ class TestPoolPersistence:
         finally:
             backend.close()
 
-    def test_shared_instance_per_name_and_width(self):
-        a = resolve_backend("serial")
-        b = resolve_backend("serial")
+    def test_shared_instance_per_width(self):
+        a = resolve_backend(None, workers=1)
+        b = resolve_backend(None, workers=1)
         assert a is b
-        specs_backend = resolve_backend(None, workers=1)
-        assert specs_backend.name == "serial"
+        assert a.name == "serial"
 
     def test_default_upgrades_to_pool_for_parallel_widths(self):
         backend = resolve_backend(None, workers=2)
         assert backend.name == "pool"
         assert backend.workers() == 2
         assert resolve_backend(None, workers=2) is backend
-        assert ("pool", 2) in _shared
+        assert _shared[2] is backend
+
+    def test_shutdown_then_resolve_makes_fresh_instances(self):
+        before = resolve_backend(None, workers=2)
+        shutdown_backends()
+        assert not _shared
+        after = resolve_backend(None, workers=2)
+        assert after is not before
+        assert after.name == "pool" and after.workers() == 2
 
     def test_close_is_idempotent(self):
         backend = PoolBackend(workers=2)
@@ -126,17 +131,17 @@ class TestPoolPersistence:
 
 
 class TestChunking:
-    def test_explicit_chunk_size_preserves_order(self):
-        backend = PoolBackend(workers=2, chunk_size=3)
+    def test_chunked_map_preserves_order(self):
+        backend = PoolBackend(workers=2)
         try:
-            results, seconds = backend.map_timed(_square, list(range(10)))
+            results, seconds = backend.map_timed(_square, list(range(30)))
         finally:
             backend.close()
-        assert results == [x * x for x in range(10)]
-        assert len(seconds) == 10
+        assert results == [x * x for x in range(30)]
+        assert len(seconds) == 30
         assert all(s >= 0.0 for s in seconds)
-        # 10 items in chunks of 3 -> ceil(10/3) = 4 submissions.
-        assert backend.stats()["chunks"] == 4
+        # 30 items at width 2 -> chunks of ceil(30/8) = 4 -> 8 submissions.
+        assert backend.stats()["chunks"] == 8
 
     def test_default_chunking_covers_all_items(self):
         backend = PoolBackend(workers=2)
@@ -148,34 +153,58 @@ class TestChunking:
 
     def test_on_result_fires_once_per_item(self):
         landed = {}
-        backend = PoolBackend(workers=2, chunk_size=4)
+        backend = PoolBackend(workers=2)
         try:
             backend.map_timed(
-                _square, list(range(9)),
+                _square, list(range(20)),
                 on_result=lambda i, r, s: landed.__setitem__(i, r),
             )
         finally:
             backend.close()
-        assert landed == {i: i * i for i in range(9)}
+        assert landed == {i: i * i for i in range(20)}
+        assert backend.stats()["chunks"] > 1
 
-    def test_chunk_size_validated(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            PoolBackend(workers=2, chunk_size=0)
+
+    @pytest.mark.parametrize("n, expected_chunks", [
+        (1, 1),     # ceil(1/8) = 1 -> one chunk of one item
+        (8, 8),     # chunks of 1
+        (9, 5),     # chunks of ceil(9/8) = 2, the last holds one item
+        (100, 8),   # chunks of ceil(100/8) = 13, the last holds nine
+    ])
+    def test_chunk_bounds_partition_input(self, n, expected_chunks):
+        bounds = PoolBackend(workers=2)._chunk_bounds(n)
+        size = -(-n // 8)
+        assert len(bounds) == expected_chunks
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        # Contiguous, in order, every chunk but the last full-size.
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert all(stop - start == size for start, stop in bounds[:-1])
+        assert 0 < bounds[-1][1] - bounds[-1][0] <= size
+
+    def test_empty_map_spawns_nothing(self):
+        backend = PoolBackend(workers=2)
+        try:
+            assert backend.map_timed(_square, []) == ([], [])
+            stats = backend.stats()
+        finally:
+            backend.close()
+        assert stats["chunks"] == 0 and stats["tasks"] == 0
+        assert stats["workers_spawned"] == 0
+        assert backend._executor is None
 
 
 class TestRoster:
-    def test_registry_contents(self):
-        assert BACKENDS == {"serial", "pool"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            make_backend("ssh")
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            run_grid(composed_grid()[:1], backend="ssh")
-
     def test_instance_passthrough(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
+
+    def test_backend_name_rejected(self):
+        # The worker count picks serial or pool; a name is no longer
+        # an accepted backend.
+        with pytest.raises(ConfigurationError, match="ExecutionBackend"):
+            resolve_backend("pool")
+        with pytest.raises(ConfigurationError, match="ExecutionBackend"):
+            run_grid(composed_grid()[:1], backend="serial")
 
 
 class TestEnvOverride:
@@ -203,10 +232,13 @@ class TestEnvOverride:
 
 class TestFailFast:
     def test_worker_exception_propagates_and_pool_survives(self):
-        backend = PoolBackend(workers=2, chunk_size=1)
+        backend = PoolBackend(workers=2)
         try:
             with pytest.raises(ValueError, match="task 5 exploded"):
                 backend.map_timed(_boom, list(range(40)))
+            # 40 items at width 2 -> chunks of 5: the failure is one
+            # chunk among several.
+            assert backend.stats()["chunks"] > 1
             # The pool is still healthy after the failure: the same
             # instance serves the next call, and every observed PID
             # belongs to the original spawn (≤ pool width — a worker

@@ -1,22 +1,20 @@
 """Integration tests for the grid runner: parallel/serial equivalence,
-cache replay, and the merge into existing analysis structures."""
+cache replay, and table rows."""
 
 import json
 
 import pytest
 
 import repro.runner.runner as runner_mod
-from repro.analysis import run_sweep
+from repro.analysis import summarize_runs
 from repro.runner import (
     PoolBackend,
     ResultCache,
+    RunnerMetrics,
     RunSpec,
     SerialBackend,
     expand_grid,
-    outcomes_to_rows,
-    outcomes_to_sweep,
     run_grid,
-    spec_value,
 )
 from repro.runner.worker import execute_spec
 
@@ -113,34 +111,10 @@ class TestCache:
         assert all(not cached for _, _, cached in seen)
 
 
-class TestMerge:
-    def test_outcomes_to_sweep_feeds_existing_tooling(self):
-        specs = expand_grid(
-            ["mesh-hotspot"], ["pplb", "diffusion"], [1, 2, 3],
-            max_rounds=80, scenario_kwargs={"side": 4, "n_tasks": 64},
-        )
-        outcomes = run_grid(specs)
-        sweep = outcomes_to_sweep("algorithm", outcomes)
-        assert sweep.points == ["pplb", "diffusion"]
-        assert len(sweep.raw[0]) == 3  # three seeds per point
-        # SweepResult API works unchanged downstream.
-        covs = sweep.series("final_cov")
-        assert len(covs) == 2 and all(c >= 0 for c in covs)
-        assert "final_cov_ci" in sweep.rows[0]
-
-    def test_spec_value_resolution(self):
-        spec = RunSpec("mesh-hotspot", "pplb", seed=9,
-                       scenario_kwargs={"side": 4})
-        assert spec_value(spec, "side") == 4
-        assert spec_value(spec, "seed") == 9
-        assert spec_value(spec, "algorithm") == "pplb"
-        from repro.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            spec_value(spec, "nonexistent")
-
+class TestRows:
     def test_rows_include_spec_coordinates(self):
-        outcomes = run_grid(small_grid()[:1])
-        [row] = outcomes_to_rows(outcomes)
+        [outcome] = run_grid(small_grid()[:1])
+        row = outcome.row()
         assert row["scenario"] == "mesh-hotspot"
         assert row["seed"] == 11
         assert row["cached"] is False
@@ -155,6 +129,42 @@ class TestMerge:
         row = outcome.row()
         assert row["algorithm"] == "pplb-greedy"
         assert row["balancer"] == "pplb"
+
+    def test_outcomes_feed_summarize_runs(self):
+        specs = expand_grid(
+            ["mesh-hotspot"], ["pplb", "diffusion"], [1, 2, 3],
+            max_rounds=80, scenario_kwargs={"side": 4, "n_tasks": 64},
+        )
+        outcomes = run_grid(specs)
+        by_algorithm = {}
+        for o in outcomes:
+            by_algorithm.setdefault(o.spec.algorithm, []).append(o.result)
+        assert list(by_algorithm) == ["pplb", "diffusion"]
+        rows = [summarize_runs(runs) for runs in by_algorithm.values()]
+        assert [r["n_runs"] for r in rows] == [3, 3]
+        # The row names each group by its balancer's display name.
+        assert [r["algorithm"] for r in rows] == [
+            runs[0].balancer_name for runs in by_algorithm.values()
+        ]
+        assert all(r["converged"].endswith("/3") for r in rows)
+
+
+class TestGridWorkers:
+    def test_pplb_workers_sends_grid_to_pool_identically(self, monkeypatch):
+        """One environment variable sets the width: with PPLB_WORKERS=2
+        a plain ``run_grid(specs)`` runs on the pool and matches the
+        serial pass."""
+        specs = small_grid()
+        serial_metrics, pool_metrics = RunnerMetrics(), RunnerMetrics()
+        monkeypatch.delenv("PPLB_WORKERS", raising=False)
+        serial = run_grid(specs, metrics=serial_metrics)
+        monkeypatch.setenv("PPLB_WORKERS", "2")
+        pooled = run_grid(specs, metrics=pool_metrics)
+        assert serial_metrics.backend == "serial"
+        assert (pool_metrics.backend, pool_metrics.workers) == ("pool", 2)
+        assert json.dumps(deterministic_payloads(serial)) == json.dumps(
+            deterministic_payloads(pooled)
+        )
 
 
 def _touch_or_fail(job):
@@ -190,20 +200,3 @@ class TestPoolFailFast:
             SerialBackend().map_timed(_touch_or_fail, jobs)
         assert not list(tmp_path.glob("*.done"))
 
-
-def _sweep_experiment(n_tasks, seed):
-    """Module-level (hence picklable) experiment for run_sweep tests."""
-    spec = RunSpec("mesh-hotspot", "pplb", seed=seed, max_rounds=60,
-                   scenario_kwargs={"side": 4, "n_tasks": int(n_tasks)})
-    result = execute_spec(spec)
-    return {"final_cov": result.final_cov, "migrations": result.total_migrations}
-
-
-class TestSweepWorkers:
-    def test_parallel_sweep_identical_to_serial(self):
-        serial = run_sweep("n_tasks", [32, 64], _sweep_experiment,
-                           repetitions=2, base_seed=3, workers=1)
-        parallel = run_sweep("n_tasks", [32, 64], _sweep_experiment,
-                             repetitions=2, base_seed=3, workers=2)
-        assert serial.rows == parallel.rows
-        assert serial.raw == parallel.raw

@@ -20,7 +20,6 @@ from repro.runner import (
     expand_grid,
     SerialBackend,
     grid_seeds,
-    metrics_to_rows,
     run_grid,
 )
 
@@ -109,11 +108,9 @@ class TestRunnerMetrics:
         run_grid(specs, metrics=metrics)
         summary = metrics.summary()
         assert summary["specs"] == 2 and summary["workers"] == 1
-        rows = metrics_to_rows(metrics)
+        rows = metrics.spec_rows
         assert len(rows) == 2
         assert set(rows[0]) == {"label", "cached", "task_s"}
-        rows[0]["label"] = "mutated"  # rows are copies, not views
-        assert metrics.spec_rows[0]["label"] != "mutated"
 
     def test_parallel_pass_keeps_spec_order(self, tmp_path):
         specs = expand_grid(["mesh-hotspot"], ["pplb"], grid_seeds(3),

@@ -15,7 +15,6 @@ from repro.runner import (
     ResultCache,
     default_metrics,
     expand_grid,
-    outcomes_to_sweep,
     run_grid,
 )
 
@@ -52,7 +51,7 @@ class TestSinkCollection:
     def test_spec_order_restored_after_parallel_completion(self):
         specs = tiny_grid()
         sink = ColumnarResultLog()
-        backend = PoolBackend(workers=2, chunk_size=1)
+        backend = PoolBackend(workers=2)
         try:
             outcomes = run_grid(specs, backend=backend, sink=sink)
         finally:
@@ -143,18 +142,17 @@ class TestSlimOutcomes:
         assert all(set(o.metrics) == set(METRIC_FIELDS) for o in slim)
 
     def test_sweep_bit_identical_full_vs_slim(self, tmp_path):
-        """The acceptance differential: outcomes_to_sweep over slim
-        outcomes produces a bit-identical SweepResult."""
+        """The acceptance differential: slim outcomes carry metrics
+        bit-identical to ``default_metrics`` of the full results."""
         specs = tiny_grid()
         cache = ResultCache(tmp_path / "cache")
         full = run_grid(specs, cache=cache)
         slim = run_grid(specs, cache=cache, keep_results=False)
-        sweep_full = outcomes_to_sweep("algorithm", full)
-        sweep_slim = outcomes_to_sweep("algorithm", slim)
-        assert sweep_full.rows == sweep_slim.rows
-        assert sweep_full.points == sweep_slim.points
-        assert json.dumps(sweep_full.rows, sort_keys=True) == json.dumps(
-            sweep_slim.rows, sort_keys=True
+        from_full = [default_metrics(o.result) for o in full]
+        from_slim = [o.metrics for o in slim]
+        assert from_full == from_slim
+        assert json.dumps(from_full, sort_keys=True) == json.dumps(
+            from_slim, sort_keys=True
         )
 
     def test_unindexed_hits_fall_back_to_payload(self, tmp_path):
@@ -171,14 +169,3 @@ class TestSlimOutcomes:
         [slim] = run_grid(specs, keep_results=False)
         with pytest.raises(ConfigurationError, match="keep_results"):
             slim.row()
-
-    def test_custom_metrics_of_rejected_on_slim(self, tmp_path):
-        specs = tiny_grid()[:2]
-        cache = ResultCache(tmp_path / "cache")
-        run_grid(specs, cache=cache)
-        slim = run_grid(specs, cache=cache, keep_results=False)
-        with pytest.raises(ConfigurationError, match="keep_results"):
-            outcomes_to_sweep(
-                "algorithm", slim,
-                metrics_of=lambda r: {"x": float(r.final_cov)},
-            )

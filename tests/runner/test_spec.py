@@ -266,7 +266,7 @@ class TestGrid:
             expand_grid(["mesh-hotspot"], ["pplb"], [])
 
     def test_grid_seeds_match_sweep_discipline(self):
-        # Same derivation as the sweep harness: extending never perturbs.
+        # Seeds derive through seed_for: extending never perturbs.
         assert grid_seeds(3) == [seed_for(0, i) for i in range(3)]
         assert grid_seeds(5)[:3] == grid_seeds(3)
 

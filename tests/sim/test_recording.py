@@ -8,6 +8,7 @@ parity suites hold these properties across all four engines through
 the shared kernel.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestRoundLog:
         clone = RoundLog.from_columns(cols)
         assert clone == log
         assert clone.records() == log.records()
+
+    def test_nan_cells_compare_equal(self):
+        nan_round = dataclasses.replace(rec(0), traffic_work=float("nan"))
+        log = RoundLog.from_records([nan_round, rec(1)])
+        assert log == RoundLog.from_records([nan_round, rec(1)])
+        assert log != RoundLog.from_records([rec(0), rec(1)])
+        result = SimulationResult(log=log)
+        clone = SimulationResult.from_dict(
+            json.loads(json.dumps(result.to_dict()))
+        )
+        assert clone.log == log
 
     def test_ragged_columns_rejected(self):
         cols = RoundLog.from_records([rec(0), rec(1)]).to_columns()

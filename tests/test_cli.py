@@ -335,6 +335,22 @@ class TestProbeFlag:
         # Different probe => different content hash => a fresh entry.
         assert "1 executed, 0 from cache" in out
 
+    @pytest.mark.parametrize("workers, backend", [("1", "serial"), ("2", "pool")])
+    def test_worker_count_picks_backend(self, capsys, tmp_path, monkeypatch,
+                                        workers, backend):
+        monkeypatch.delenv("PPLB_WORKERS", raising=False)
+        assert main(["run-grid", "--seeds", "2", "--rounds", "40",
+                     "--workers", workers, "--no-cache",
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"runner: {backend} backend, {workers} worker(s)" in out
+
+    @pytest.mark.parametrize("command", ["compare", "run-grid", "tune", "leaderboard"])
+    def test_backend_option_removed(self, command):
+        build_parser().parse_args([command])  # valid without the option
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--backend", "pool"])
+
     def test_grid_prints_runner_metrics(self, capsys, tmp_path):
         assert main(["run-grid", "--seeds", "2", "--rounds", "40",
                      "--no-cache", "--cache-dir", str(tmp_path)]) == 0

@@ -1,8 +1,8 @@
 """Tuning through the persistent pool backend: identical reports to
 serial, and one worker spawn per pool slot for a whole ~64-eval
-session (the reuse the backend seam exists for)."""
+session (the reuse the shared pool exists for)."""
 
-from repro.runner import PoolBackend, ResultCache
+from repro.runner import ResultCache, resolve_backend
 from repro.tuning import TuneBudget, build_leaderboard, tune_scenario
 
 SCENARIO = "mesh:4x4+hotspot"
@@ -38,27 +38,18 @@ class TestTunePoolEquivalence:
     def test_pool_report_identical_to_serial(self, tmp_path):
         serial = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
                                cache=ResultCache(tmp_path / "a"))
-        backend = PoolBackend(workers=2)
-        try:
-            pooled = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
-                                   cache=ResultCache(tmp_path / "b"),
-                                   backend=backend)
-        finally:
-            backend.close()
+        pooled = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
+                               cache=ResultCache(tmp_path / "b"), workers=2)
         assert report_fingerprint(serial) == report_fingerprint(pooled)
 
     def test_cached_rerun_reproduces_report(self, tmp_path):
         """A tune session re-run against its own cache (through the
         persistent pool both times) reproduces the identical report."""
         cache = ResultCache(tmp_path / "cache")
-        backend = PoolBackend(workers=2)
-        try:
-            first = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
-                                  cache=cache, backend=backend)
-            second = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
-                                   cache=cache, backend=backend)
-        finally:
-            backend.close()
+        first = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
+                              cache=cache, workers=2)
+        second = tune_scenario(SCENARIO, seed=3, budget=small_budget(),
+                               cache=cache, workers=2)
         assert report_fingerprint(first) == report_fingerprint(second)
         assert second.cache_hits == second.n_specs
 
@@ -69,18 +60,16 @@ class TestPersistentPoolSpawns:
         pool creates at most `workers` processes total — the pool is
         reused across every halving rung and GA generation instead of
         respawning per evaluation batch."""
-        backend = PoolBackend(workers=2)
-        try:
-            report = tune_scenario(
-                SCENARIO, seed=5, budget=session_budget(),
-                cache=ResultCache(tmp_path / "cache"), backend=backend,
-            )
-            stats = backend.stats()
-        finally:
-            backend.close()
+        pool = resolve_backend(None, workers=2)  # the one tuning uses
+        map_calls = pool.stats()["map_calls"]
+        report = tune_scenario(
+            SCENARIO, seed=5, budget=session_budget(),
+            cache=ResultCache(tmp_path / "cache"), workers=2,
+        )
+        stats = pool.stats()
         assert report.n_evals >= 64
         # Dozens of evaluation batches (map calls), two spawns total.
-        assert stats["map_calls"] >= 10
+        assert stats["map_calls"] - map_calls >= 10
         assert stats["workers_spawned"] <= 2
 
 
@@ -91,11 +80,8 @@ class TestLeaderboardBackend:
             n_seeds=1, max_rounds=20,
         )
         serial = build_leaderboard(cache=ResultCache(tmp_path / "a"), **kwargs)
-        backend = PoolBackend(workers=2)
-        try:
-            pooled = build_leaderboard(
-                cache=ResultCache(tmp_path / "b"), backend=backend, **kwargs
-            )
-        finally:
-            backend.close()
+        # Width 2 runs on the shared persistent pool.
+        pooled = build_leaderboard(
+            cache=ResultCache(tmp_path / "b"), workers=2, **kwargs
+        )
         assert serial == pooled
