@@ -138,6 +138,19 @@ def _scenario_arg(value: str) -> str:
     return value
 
 
+def _kwargs_arg(value: str) -> dict:
+    """Argparse type for a JSON object of keyword arguments."""
+    import json
+
+    try:
+        kwargs = json.loads(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}")
+    if not isinstance(kwargs, dict):
+        raise argparse.ArgumentTypeError(f"expected a JSON object, got {value!r}")
+    return kwargs
+
+
 def _probe_arg(value: str) -> str:
     """Argparse type for ``--probe``: canonicalises via the telemetry
     registry so unknown probe names fail at parse time."""
@@ -362,6 +375,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 scenario=args.scenario, algorithm=args.algorithm,
                 seed=args.seed + lane, max_rounds=args.rounds,
                 engine="rounds", probe="counters",
+                algorithm_kwargs=args.algorithm_kwargs,
             )
             for lane in range(args.batch_replicates)
         ]
@@ -381,7 +395,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     spec = RunSpec(
         scenario=args.scenario, algorithm=args.algorithm, seed=args.seed,
         max_rounds=args.rounds, engine=args.engine,
-        probe=f"trace:{args.trace_out}",
+        probe=f"trace:{args.trace_out}", algorithm_kwargs=args.algorithm_kwargs,
     )
     started = time.perf_counter()
     result = execute_spec(spec)
@@ -731,6 +745,10 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="where to write the Chrome trace-event JSON "
                              "(chrome://tracing / https://ui.perfetto.dev)")
+    p_prof.add_argument("--algorithm-kwargs", type=_kwargs_arg, default="{}",
+                        metavar="JSON",
+                        help="keyword arguments for the algorithm, as a JSON "
+                             "object, e.g. '{\"friction_jitter\": 0.1}'")
     p_prof.add_argument("--batch-replicates", type=int, default=1,
                         metavar="N",
                         help="profile N seed replicates (seeds SEED..SEED+N-1) "

@@ -136,10 +136,11 @@ class StochasticArbiter:
     def choose(self, scores: np.ndarray, t: float, rng: np.random.Generator) -> int:
         """Pick one candidate index (into *scores*) by sequential trials.
 
-        Runs the trials of :meth:`acceptance` one rank at a time over a
-        plain list (arrays go through ``tolist``, which round-trips
-        doubles exactly): the same IEEE float64 operations in the same
-        order, one ``rng.random(m)`` block draw, the first rank whose
+        Checks *scores* and *t*, draws ``rng.random(m)`` for the *m*
+        scores and hands both to :meth:`_pick`, which runs the trials of
+        :meth:`acceptance` one rank at a time over plain lists (arrays go
+        through ``tolist``, which round-trips doubles exactly): the same
+        IEEE float64 operations in the same order, the first rank whose
         draw falls below its acceptance, else rank 0 — so the pick and
         the RNG stream equal that reference for every *m* (asserted in
         ``tests/core/test_arbiter.py``).
@@ -157,17 +158,39 @@ class StochasticArbiter:
                 )
             vals = a.tolist()
             m = len(vals)
-        if t < 0:
-            raise ConfigurationError(f"time must be non-negative, got {t}")
+        one_minus_b = 1.0 - self.beta(t)
+        return self._pick(vals, one_minus_b, rng.random(m).tolist(), 0)
+
+    def _pick(self, vals: list, one_minus_b: float, draws, offset: int) -> int:
+        """The trial process of :meth:`choose` on checked inputs.
+
+        *vals* is a non-empty list of scores, ``one_minus_b`` is
+        ``1 − β(t)`` and ``draws[offset:offset + m]`` are the *m* uniform
+        draws the trials consume, one per rank (the caller accounts for
+        all *m*, whether or not the trials read them). A single score is
+        always picked. With every score finite the ranks form a total
+        order whose first entry is the first maximal score, so the first
+        trial — the usual outcome — needs no sort; any other input goes
+        straight to the full sorted loop.
+        """
+        m = len(vals)
+        if m == 1:
+            return 0
+        floor = self.floor
+        one_minus_floor = 1.0 - floor
+        total = sum(vals)
+        if total - total == 0.0:  # all finite: closeness of rank 0 is 1.0
+            q_0 = one_minus_b * (floor + one_minus_floor * 1.0)
+            if q_0 < 0.0:
+                q_0 = 0.0
+            elif q_0 > 1.0:
+                q_0 = 1.0
+            if draws[offset] < q_0:
+                return vals.index(max(vals))
         # Stable descending order == np.argsort(-a, kind="stable").
         order_s = sorted(range(m), key=vals.__getitem__, reverse=True)
         top = vals[order_s[0]]
         denom = (top - vals[order_s[-1]]) + _EPS
-        one_minus_b = 1.0 - self.beta0 * math.exp(-self.anneal_c * t / self.t_max)
-        floor = self.floor
-        one_minus_floor = 1.0 - floor
-        draws_s = rng.random(m).tolist()
-        pick = order_s[0]  # all trials rejected -> steepest
         for k in range(m):
             closeness = 1.0 - (top - vals[order_s[k]]) / denom
             q_k = one_minus_b * (floor + one_minus_floor * closeness)
@@ -175,10 +198,9 @@ class StochasticArbiter:
                 q_k = 0.0
             elif q_k > 1.0:
                 q_k = 1.0
-            if draws_s[k] < q_k:
-                pick = order_s[k]
-                break
-        return pick
+            if draws[offset + k] < q_k:
+                return order_s[k]
+        return order_s[0]  # all trials rejected -> steepest
 
 
 class GreedyArbiter(StochasticArbiter):

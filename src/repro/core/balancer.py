@@ -83,7 +83,17 @@ from repro.core.friction import FrictionModel
 from repro.core.surface import NeighborCache, corrected_slopes_flat
 from repro.interfaces import BalanceContext, Balancer, Migration
 from repro.tasks.resources import ResourceMap
+from repro.tasks.task import TaskSystem
 from repro.tasks.task_graph import TaskGraph
+
+
+#: Uniform draws a step takes from its RNG at once (see :class:`_StepState`).
+_DRAW_BLOCK = 1024
+
+
+def _jitter_factor(level: float, u: float) -> float:
+    """Friction jitter factor ``1 + level·(2u − 1)``, floored at 0."""
+    return max(1.0 + level * (2.0 * u - 1.0), 0.0)
 
 
 def _doubles(a) -> array:
@@ -97,8 +107,8 @@ class _StepState:
     Bundles the context unpacking plus the round-private surface copy
     and link reservations, so the reference Phase-B sweep and the
     screened one drive the *same* decision bodies. ``on_change`` is the
-    screened Phase B's re-queue hook — called after every applied
-    decision with the (src, dst) endpoints; None everywhere else.
+    screened Phase B's re-queue hook — called after every initiation
+    with its source node; None everywhere else.
 
     The round starts on the context's NumPy arrays. Right before the
     first decision body runs, :meth:`unbox` copies the surface ``h``,
@@ -109,11 +119,32 @@ class _StepState:
     plain Python floats and ints instead of boxed NumPy scalars; each
     copy is one memcpy. A round that decides nothing — no particle in
     flight, no node past the screen — never makes them.
+
+    Every uniform draw of the step — the arbiter's trials and the
+    friction jitter — comes from one block, ``draws``: :meth:`take`
+    hands out the offset of the next *m* unread values. The first take
+    saves the RNG's state and draws :data:`_DRAW_BLOCK` values (or *m*,
+    if more) in one call; a take that finds too few left refills it.
+    :meth:`rewind` — at every refill and at every step exit, raised or
+    not — restores the saved state and redraws only the values taken,
+    so the stream ends exactly where one ``rng.random(m)`` call per use
+    leaves it, for any BitGenerator (NumPy's uniform fill of ``a`` and
+    then ``b`` values equals one fill of ``a + b``). A step that takes
+    nothing never touches the RNG.
+
+    ``mu_k`` and ``mu_pair`` are :attr:`FrictionModel.uniform
+    <repro.core.friction.FrictionModel.uniform>` friction as step
+    constants (None when friction depends on the task or node);
+    ``jitter`` is the step's friction-jitter level, None without jitter;
+    ``one_minus_b`` is the arbiter's ``1 − β(t)``, set at the first
+    stochastic choice.
     """
 
     __slots__ = (
         "system", "topo", "cache", "friction", "e", "up", "rng",
         "t", "h", "inv_s", "free", "migrations", "on_change", "probe",
+        "mu_k", "mu_pair", "jitter", "one_minus_b",
+        "draws", "_n_draws", "_used", "_saved",
     )
 
     def __init__(self, ctx: BalanceContext, cache, friction, inv_s: np.ndarray):
@@ -133,12 +164,49 @@ class _StepState:
         self.h = np.array(ctx.system.node_loads) * inv_s
         self.free: Optional[bytearray] = None  # set by unbox()
         self.migrations: list[Migration] = []
-        self.on_change: Optional[Callable[[int, int], None]] = None
+        self.on_change: Optional[Callable[[int], None]] = None
         # The engine's telemetry sink, or None when disabled — decision
         # bodies gate every counter emission on `s.probe is not None`,
         # so the default (null-probe) hot path pays one None check.
         probe = ctx.probe
         self.probe = probe if probe is not None and probe.enabled else None
+        if friction.uniform:
+            mu_s, mu_k, self.mu_k = friction.uniform_values()
+            self.mu_pair = (mu_s, mu_k)
+        else:
+            self.mu_k = self.mu_pair = None
+        self.jitter: Optional[float] = None
+        self.one_minus_b: Optional[float] = None
+        self.draws = array("d")
+        self._n_draws = 0
+        self._used = 0
+        self._saved = None
+
+    def take(self, m: int) -> int:
+        """Offset in ``draws`` of the step's next *m* uniform draws.
+
+        Read ``draws`` only after the call: a refill replaces it.
+        """
+        used = self._used
+        if used + m > self._n_draws:
+            self.rewind()
+            rng = self.rng
+            self._saved = rng.bit_generator.state
+            n = max(_DRAW_BLOCK, m)
+            self.draws = array("d", rng.random(n).tobytes())
+            self._n_draws = n
+            used = 0
+        self._used = used + m
+        return used
+
+    def rewind(self) -> None:
+        """Leave the RNG as if only the draws taken had been drawn."""
+        if self._saved is not None:
+            if self._used != self._n_draws:
+                self.rng.bit_generator.state = self._saved
+                self.rng.random(self._used)
+            self._saved = None
+            self._n_draws = self._used = 0
 
     def unbox(self) -> None:
         """Switch the decision inputs to plain-Python vectors (once)."""
@@ -251,19 +319,24 @@ class ParticlePlaneBalancer(Balancer):
         if self._cache is None or self._cache.topology is not ctx.topology:
             self.reset(ctx)
         s = _StepState(ctx, self._cache, self._friction, self.inverse_speeds(ctx))
+        if self.config.friction_jitter != 0.0:
+            s.jitter = self._jitter_level(s.t)
         probe = s.probe
         if probe is not None:
             initiated0 = self.stats["initiated"]
             settled0 = self.stats["settled"]
             hops0 = self.stats["hops"]
 
-        self._phase_a(s)
-        if self.screen_sound:
-            self._phase_b_fast(s)
-        else:
-            if probe is not None:
-                probe.incr("balancer.reference_sweeps")
-            self._phase_b_scalar(s)
+        try:
+            self._phase_a(s)
+            if self.screen_sound:
+                self._phase_b_fast(s)
+            else:
+                if probe is not None:
+                    probe.incr("balancer.reference_sweeps")
+                self._phase_b_scalar(s)
+        finally:
+            s.rewind()
         if probe is not None:
             probe.incr(
                 "balancer.initiated", int(self.stats["initiated"] - initiated0)
@@ -303,7 +376,7 @@ class ParticlePlaneBalancer(Balancer):
         inv_s = self.inverse_speeds(ctx)
         # At step start `h` is the fresh surface and no link is reserved.
         h = ctx.system.node_loads * inv_s
-        floor = ctx.system.candidate_floor(self.config.candidates_per_node)
+        floor = self._candidate_floor(ctx.system)
         ok = self.initiation_screen(floor, h, inv_s, ctx.link_costs, ctx.up_mask)
         return not ok.any()
 
@@ -322,24 +395,32 @@ class ParticlePlaneBalancer(Balancer):
             inv_s = self._inv_s_ones = np.ones(ctx.topology.n_nodes)
         return inv_s
 
+    def _candidate_floor(self, system) -> np.ndarray:
+        """The screen's per-node floor load (see :meth:`initiation_screen`)."""
+        return system.candidate_floor(self.config.candidates_per_node)
+
     # ----------------------------- phases ----------------------------- #
 
     def _phase_a(self, s: _StepState) -> None:
         """Phase A: every in-flight particle, in id order."""
-        cfg = self.config
-        system = s.system
-        for tid in sorted(self._motion):
-            placement = system.placement_of(tid)
+        motion = self._motion
+        if not motion:
+            return
+        max_hops = self.config.max_hops
+        tids = sorted(motion)
+        # Placements do not change inside a step: read them all at once.
+        for tid, placement in zip(tids, s.system.placements_of(tids)):
             if placement is None:
-                del self._motion[tid]
+                del motion[tid]
                 continue
-            if system.in_transit(tid):
+            if placement[0] == TaskSystem.TRANSIT:
                 continue  # still on the wire; decides after landing
-            st = self._motion[tid]
-            if cfg.max_hops is not None and st.hops >= cfg.max_hops:
+            st = motion[tid]
+            if max_hops is not None and st.hops >= max_hops:
                 self._settle(tid)
                 continue
-            s.unbox()
+            if s.free is None:
+                s.unbox()
             self._phase_a_decide(s, tid, st, *placement)
 
     def _phase_b_scalar(self, s: _StepState) -> None:
@@ -356,18 +437,46 @@ class ParticlePlaneBalancer(Balancer):
     # screened Phase-B sweep — the single place the paper's §5.1 rules
     # live, so the two paths cannot drift.
 
-    def _choose(self, s: _StepState, scores) -> int:
-        """Arbiter choice with telemetry: same pick, same RNG stream.
+    def _choose(self, s: _StepState, scores: list) -> int:
+        """Arbiter choice on the step's draw block.
 
+        The pick of ``arbiter.choose(scores, t, rng)``, with the same
+        draws: a stochastic arbiter's trials read the *m* values the
+        step block hands out, with ``1 − β(t)`` computed once per step.
         Counts the choice (and, for stochastic arbiters, the RNG values
-        it consumes — one per score) before delegating; the probe never
-        sees the scores, so it cannot influence the decision.
+        it consumes — one per score) first; the probe never sees the
+        scores, so it cannot influence the decision.
         """
         if s.probe is not None:
             s.probe.incr("balancer.arbiter_choices")
             if not self._greedy_arbiter:
                 s.probe.incr("balancer.rng_draws", len(scores))
-        return self.arbiter.choose(scores, s.t, s.rng)
+        if self._greedy_arbiter:
+            return self.arbiter.choose(scores, s.t, s.rng)
+        off = s.take(len(scores))
+        one_minus_b = s.one_minus_b
+        if one_minus_b is None:
+            one_minus_b = s.one_minus_b = 1.0 - self.arbiter.beta(s.t)
+        return self.arbiter._pick(scores, one_minus_b, s.draws, off)
+
+    def _mu_k(self, s: _StepState, tid: int, node: int) -> float:
+        """Phase A's kinetic friction of *tid* at *node*, jitter included."""
+        mu_k = s.mu_k
+        if mu_k is None:
+            mu_k = s.friction.mu_k(s.system, s.topo, tid, node)
+        if s.jitter is not None:
+            mu_k *= self._step_jitter(s)
+        return mu_k
+
+    def _mu_pair(self, s: _StepState, tid: int, node: int) -> tuple[float, float]:
+        """Phase B's ``(µs, µk)`` of *tid* at *node*, jitter included."""
+        pair = s.mu_pair
+        if pair is None:
+            pair = s.friction.both(s.system, s.topo, tid, node)
+        if s.jitter is None:
+            return pair
+        jit = self._step_jitter(s)
+        return pair[0] * jit, pair[1] * jit
 
     def _phase_a_decide(
         self, s: _StepState, tid: int, st: MotionState, cur: int, load: float
@@ -384,25 +493,24 @@ class ParticlePlaneBalancer(Balancer):
         h = s.h
         js_l = s.cache.nbrs_l[cur]
         eids_l = s.cache.eids_l[cur]
-        mu_k = s.friction.mu_k(s.system, s.topo, tid, cur) * self._jitter(s.t, s.rng, s.probe)
+        mu_k = self._mu_k(s, tid, cur)
         cmu = cfg.c0 * mu_k
         e = s.e
         free = s.free
         hstar = st.hstar
         cand: list[tuple[int, int, float]] = []
         scores_l = []
-        for k in range(len(js_l)):
-            eid = eids_l[k]
+        for j, eid in zip(js_l, eids_l):
             d = cmu * e[eid]
-            score = (hstar - d) - h[js_l[k]]
+            score = (hstar - d) - h[j]
             if score > 0.0 and free[eid]:
-                cand.append((js_l[k], eid, float(d)))
-                scores_l.append(float(score))
+                cand.append((j, eid, d))
+                scores_l.append(score)
         if not cand:
             self._settle(tid)
             return
         if cfg.motion_rule == "arbiter-settle":
-            scores_l.append(float(hstar - (h[cur] - load * s.inv_s[cur])))
+            scores_l.append(hstar - (h[cur] - load * s.inv_s[cur]))
             pick = self._choose(s, scores_l)
             if pick == len(cand):
                 self._settle(tid)
@@ -433,8 +541,6 @@ class ParticlePlaneBalancer(Balancer):
         h[j] += load * s.inv_s[j]
         self.stats["hops"] += 1
         self.stats["heat"] += heat
-        if s.on_change is not None:
-            s.on_change(cur, j)
 
     def _phase_b_node(self, s: _StepState, i: int) -> None:
         """One node's §5.1 initiation scan over its candidate tasks."""
@@ -454,26 +560,22 @@ class ParticlePlaneBalancer(Balancer):
         js_l = s.cache.nbrs_l[i]
         eids_l = s.cache.eids_l[i]
         uncorrected = cfg.arbiter_score != "corrected"
+        motion = self._motion
         departures = 0
+        links = None  # the node's free (neighbor, link) pairs, until a departure
         for tid, load in system.largest_loads_at(i, cfg.candidates_per_node):
-            if tid in self._motion:
+            if tid in motion:
                 continue
-            avail_l = [free[eid] for eid in eids_l]
-            if not any(avail_l):
+            if links is None:
+                links = [(jj, eid) for jj, eid in zip(js_l, eids_l) if free[eid]]
+            if not links:
                 break  # no free links left at this node
-            mu_s, mu_k = s.friction.both(system, s.topo, tid, i)
-            jit = self._jitter(s.t, s.rng, s.probe)
-            mu_s *= jit
-            mu_k *= jit
+            mu_s, mu_k = self._mu_pair(s, tid, i)
             hi = h[i]
             isi = inv_s[i]
             cand: list[tuple[int, int]] = []
             scores_l = []
-            for k in range(len(js_l)):
-                if not avail_l[k]:
-                    continue
-                jj = js_l[k]
-                eid = eids_l[k]
+            for jj, eid in links:
                 # (h_i − h_j − 2l)/e generalised to effective heights:
                 # moving l lowers h_i by l/s_i and raises h_j by l/s_j.
                 t_k = ((hi - h[jj]) - load * (isi + inv_s[jj])) / e[eid]
@@ -497,16 +599,17 @@ class ParticlePlaneBalancer(Balancer):
                 heat=heat,
                 prev_node=i,
             )
-            self._motion[tid] = st
+            motion[tid] = st
             s.migrations.append(Migration(tid, i, j, heat))
             free[eid] = 0
+            links = None
             h[i] -= load * inv_s[i]
             h[j] += load * inv_s[j]
             self.stats["initiated"] += 1
             self.stats["hops"] += 1
             self.stats["heat"] += heat
             if s.on_change is not None:
-                s.on_change(i, j)
+                s.on_change(i)
             departures += 1
             if departures >= max_dep:
                 break
@@ -567,9 +670,14 @@ class ParticlePlaneBalancer(Balancer):
 
         Only nodes admitted by :meth:`initiation_screen` are queued;
         screened-out nodes are exactly the nodes the scalar sweep would
-        visit without effect or RNG use. Decisions during the sweep can
-        re-enable a neighborhood, so every touched node later in the
-        height order is re-queued through a position heap; nodes that
+        visit without effect or RNG use. An initiation from *u* to its
+        neighbor *v* can enable *v* (its surface rose) and the other
+        neighbors of *u* (a neighbor's surface fell), so the neighbors
+        of *u* later in the height order are re-queued through a
+        position heap. No other node can gain: the rule at a neighbor
+        of *v* alone only sees ``h_v`` rise, the reserved link joins *u*
+        and *v*, and every step of the rule is weakly monotone, so such
+        a node fails the rule now if it failed before. Nodes that
         were empty at the sort but received load mid-phase are handled
         by walking the zero-height tail in order, as the scalar loop
         does.
@@ -599,7 +707,7 @@ class ParticlePlaneBalancer(Balancer):
             return  # no links: no initiation anywhere, no surface change
         if probe is not None:
             probe.incr("screen.waves")
-        floor = s.system.candidate_floor(self.config.candidates_per_node)
+        floor = self._candidate_floor(s.system)
         h_a, inv_s, e, free = s.screen_inputs()
         ok = self.initiation_screen(floor, h_a, inv_s, e, free)
         if not ok.any():
@@ -621,18 +729,19 @@ class ParticlePlaneBalancer(Balancer):
 
         s.unbox()
         h = s.h
-        floor_l = floor.tolist()
+        # Memoryviews read plain floats and ints and copy nothing.
+        floor_l = memoryview(floor)
         pos_of = np.empty(n, dtype=np.int64)
         pos_of[node_order] = np.arange(n)
-        pos_l = pos_of.tolist()
+        pos_l = memoryview(pos_of)
         nbrs_l = cache.nbrs_l
         processed = bytearray(n)
         queued = bytearray(n)
         heap: list[int] = []
         cur_r = -1
 
-        def on_change(u: int, v: int) -> None:
-            for x in (u, v, *nbrs_l[u], *nbrs_l[v]):
+        def on_change(u: int) -> None:
+            for x in nbrs_l[u]:
                 r = pos_l[x]
                 if cur_r < r < n_pos and not queued[x] and not processed[x]:
                     queued[x] = True
@@ -641,7 +750,7 @@ class ParticlePlaneBalancer(Balancer):
         s.on_change = on_change
         try:
             static_l = static_rs.tolist()
-            order_l = node_order.tolist()
+            order_l = memoryview(node_order)
             si = 0
             n_static = len(static_l)
             while si < n_static or heap:
@@ -680,14 +789,25 @@ class ParticlePlaneBalancer(Balancer):
         ``exp(−c·t/t_max)`` clock as the arbiter. A non-None *probe*
         counts the uniform draw (jitter is the one friction input that
         consumes RNG — the reason jittered configs skip the screen).
+        This form draws straight from *rng*; a step draws the same
+        factor from its block (:meth:`_step_jitter`).
         """
-        j0 = self.config.friction_jitter
-        if j0 == 0.0:
+        if self.config.friction_jitter == 0.0:
             return 1.0
         if probe is not None:
             probe.incr("balancer.rng_draws")
-        level = j0 * math.exp(-self.config.anneal_c * t / self.config.t_max)
-        return max(1.0 + level * (2.0 * float(rng.random()) - 1.0), 0.0)
+        return _jitter_factor(self._jitter_level(t), float(rng.random()))
+
+    def _jitter_level(self, t: int) -> float:
+        cfg = self.config
+        return cfg.friction_jitter * math.exp(-cfg.anneal_c * t / cfg.t_max)
+
+    def _step_jitter(self, s: _StepState) -> float:
+        """:meth:`_jitter` at the step's level, drawn from its block."""
+        if s.probe is not None:
+            s.probe.incr("balancer.rng_draws")
+        off = s.take(1)
+        return _jitter_factor(s.jitter, s.draws[off])
 
     def _settle(self, tid: int) -> None:
         del self._motion[tid]

@@ -108,6 +108,19 @@ class FrictionModel:
         """
         return not self._needs_t and not self._needs_r and self.participation is None
 
+    def uniform_values(self) -> tuple[float, float, float]:
+        """``(µs, µk)`` as :meth:`both` returns them and µk as :meth:`mu_k`
+        returns it, for a :attr:`uniform` model.
+
+        Those values name no task or node, so the balancer evaluates
+        them once per step; they come from the very methods it would
+        otherwise call per decision, so they are bit-identical.
+        """
+        if not self.uniform:
+            raise ConfigurationError("friction depends on the task and node")
+        mu_s, mu_k = self.both(None, None, -1, -1)
+        return mu_s, mu_k, self.mu_k(None, None, -1, -1)
+
     def _participation_scale(self, node: int) -> float:
         if self.participation is None:
             return 1.0

@@ -79,6 +79,13 @@ class TaskSystem:
         self._moves = 0
         self._wire_load = 0.0
         self._in_transit: set[int] = set()
+        # candidate_floor's cache: the floor array last returned, its k
+        # (0 before the first query) and the nodes whose entry may have
+        # changed since — the index mutators mark a node when they touch
+        # one of its first k positions.
+        self._floor: np.ndarray | None = None
+        self._floor_k = 0
+        self._floor_dirty: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -97,6 +104,9 @@ class TaskSystem:
 
     # The index's mutators take ``nl = -load``; equal loads are rare, so
     # the id bisection runs only when the load bisection lands on one.
+    # Touching one of a node's first k positions marks its floor entry
+    # dirty (entry ``min(k, c) - 1`` of ``c`` residents can only move
+    # then).
 
     def _index_add(self, node: int, tid: int, nl: float) -> None:
         negs = self._neg_loads[node]
@@ -106,6 +116,8 @@ class TaskSystem:
             r = bisect_left(ids, tid, r, bisect_right(negs, nl, r))
         negs.insert(r, nl)
         ids.insert(r, tid)
+        if r < self._floor_k:
+            self._floor_dirty.add(node)
 
     def _index_remove(self, node: int, tid: int, nl: float) -> None:
         negs = self._neg_loads[node]
@@ -115,6 +127,8 @@ class TaskSystem:
             r = bisect_left(ids, tid, r, bisect_right(negs, nl, r))
         del negs[r]
         del ids[r]
+        if r < self._floor_k:
+            self._floor_dirty.add(node)
 
     def add_task(self, load: float, node: int) -> int:
         """Create a task of size *load* on *node*; returns its id."""
@@ -184,6 +198,8 @@ class TaskSystem:
             else:
                 self._neg_loads[node] = negs[a:b]
                 self._ids[node] = ids[a:b]
+                if self._floor_k:
+                    self._floor_dirty.add(node)
         return list(range(start, end))
 
     def remove_task(self, tid: int) -> None:
@@ -315,6 +331,19 @@ class TaskSystem:
             return None
         return self._location.item(tid), self._loads.item(tid)
 
+    def placements_of(self, tids: list[int]) -> list[tuple[int, float] | None]:
+        """:meth:`placement_of` for each id of *tids*, read in one pass."""
+        ids = np.array(tids, dtype=np.int64)
+        ok = (ids >= 0) & (ids < self._count)
+        ids[~ok] = 0
+        ok &= self._alive[ids]
+        return [
+            (loc, load) if live else None
+            for live, loc, load in zip(
+                ok.tolist(), self._location[ids].tolist(), self._loads[ids].tolist()
+            )
+        ]
+
     def tasks_at(self, node: int) -> np.ndarray:
         """Sorted ids of the tasks on *node*."""
         if not 0 <= node < self._n_nodes:
@@ -445,18 +474,35 @@ class TaskSystem:
         excluded.
 
         Read straight off the load-ordered index: entry ``min(k, c)``
-        of each node's ``c`` residents, one pass over the nodes with no
-        sorting. Ties cannot change the value, so no fallback is needed.
+        of each node's ``c`` residents. Ties cannot change the value, so
+        no fallback is needed. The last result is cached: a query with
+        the same *k* rereads only the nodes whose first *k* index
+        entries changed since, into a fresh array (an array once
+        returned never changes); a new *k* rereads every node.
         """
         if k < 1:
             raise TaskError(f"candidate_floor needs k >= 1, got {k}")
+        dirty = self._floor_dirty
+        if k == self._floor_k and not dirty:
+            return self._floor
         last = k - 1
-        neg = [
-            negs[last] if len(negs) > last else (negs[-1] if negs else -math.inf)
-            for negs in self._neg_loads
+        all_negs = self._neg_loads
+        if k == self._floor_k:
+            nodes = list(dirty)
+            floor = self._floor.copy()
+            neg = [all_negs[node] for node in nodes]
+        else:
+            nodes = slice(None)
+            floor = np.empty(self._n_nodes, dtype=np.float64)
+            neg = all_negs
+        floor[nodes] = [
+            -negs[last] if len(negs) > last else (-negs[-1] if negs else math.inf)
+            for negs in neg
         ]
-        floor = -np.array(neg, dtype=np.float64)
         floor.flags.writeable = False
+        self._floor = floor
+        self._floor_k = k
+        dirty.clear()
         return floor
 
     def snapshot_placement(self) -> dict[int, int]:

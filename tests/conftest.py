@@ -79,16 +79,56 @@ def make_context(topology, system, *, round_index=0, seed=0, links=None,
 
 
 class ReferencePPLB(ParticlePlaneBalancer):
-    """PPLB pinned to the reference Phase-B sweep over every node.
+    """PPLB pinned to the reference decision mechanisms, the oracle of the
+    equivalence suites.
 
     Plain PPLB takes the screened sweep whenever the screen is sound, on
-    every engine. The equivalence suites run this class on one side of
-    each pair they compare, so the screened sweep is always checked
-    against the reference one.
+    every engine, and draws, prices friction and reads floors through
+    its step's shortcuts. This class undoes each of them, so every pair
+    the suites compare checks the shortcuts against the plain forms:
+
+    * Phase B is the reference sweep over every node;
+    * each arbiter choice calls ``arbiter.choose(scores, t, rng)``,
+      drawing straight from the generator;
+    * each friction evaluation calls ``friction.mu_k`` or
+      ``friction.both`` and ``_jitter`` (one ``rng.random()`` per
+      factor), never a step constant or the step's draw block;
+    * the no-op test reads a floor recomputed from the public task API.
     """
 
     def _phase_b_fast(self, s):
         self._phase_b_scalar(s)
+
+    def _choose(self, s, scores):
+        if s.probe is not None:
+            s.probe.incr("balancer.arbiter_choices")
+            if not self._greedy_arbiter:
+                s.probe.incr("balancer.rng_draws", len(scores))
+        return self.arbiter.choose(scores, s.t, s.rng)
+
+    def _mu_k(self, s, tid, node):
+        mu_k = s.friction.mu_k(s.system, s.topo, tid, node)
+        return mu_k * self._jitter(s.t, s.rng, s.probe)
+
+    def _mu_pair(self, s, tid, node):
+        mu_s, mu_k = s.friction.both(s.system, s.topo, tid, node)
+        jit = self._jitter(s.t, s.rng, s.probe)
+        return mu_s * jit, mu_k * jit
+
+    def _candidate_floor(self, system):
+        return reference_floor(system, self.config.candidates_per_node)
+
+
+def reference_floor(system, k):
+    """``system.candidate_floor(k)`` recomputed from the public task API."""
+    out = np.full(system.topology.n_nodes, np.inf)
+    for node in range(system.topology.n_nodes):
+        loads = sorted(
+            (system.load_of(int(t)) for t in system.tasks_at(node)), reverse=True
+        )
+        if loads:
+            out[node] = loads[:k][-1]
+    return out
 
 
 def run_on(engine_cls, spec):

@@ -138,6 +138,43 @@ class TestChoose:
             assert arb.choose(arg, t, rng) == expected, (case, t)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_pick_equals_choose(self, m):
+        # The balancer calls _pick on its step's draw block with
+        # 1 − β(t) precomputed: same pick as choose, reading exactly the
+        # m draws at the offset, which are the m draws choose consumes.
+        gen = np.random.default_rng(100 + m)
+        for floor in (0.05, 0.1, 0.5, 1.0):
+            arb = StochasticArbiter(beta0=0.4, anneal_c=1.5, t_max=50, floor=floor)
+            for t in (0, arb.t_max / 2, arb.t_max, 3 * arb.t_max):
+                for case in range(25):
+                    # Few distinct values: ties at every size.
+                    scores = (gen.integers(0, max(2, m // 2), size=m) * 0.5).tolist()
+                    seed = int(gen.integers(2**32))
+                    rng = np.random.default_rng(seed)
+                    expected = arb.choose(scores, t, rng)
+                    ref = np.random.default_rng(seed)
+                    offset = int(gen.integers(0, 4))
+                    draws = _ReadLog([0.5] * offset + ref.random(m).tolist())
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    got = arb._pick(scores, 1.0 - arb.beta(t), draws, offset)
+                    assert got == expected, (floor, t, case)
+                    assert draws.read <= set(range(offset, offset + m))
+
+    @pytest.mark.parametrize("scores", [
+        [1.0, np.inf, 2.0], [-np.inf, 1.0, 1.0], [np.inf, np.inf],
+        [1.0, np.nan, 3.0], [np.nan, 2.0], [1e308, -1e308, 0.0],
+    ])
+    def test_pick_on_non_finite_scores_runs_the_sorted_trials(self, scores):
+        # Only all-finite scores take the first-trial shortcut; anything
+        # else must give the plain sorted trial loop's pick.
+        arb = StochasticArbiter(beta0=0.4)
+        for seed in range(40):
+            draws = np.random.default_rng(seed).random(len(scores)).tolist()
+            assert arb._pick(scores, 0.6, draws, 0) == _sorted_trials(
+                arb, scores, 0.6, draws
+            )
+
     def test_greedy_arbiter_argmax_no_rng_use(self):
         arb = GreedyArbiter()
         rng = np.random.default_rng(0)
@@ -148,3 +185,28 @@ class TestChoose:
     def test_greedy_arbiter_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             GreedyArbiter().choose(np.array([]), 0, np.random.default_rng(0))
+
+
+class _ReadLog(list):
+    """A list that remembers which indices were read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def _sorted_trials(arb, vals, one_minus_b, draws):
+    """The trial loop over a stable descending sort, with no shortcut."""
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    top = vals[order[0]]
+    denom = (top - vals[order[-1]]) + 1e-12
+    for k, idx in enumerate(order):
+        q = one_minus_b * (arb.floor + (1.0 - arb.floor) * (1.0 - (top - vals[idx]) / denom))
+        q = min(max(q, 0.0), 1.0) if q == q else q
+        if draws[k] < q:
+            return idx
+    return order[0]

@@ -25,12 +25,14 @@ import numpy as np
 import pytest
 
 from repro.core import ParticlePlaneBalancer, PPLBConfig
+from repro.network import builders
 from repro.runner.registry import make_balancer
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_batch, execute_spec
 from repro.sim import EventFastSimulator, EventSimulator, Simulator
+from repro.tasks import TaskSystem
 from repro.workloads import build_scenario
-from tests.conftest import ReferencePPLB, reference_balancer, run_on
+from tests.conftest import ReferencePPLB, make_context, reference_balancer, run_on
 
 #: ≥4 scenarios × 4 algorithms as demanded by the acceptance criteria,
 #: plus faulted links (up-mask screening), heterogeneous speeds (the
@@ -209,6 +211,34 @@ class TestPhaseBVisitScreen:
         assert len(visits) > 500
         assert visits.count(False) <= 0.01 * len(visits)
         monkeypatch.undo()
+        monkeypatch.setattr("repro.runner.worker.make_balancer",
+                            reference_balancer)
+        scalar = execute_spec(spec)
+        assert [asdict(r) for r in fast.records] == [
+            asdict(r) for r in scalar.records
+        ]
+
+    def test_an_arrival_requeues_its_destination(self):
+        # Path 0 - 1 - 2. Node 1 fails the screen (slope 0.5 to node 2
+        # at its floor), until node 0 sends it a task: then its surface
+        # reads 4 and the slope 1.5 clears µs = 1.
+        topo = builders.mesh(1, 3)
+        orders = []
+        for cls in (ReferencePPLB, ParticlePlaneBalancer):
+            system = TaskSystem(topo)
+            system.add_tasks([1.0] * 13 + [0.5], [0] * 10 + [1] * 3 + [2])
+            orders.append(cls().step(make_context(topo, system)))
+        assert [(m.src, m.dst) for m in orders[0]] == [(0, 1), (1, 2)]
+        assert orders[1] == orders[0]
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_a_departure_requeues_the_source_neighbors(self, monkeypatch, seed):
+        # Power-law loads on a 24x24 mesh: here some neighbors of a
+        # node that sheds load clear the rule only once its surface has
+        # fallen, so the sweep must reach them through the re-queue.
+        spec = RunSpec(scenario="mesh:24x24+power-law", algorithm="pplb",
+                       seed=seed, max_rounds=40)
+        fast = execute_spec(spec)
         monkeypatch.setattr("repro.runner.worker.make_balancer",
                             reference_balancer)
         scalar = execute_spec(spec)

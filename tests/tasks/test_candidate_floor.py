@@ -14,18 +14,7 @@ from hypothesis import strategies as st
 
 from repro.network import builders
 from repro.tasks import TaskSystem
-
-
-def reference_floor(system, k):
-    """Brute-force floor straight from the public query API."""
-    out = np.full(system.topology.n_nodes, np.inf)
-    for node in range(system.topology.n_nodes):
-        loads = sorted(
-            (system.load_of(int(t)) for t in system.tasks_at(node)), reverse=True
-        )
-        if loads:
-            out[node] = loads[: k][-1]
-    return out
+from tests.conftest import reference_floor
 
 
 def test_floor_matches_reference_and_largest_tasks_at():
@@ -136,11 +125,15 @@ def test_floor_stays_exact_under_random_mutation_streams(data):
     ]))
     alive: list[int] = []
     wire: list[int] = []
+    # Every floor handed out, with a copy taken when it was: the cache
+    # must never write into an array it has returned.
+    handed_out: list[tuple[np.ndarray, np.ndarray]] = []
     # Interleave queries with mutations so the index is checked after
     # every kind of update, not just the initial placement.
     for step in range(data.draw(st.integers(min_value=5, max_value=25))):
         op = data.draw(st.sampled_from(
-            ["add", "add_many", "move", "remove", "send", "deliver", "query"]
+            ["add", "add_many", "move", "remove", "send", "deliver", "query",
+             "floor", "floor"]
         ))
         resident = [t for t in alive if t not in wire]
         if op == "add" or not resident:
@@ -168,6 +161,16 @@ def test_floor_stays_exact_under_random_mutation_streams(data):
             tid = data.draw(st.sampled_from(wire))
             wire.remove(tid)
             system.deliver(tid, data.draw(st.integers(0, 5)))
+        elif op == "floor":
+            # The incremental cache: same k rereads only dirty nodes, a
+            # switch of k rebuilds.
+            kk = data.draw(st.sampled_from([1, 4, 2]))
+            floor = system.candidate_floor(kk)
+            np.testing.assert_array_equal(floor, reference_floor(system, kk))
+            assert not floor.flags.writeable
+            handed_out.append((floor, floor.copy()))
         else:
             assert_index_exact(system, k)
     assert_index_exact(system, k)
+    for floor, snapshot in handed_out:
+        np.testing.assert_array_equal(floor, snapshot)

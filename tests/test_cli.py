@@ -386,6 +386,26 @@ class TestProfileCommand:
         assert rc == 2
         assert "rounds engine only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", [[], ["--batch-replicates", "2"]])
+    def test_profile_takes_algorithm_kwargs(self, capsys, tmp_path, batch):
+        # A jittered PPLB is the one config that counts reference sweeps.
+        rc = main(["profile", "mesh:5x5+hotspot", "--rounds", "10",
+                   "--trace-out", str(tmp_path / "trace.json"),
+                   "--algorithm-kwargs", '{"friction_jitter": 0.05}', *batch])
+        assert rc == 0
+        assert "balancer.reference_sweeps" in capsys.readouterr().out
+        rc = main(["profile", "mesh:5x5+hotspot", "--rounds", "10",
+                   "--trace-out", str(tmp_path / "trace.json"), *batch])
+        assert rc == 0
+        assert "balancer.reference_sweeps" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["{", "[1]"])
+    def test_profile_rejects_non_object_algorithm_kwargs(self, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["profile", "mesh-hotspot", "--algorithm-kwargs", value]
+            )
+
     def test_profile_requires_a_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile"])
