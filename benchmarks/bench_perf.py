@@ -30,11 +30,6 @@ section is one entry here. The sections:
   cached grid re-run through the per-spec JSON path and at metric level
   (``keep_results=False``, answered from the cache's index sidecar),
   interleaved best-of-3. Bound: the indexed path ≥5× the JSON path.
-* **batch_throughput** — a 32-seed sweep over four uniform serving
-  scenarios, run as a per-seed synchronous-engine loop and through
-  ``BatchSimulator`` with the topology shared across replicates
-  (exactly how ``run_grid(..., batch_replicates=…)`` groups a grid's
-  seed axis). Bound: batched ≥3× the per-seed loop in specs/sec.
 * **events** / **events_steady** — jittered clocks (so waves are
   genuinely per-node): the heap-driven ``EventSimulator`` with PPLB's
   reference sweep vs the columnar ``EventFastSimulator`` (the
@@ -73,7 +68,6 @@ from repro.core import ParticlePlaneBalancer
 from repro.runner import ResultCache, default_metrics, expand_grid, run_grid
 from repro.runner.registry import make_balancer
 from repro.sim import (
-    BatchSimulator,
     EventFastSimulator,
     EventSimulator,
     Simulator,
@@ -140,24 +134,6 @@ DISPATCH_ROUNDS = 20
 #: beat the per-spec JSON replay ≥ 5× — machine-independent by
 #: construction (interleaved re-runs of the same cached grid).
 DISPATCH_SPEEDUP_FLOOR = 5.0
-
-#: replicate-batching workload: uniform serving scenarios (the steady
-#: regime a seed sweep spends its time in), each run once per-seed and
-#: once through ``BatchSimulator`` with the topology shared — exactly
-#: how ``run_grid(..., batch_replicates=…)`` groups a grid's seed axis.
-BATCH_SCENARIOS = (
-    "mesh:8x8+uniform:n_tasks=256",
-    "torus:8x8+uniform:n_tasks=256",
-    "mesh:10x10+uniform:n_tasks=400",
-    "torus:10x10+uniform:n_tasks=400",
-)
-BATCH_SEEDS = 32
-BATCH_ROUNDS = 500
-#: the replicate-batching acceptance bar: batched ≥ 3× the per-seed
-#: loop in specs/sec — machine-independent by construction (both sides
-#: run the identical 128 trajectories back to back, verified record-
-#: identical before the rates are reported).
-BATCH_SPEEDUP_FLOOR = 3.0
 
 #: every paired wall-time comparison keeps each side's fastest of this
 #: many interleaved runs, so one scheduler hiccup cannot sink a bound.
@@ -338,58 +314,6 @@ def _grid_dispatch() -> dict:
     }
 
 
-def _batch_throughput() -> dict:
-    """Per-seed loop vs one replicate-batched run, verified equal.
-
-    Simulator construction stays outside both timers (it is identical
-    work on both sides); the ``BatchSimulator`` wrapper itself is timed
-    — its per-lane skip test is real batch-path overhead.
-    """
-
-    def build(name: str, seed: int, topology=None):
-        scenario = build_scenario(name, seed=seed, topology=topology)
-        sim = Simulator(
-            scenario.topology, scenario.system, make_balancer(ALGORITHM),
-            links=scenario.links, seed=seed, criteria=_NO_EXIT,
-        )
-        return scenario.topology, sim
-
-    solo_s = batch_s = 0.0
-    for name in BATCH_SCENARIOS:
-        solo_sims = [build(name, seed)[1] for seed in range(BATCH_SEEDS)]
-        batch_sims = []
-        topology = None
-        for seed in range(BATCH_SEEDS):
-            topo, sim = build(name, seed, topology=topology)
-            topology = topo
-            batch_sims.append(sim)
-
-        t0 = time.perf_counter()
-        solo_results = [s.run(max_rounds=BATCH_ROUNDS) for s in solo_sims]
-        solo_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        batch_results = BatchSimulator(batch_sims).run(
-            max_rounds=BATCH_ROUNDS
-        )
-        batch_s += time.perf_counter() - t0
-
-        for solo, batched in zip(solo_results, batch_results):
-            assert _same_records(solo, batched), (
-                f"batched replicate diverged from per-seed run on {name}"
-            )
-
-    n = len(BATCH_SCENARIOS) * BATCH_SEEDS
-    return {
-        "scenarios": list(BATCH_SCENARIOS),
-        "n_specs": n,
-        "replicates": BATCH_SEEDS,
-        "rounds": BATCH_ROUNDS,
-        "solo_sps": n / solo_s,
-        "batch_sps": n / batch_s,
-        "speedup": solo_s / batch_s,
-    }
-
-
 def _timed_event_pair(scenario_name: str, scenario_kwargs: dict,
                       rounds: int, criteria=None) -> dict:
     """Heap-driven event engine with the reference sweep vs the columnar
@@ -557,21 +481,6 @@ SECTIONS: tuple[Section, ...] = (
             s["n_specs"], "dispatch", s["rounds"],
             f"json: {round(s['baseline_rps'], 1)} spec/s",
             f"indexed: {round(s['fast_rps'], 1)} spec/s",
-            f"{s['speedup']:.1f}x",
-        )],
-    ),
-    Section(
-        "batch_throughput", _batch_throughput,
-        rates=lambda s: {
-            "batch_sps": s["batch_sps"],
-            "batch_solo_sps": s["solo_sps"],
-        },
-        bounds=lambda s: [Bound("replicate-batch speedup", s["speedup"],
-                                BATCH_SPEEDUP_FLOOR)],
-        rows=lambda s: [_row(
-            s["n_specs"], "batch", s["rounds"],
-            f"per-seed: {round(s['solo_sps'], 2)} spec/s",
-            f"batched: {round(s['batch_sps'], 2)} spec/s",
             f"{s['speedup']:.1f}x",
         )],
     ),

@@ -14,9 +14,9 @@
 # 2-spec large-N grid (1024-node machines) on the rounds engine, a
 # 2-spec grid under the
 # O(1)-memory summary recorder (which must not share cache entries
-# with the full-recorded runs), a replicate-batched 4-seed grid whose
-# cache entries must replay under the plain scalar path (batched and
-# solo runs share cache keys), the scenario catalogue listing, a
+# with the full-recorded runs), replicate-batched 4-seed grids on the
+# rounds and events engines whose cache entries must replay unbatched
+# (batched and solo runs share cache keys), the scenario catalogue listing, a
 # composed-scenario (component grammar) grid, and a
 # 2-spec divisible-load grid on the fluid engine.
 set -eu
@@ -79,7 +79,7 @@ python -m repro.cli run-grid --scenarios mesh-hotspot --algorithms pplb diffusio
     | tee "$CACHE_DIR/summary.out"
 grep -q "2 specs: 2 executed, 0 from cache" "$CACHE_DIR/summary.out"
 
-echo "==> replicate-batched grid (4 seeds in one vectorised simulation)"
+echo "==> replicate-batched grid (4 seeds on one shared topology build)"
 python -m repro.cli run-grid --scenarios mesh-random --algorithms pplb \
     --seeds 4 --rounds 60 --batch-replicates 4 \
     --cache-dir "$CACHE_DIR/cache" | tee "$CACHE_DIR/batch.out"
@@ -92,6 +92,18 @@ python -m repro.cli run-grid --scenarios mesh-random --algorithms pplb \
     --seeds 4 --rounds 60 \
     --cache-dir "$CACHE_DIR/cache" | tee "$CACHE_DIR/batch_replay.out"
 grep -q "4 specs: 0 executed, 4 from cache" "$CACHE_DIR/batch_replay.out"
+
+echo "==> replicate-batched grid on the events engine, replayed unbatched"
+# Its own cache, so the entry counts checked below stay those of the
+# grids above.
+python -m repro.cli run-grid --scenarios mesh-random --algorithms pplb \
+    --seeds 4 --rounds 60 --engine events --batch-replicates 4 \
+    --cache-dir "$CACHE_DIR/events-batch" | tee "$CACHE_DIR/batch_events.out"
+grep -q "4 specs: 4 executed, 0 from cache" "$CACHE_DIR/batch_events.out"
+python -m repro.cli run-grid --scenarios mesh-random --algorithms pplb \
+    --seeds 4 --rounds 60 --engine events \
+    --cache-dir "$CACHE_DIR/events-batch" | tee "$CACHE_DIR/batch_events_replay.out"
+grep -q "4 specs: 0 executed, 4 from cache" "$CACHE_DIR/batch_events_replay.out"
 
 echo "==> scenario catalogue (registered names + component registries)"
 python -m repro.cli scenarios > "$CACHE_DIR/scenarios.out"

@@ -46,15 +46,16 @@ anything runs).
 ``run``, ``compare`` and ``run-grid`` all accept ``--engine
 {rounds,events,fluid}``, one name per time model:
 ``rounds`` is the paper's synchronous protocol
-(:class:`repro.sim.Simulator`; ``run-grid``/``tune``/``leaderboard``
-take ``--batch-replicates N`` to run its seed replicates as one
-:class:`repro.sim.BatchSimulator` run, bit-identical per seed with
-shared cache keys), ``events`` the discrete-event asynchronous engine
-(:class:`repro.sim.EventFastSimulator`, columnar event buffers)
-and ``fluid`` the divisible-load engine
+(:class:`repro.sim.Simulator`), ``events`` the discrete-event
+asynchronous engine (:class:`repro.sim.EventFastSimulator`, columnar
+event buffers) and ``fluid`` the divisible-load engine
 (:class:`repro.sim.FluidSimulator`) over the scenario's initial
 per-node loads — it requires one of the fluid algorithms
 (``fluid-diffusion``, ``fluid-dimension-exchange``, ``fluid-sos``).
+``run-grid``/``tune``/``leaderboard`` take ``--batch-replicates N`` to
+run up to N seed replicates of one cell as one
+:class:`repro.sim.BatchSimulator`: one shared topology build, each lane
+the solo engine, bit-identical per seed with shared cache keys.
 They also accept ``--recorder {full,thin:<k>,summary}`` — the recording
 policy (see :mod:`repro.sim.recording`): ``full`` keeps every round,
 ``thin:<k>`` every k-th round plus the last with exact totals,
@@ -356,42 +357,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    if args.batch_replicates > 1:
-        # Replicate-batched profile: S seed replicates through one
-        # BatchSimulator run under the counters probe (the per-lane
-        # Chrome trace has no joint-loop equivalent), then the first
-        # lane's telemetry — including the batch.* counters — printed.
-        if args.engine != "rounds":
-            print(
-                "error: --batch-replicates profiles the rounds "
-                f"engine only, got {args.engine!r}",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.runner.worker import execute_batch
-
-        specs = [
-            RunSpec(
-                scenario=args.scenario, algorithm=args.algorithm,
-                seed=args.seed + lane, max_rounds=args.rounds,
-                engine="rounds", probe="counters",
-                algorithm_kwargs=args.algorithm_kwargs,
-            )
-            for lane in range(args.batch_replicates)
-        ]
-        started = time.perf_counter()
-        results = execute_batch(specs)
-        elapsed = time.perf_counter() - started
-        result = results[0]
-        print(format_table(
-            [result.summary_row()],
-            title=f"profile — {args.algorithm} on {args.scenario} "
-                  f"(seeds {args.seed}..{args.seed + args.batch_replicates - 1} "
-                  f"batched, rounds engine, {elapsed * 1e3:.1f} ms wall; "
-                  f"first replicate shown)",
-        ))
-        _print_telemetry(result.telemetry)
-        return 0
     spec = RunSpec(
         scenario=args.scenario, algorithm=args.algorithm, seed=args.seed,
         max_rounds=args.rounds, engine=args.engine,
@@ -670,11 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_batch_replicates(p: argparse.ArgumentParser) -> None:
         p.add_argument("--batch-replicates", type=int, default=None,
                        metavar="N",
-                       help="group up to N seed replicates of one "
-                            "(scenario, algorithm) cell into a single "
-                            "replicate-batched rounds simulation "
-                            "(bit-identical per seed; other engines run "
-                            "solo); default: off")
+                       help="run up to N seed replicates of one "
+                            "(scenario, algorithm) cell on one shared "
+                            "topology build (bit-identical per seed; "
+                            "events specs run solo); default: off")
 
     all_algorithms = sorted(ALGORITHMS) + sorted(FLUID_FACTORIES)
 
@@ -749,12 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="JSON",
                         help="keyword arguments for the algorithm, as a JSON "
                              "object, e.g. '{\"friction_jitter\": 0.1}'")
-    p_prof.add_argument("--batch-replicates", type=int, default=1,
-                        metavar="N",
-                        help="profile N seed replicates (seeds SEED..SEED+N-1) "
-                             "as one replicate-batched rounds run under "
-                             "the counters probe; prints the batch.* "
-                             "counters (rounds engine only)")
     p_prof.set_defaults(fn=cmd_profile)
 
     def scenario_or_all(value: str) -> str:

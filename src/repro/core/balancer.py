@@ -355,31 +355,6 @@ class ParticlePlaneBalancer(Balancer):
         """
         return self.config.friction_jitter == 0.0
 
-    def step_is_noop(self, ctx: BalanceContext) -> bool:
-        """True when :meth:`step` on *ctx* provably returns no orders,
-        changes no state and draws no RNG.
-
-        That needs a sound screen, no probe (a probed step emits
-        counters), a balancer already bound to the context's topology
-        (an unbound one would reset first), nothing in flight, and an
-        empty Phase-B screen over the pre-step surface.
-        """
-        cache = self._cache
-        if (
-            not self.screen_sound
-            or ctx.probe is not None
-            or self._motion
-            or cache is None
-            or cache.topology is not ctx.topology
-        ):
-            return False
-        inv_s = self.inverse_speeds(ctx)
-        # At step start `h` is the fresh surface and no link is reserved.
-        h = ctx.system.node_loads * inv_s
-        floor = self._candidate_floor(ctx.system)
-        ok = self.initiation_screen(floor, h, inv_s, ctx.link_costs, ctx.up_mask)
-        return not ok.any()
-
     def inverse_speeds(self, ctx: BalanceContext) -> np.ndarray:
         """``1/s_i`` per node: the effective-surface divisor of a round.
 

@@ -29,7 +29,6 @@ Two scaling levers ride on top of the backend seam:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from os import PathLike
@@ -208,12 +207,12 @@ def _replicate_tasks(
     """Partition pending spec indices into execution tasks.
 
     With ``batch_replicates > 1``, specs that are identical up to
-    ``seed`` — same canonical dict minus the seed field — and eligible
-    for replicate batching (rounds engine, null probe) are grouped
-    into one batched task of at most ``batch_replicates`` replicates.
-    Everything else stays a singleton task. Group membership follows
-    pending order, so tasks — and therefore batches — are deterministic
-    for a given grid.
+    ``seed`` (equal :meth:`~repro.runner.spec.RunSpec.replicate_key`,
+    under any probe) are grouped into one batched task of at most
+    ``batch_replicates`` replicates. ``events`` specs stay singleton
+    tasks for now (see ``ROADMAP.md``, item 3), as does every spec
+    without a replicate. Group membership follows pending order, so
+    tasks — and therefore batches — are deterministic for a given grid.
     """
     if not batch_replicates or batch_replicates <= 1:
         return [[i] for i in pending]
@@ -221,12 +220,10 @@ def _replicate_tasks(
     open_group: dict[str, list[int]] = {}
     for i in pending:
         spec = specs[i]
-        if spec.engine != "rounds" or spec.probe != "null":
+        if spec.engine == "events":
             tasks.append([i])
             continue
-        d = spec.to_dict()
-        del d["seed"]
-        key = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        key = spec.replicate_key()
         group = open_group.get(key)
         if group is None:
             group = []
@@ -293,21 +290,26 @@ def run_grid(
         JSON).
     batch_replicates:
         ``N > 1`` groups cache-missing specs that are identical up to
-        ``seed`` (rounds engine, null probe) into batched tasks of
-        up to N replicates, each executed as one
-        :class:`~repro.sim.BatchSimulator` run. Transparent: every
+        ``seed`` into batched tasks of up to N replicates, each one
+        :class:`~repro.sim.BatchSimulator`: one topology build shared
+        by lanes that each run the solo engine. Transparent: every
         replicate's result is bit-identical to its solo execution, so
         per-spec outcomes, cache entries, index lines and sink rows are
         exactly what the unbatched path produces — batched and solo
         runs share cache keys and interoperate freely. This is the one
-        switch for replicate batching; ``None`` (the default) or ``1``
-        runs every spec solo.
+        switch for replicate batching; ``None`` (the default), ``0`` or
+        ``1`` runs every spec solo, and a negative N raises
+        :class:`~repro.exceptions.ConfigurationError`.
 
     Returns
     -------
     list[RunOutcome]
         One outcome per spec, in input order.
     """
+    if batch_replicates is not None and batch_replicates < 0:
+        raise ConfigurationError(
+            f"batch_replicates must be >= 0, got {batch_replicates}"
+        )
     specs = list(specs)
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
@@ -407,7 +409,7 @@ def run_grid(
                 return
             # One batched task: split its payload back into per-spec
             # results (spec order), sharing the in-worker seconds
-            # evenly — the replicates ran as one joint loop.
+            # evenly — the lanes ran back to back in one task.
             share = task_s / len(group)
             for i, result_payload in zip(group, payload["results"]):
                 collect_one(i, result_payload, share)

@@ -80,8 +80,8 @@ class RunSpec:
         accept ``cadence``, ``wake_jitter``, ``stragglers``, …).
     engine:
         Which execution model runs the spec: ``"rounds"`` (the
-        synchronous :class:`~repro.sim.Simulator`, the default; its
-        specs are the ones replicate-batched), ``"events"`` (the
+        synchronous :class:`~repro.sim.Simulator`, the default),
+        ``"events"`` (the
         asynchronous protocol through
         :class:`~repro.sim.EventFastSimulator`'s columnar event
         buffers) or ``"fluid"`` (the
@@ -221,6 +221,14 @@ class RunSpec:
     def canonical_json(self) -> str:
         """Canonical encoding: sorted keys, no whitespace."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    def replicate_key(self) -> str:
+        """Canonical encoding minus ``seed``: the one grouping rule of
+        replicate batching. Specs with equal replicate keys are seed
+        replicates of one family, so they may share a topology build."""
+        payload = self.to_dict()
+        del payload["seed"]
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def key(self) -> str:
         """Content hash (sha256 hex) — the result-cache address.

@@ -18,7 +18,8 @@ scenario means the same workload under any of them. ``"fluid"`` builds
 the divisible-load :class:`~repro.sim.FluidSimulator` over the
 scenario's *initial per-node loads* — the continuous-limit view of the
 same setting; task-granular extras (churn, node speeds) have no fluid
-counterpart and are not forwarded.
+counterpart and are not forwarded. One builder, :func:`_build_engine`,
+does all three.
 
 ``execute_payload`` is the pool entry point: module-level (hence
 picklable by reference) and returning the JSON payload rather than the
@@ -26,11 +27,12 @@ result object, so the bytes that cross the process boundary are exactly
 the bytes that would be written to the cache.
 
 ``execute_batch`` is the replicate-batched sibling: a group of specs
-identical up to ``seed`` becomes one :class:`~repro.sim.BatchSimulator`
-run — the scenario topology is built once and shared across the lanes,
-and each lane's result is bit-identical to what :func:`execute_spec`
-would have produced for that seed alone (the batched engine's
-contract). ``execute_batch_payload`` is its pool-side wrapper.
+identical up to ``seed`` (:meth:`RunSpec.replicate_key`), on any engine
+and under any probe, becomes one :class:`~repro.sim.BatchSimulator` —
+the scenario topology is built once and shared, and each lane runs the
+solo engine, so its result is bit-identical to what
+:func:`execute_spec` produces for that seed alone.
+``execute_batch_payload`` is its pool-side wrapper.
 """
 
 from __future__ import annotations
@@ -47,94 +49,85 @@ from repro.sim import (
     SimulationResult,
     Simulator,
 )
+from repro.sim.kernel import RoundDriver
 from repro.workloads import build_scenario
 
-#: spec.engine -> task-granular simulator class (validated upstream by
-#: RunSpec; "fluid" dispatches separately below).
-_ENGINE_CLASSES = {"rounds": Simulator, "events": EventFastSimulator}
+#: spec.engine -> simulator class (validated upstream by RunSpec).
+_ENGINE_CLASSES = {
+    "rounds": Simulator,
+    "events": EventFastSimulator,
+    "fluid": FluidSimulator,
+}
 
 
-def execute_spec(spec: RunSpec) -> SimulationResult:
-    """Run one spec to completion and return its result."""
-    if spec.engine == "fluid":
-        scenario = build_scenario(
-            spec.scenario, seed=spec.seed, **spec.scenario_kwargs
-        )
-        sim = FluidSimulator(
-            scenario.topology,
-            scenario.system.node_loads,
-            make_balancer(spec.algorithm, **spec.algorithm_kwargs),
-            links=scenario.links,
-            seed=spec.seed,
-            recorder=spec.recorder,
-            probe=spec.probe,
-            **spec.sim_kwargs,
-        )
-        return sim.run(max_rounds=spec.max_rounds)
-    engine_cls = _ENGINE_CLASSES.get(spec.engine)
+def _build_engine(spec: RunSpec, topology=None, engine_cls=None) -> RoundDriver:
+    """Build *spec*'s scenario and balancer into its engine, not yet run.
+
+    Scenario-carried extras are defaults; explicit ``sim_kwargs`` win (a
+    spec may legitimately override e.g. ``node_speeds`` or ``dynamic``).
+    A *topology* passed in is shared instead of rebuilt. *engine_cls*
+    overrides the class ``spec.engine`` names (the heap-driven
+    :class:`~repro.sim.EventSimulator` oracle has no engine name).
+    """
+    engine_cls = engine_cls or _ENGINE_CLASSES.get(spec.engine)
     if engine_cls is None:
         # RunSpec validates eagerly, but specs rebuilt from hand-edited
         # JSON (or a stale cache manifest) can still carry names this
         # build does not know — fail with the roster, not a KeyError.
         raise ConfigurationError(
-            f"unknown engine {spec.engine!r}; available: "
-            f"{sorted([*_ENGINE_CLASSES, 'fluid'])}"
+            f"unknown engine {spec.engine!r}; available: {sorted(_ENGINE_CLASSES)}"
         )
-    return _task_simulator(spec, engine_cls).run(max_rounds=spec.max_rounds)
-
-
-def _task_simulator(spec: RunSpec, engine_cls, topology=None):
-    """Build *spec*'s scenario and balancer into a task-engine instance.
-
-    Scenario-carried extras are defaults; explicit ``sim_kwargs`` win (a
-    spec may legitimately override e.g. ``node_speeds`` or ``dynamic``).
-    A *topology* passed in is shared instead of rebuilt.
-    """
     scenario = build_scenario(
         spec.scenario, seed=spec.seed, topology=topology, **spec.scenario_kwargs
     )
     balancer = make_balancer(spec.algorithm, **spec.algorithm_kwargs)
     sim_kwargs: dict = {
         "links": scenario.links,
-        "dynamic": scenario.dynamic,
-        "node_speeds": scenario.node_speeds,
         "seed": spec.seed,
         "recorder": spec.recorder,
         "probe": spec.probe,
-        **spec.sim_kwargs,
     }
-    return engine_cls(scenario.topology, scenario.system, balancer, **sim_kwargs)
+    if engine_cls is FluidSimulator:
+        state = scenario.system.node_loads
+    else:
+        state = scenario.system
+        sim_kwargs["dynamic"] = scenario.dynamic
+        sim_kwargs["node_speeds"] = scenario.node_speeds
+    sim_kwargs.update(spec.sim_kwargs)
+    return engine_cls(scenario.topology, state, balancer, **sim_kwargs)
+
+
+def execute_spec(spec: RunSpec) -> SimulationResult:
+    """Run one spec to completion and return its result."""
+    return _build_engine(spec).run(max_rounds=spec.max_rounds)
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
-    """Run replicate specs as one batched simulation; results per spec.
+    """Run seed replicates on one shared topology; results per spec.
 
-    The specs must be identical up to ``seed``, request the
-    ``rounds`` engine and carry the null probe (the runner's
-    grouping pass guarantees all three). The scenario is built once per
-    seed but the *topology* only once — every lane shares the first
-    lane's topology object, which is what lets
-    :class:`~repro.sim.BatchSimulator` reuse one CSR adjacency across
-    the batch. Topology construction consumes no randomness, so the
-    shared object is exactly what each lane would have built itself,
-    and each lane's result is bit-identical to a solo
+    The specs must be identical up to ``seed`` (equal
+    :meth:`~repro.runner.spec.RunSpec.replicate_key`), else this raises
+    :class:`~repro.exceptions.ConfigurationError`: the lanes share the
+    first spec's topology. Topology construction consumes no
+    randomness, so the shared object is exactly what each lane would
+    have built itself, and each lane's result is bit-identical to a solo
     :func:`execute_spec` of that spec.
     """
     if not specs:
         raise ConfigurationError("execute_batch needs at least one spec")
-    for spec in specs:
-        if spec.engine != "rounds":
+    first = specs[0]
+    for spec in specs[1:]:
+        if spec.replicate_key() != first.replicate_key():
+            a, b = first.to_dict(), spec.to_dict()
+            fields = sorted(k for k in a.keys() | b.keys()
+                            if k != "seed" and a.get(k) != b.get(k))
             raise ConfigurationError(
-                f"replicate batching runs the rounds engine only, "
-                f"got {spec.engine!r}"
+                f"execute_batch needs specs identical up to seed; seed "
+                f"{spec.seed} differs from seed {first.seed} in {fields}"
             )
-    if len(specs) == 1:
-        return [execute_spec(specs[0])]
-    sims = []
-    topology = None
+    sims: list[RoundDriver] = []
     for spec in specs:
-        sims.append(_task_simulator(spec, Simulator, topology))
-        topology = sims[0].topology
+        sims.append(_build_engine(spec, sims[0].topology if sims else None))
     return BatchSimulator(sims).run(max_rounds=specs[0].max_rounds)
 
 

@@ -23,11 +23,10 @@ start; balancers observe the state and order one-hop migrations.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-
   family theory checks.
 * :class:`BatchSimulator` — S independent seed replicates of one
-  scenario run in lock-step (``batch_replicates=N`` through the
-  runner): lanes whose balancer step is provably a no-op skip it, and
-  lanes with nothing left to change freeze — each replicate's records,
-  final loads and terminal RNG state are bit-identical to a solo
-  :class:`Simulator` run of that seed.
+  scenario on one shared topology build (``batch_replicates=N``
+  through the runner), any engine: each lane runs the solo engine, so
+  its records, final loads and terminal RNG state are bit-identical to
+  a solo run of that seed.
 * :mod:`kernel <repro.sim.kernel>` — the shared
   :class:`SimulationLoop`: every engine above is a thin driver
   supplying its round body, the kernel owns the lifecycle (observe,

@@ -234,26 +234,6 @@ class Simulator(TaskStateMixin, RoundDriver):
             self._wire.clear()
         return self._rounds_done
 
-    def round_begin(self, round_index: int) -> np.ndarray:
-        """Pre-step round work: faults → deliver → churn. Returns ``up``.
-
-        Split out of :meth:`play_round` so a caller coordinating several
-        simulators (replicate batching) can stop at the balancer-step
-        boundary and decide whether to step — with the exact same
-        sequence of state mutations a solo :meth:`play_round` performs.
-        """
-        if self.fault_model is not None:
-            self.fault_model.advance(round_index)
-            up = self.fault_model.up_mask()
-        else:
-            up = self._all_up
-
-        self._deliver_due(round_index)  # in-transit tasks landing this round
-
-        if self.dynamic is not None:
-            self._churn()
-        return up
-
     def round_apply(
         self, migrations: list[Migration], up: np.ndarray, round_index: int
     ) -> RoundStats:
@@ -268,7 +248,16 @@ class Simulator(TaskStateMixin, RoundDriver):
 
     def play_round(self, round_index: int) -> RoundStats:
         """One synchronous round: faults → deliver → churn → step → apply."""
-        up = self.round_begin(round_index)
+        if self.fault_model is not None:
+            self.fault_model.advance(round_index)
+            up = self.fault_model.up_mask()
+        else:
+            up = self._all_up
+
+        self._deliver_due(round_index)  # in-transit tasks landing this round
+
+        if self.dynamic is not None:
+            self._churn()
         ctx = self._context(round_index, up)
         migrations = self.balancer.step(ctx)
         return self.round_apply(migrations, up, round_index)

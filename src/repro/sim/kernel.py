@@ -371,21 +371,16 @@ class TaskStateMixin:
 
 @dataclass
 class RunState:
-    """In-progress run bookkeeping between :meth:`SimulationLoop.begin`
-    and :meth:`SimulationLoop.end`.
+    """In-progress bookkeeping of one :meth:`SimulationLoop.run`.
 
     ``r`` is the *next* round to play; after the loop it equals the
     number of rounds completed plus the starting base, which is exactly
     what :meth:`RoundDriver.finish` expects. ``done`` flips when the
-    run converged or exhausted its round budget — callers interleaving
-    several runs (the replicate-batched engine) drop a state from their
-    active set the moment it is done.
+    run converged or exhausted its round budget.
     """
 
-    result: SimulationResult
     r: int
     end_round: int
-    start: float
     quiet: int = 0
     converged_at: int | None = None
     done: bool = False
@@ -425,12 +420,20 @@ class SimulationLoop:
 
     def run(self, max_rounds: int = 1000, reset: bool = True) -> SimulationResult:
         """Simulate up to *max_rounds* rounds (early exit on convergence)."""
+        if max_rounds < 1:
+            raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
         driver = self.driver
         probe = self.probe
         traced = probe.enabled
         perf = time.perf_counter
 
-        state = self.begin(max_rounds, reset)
+        result = SimulationResult(balancer_name=driver.balancer.name)
+        result.initial_summary = imbalance_summary(driver.observed_loads())
+        start = perf()
+        self.recorder.start()
+        probe.start()
+        base = driver.prepare(reset)
+        state = RunState(r=base, end_round=base + max_rounds)
         while not state.done:
             if traced:
                 t0 = perf()
@@ -438,47 +441,21 @@ class SimulationLoop:
             if traced:
                 probe.span("play_round", t0, perf())
             self.observe_round(state, stats)
-        return self.end(state)
 
-    def begin(self, max_rounds: int = 1000, reset: bool = True) -> RunState:
-        """Start a run: validate, snapshot the initial surface, prepare.
+        driver.finish(state.r)
+        result.converged_round = state.converged_at
+        result.final_summary = imbalance_summary(driver.observed_loads())
+        self.recorder.finalize(result)
+        result.wall_time_s = perf() - start
+        probe.finalize(result)
+        return result
 
-        Together with :meth:`observe_round` and :meth:`end` this is the
-        exploded form of :meth:`run`: ``begin`` covers everything up to
-        the first ``play_round``, ``observe_round`` covers everything a
-        round does *after* the driver has played it (observation,
-        recording, convergence), and ``end`` the post-loop epilogue.
-        The decomposition lets a caller drive several loops in
-        lock-step (replicate batching) while each run stays bit-
-        identical to a solo :meth:`run`.
-        """
-        if max_rounds < 1:
-            raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
-        driver = self.driver
-        result = SimulationResult(balancer_name=driver.balancer.name)
-        result.initial_summary = imbalance_summary(driver.observed_loads())
-        start = time.perf_counter()
-        self.recorder.start()
-        self.probe.start()
-        base = driver.prepare(reset)
-        return RunState(result=result, r=base, end_round=base + max_rounds,
-                        start=start)
-
-    def observe_round(
-        self,
-        state: RunState,
-        stats: RoundStats,
-        summ: dict[str, float] | None = None,
-    ) -> None:
+    def observe_round(self, state: RunState, stats: RoundStats) -> None:
         """Record round ``state.r``'s stats and run the convergence check.
 
-        The caller has just played round ``state.r``; this advances
-        ``state.r`` past it and flips ``state.done`` on convergence or
-        round-budget exhaustion. *summ* lets a caller hand in this
-        round's :func:`imbalance_summary` of ``driver.observed_loads()``
-        when it already computed it (the replicate-batched engine replays
-        a frozen lane's summary); the values must be bitwise equal to
-        what the kernel would compute itself.
+        :meth:`run` calls this once per round, after the driver has
+        played round ``state.r``; it advances ``state.r`` past it and
+        flips ``state.done`` on convergence or round-budget exhaustion.
         """
         driver = self.driver
         crit = driver.criteria
@@ -490,8 +467,7 @@ class SimulationLoop:
 
         if traced:
             t1 = perf()
-        if summ is None:
-            summ = imbalance_summary(driver.observed_loads())
+        summ = imbalance_summary(driver.observed_loads())
         if traced:
             t2 = perf()
             probe.span("observe", t1, t2)
@@ -540,15 +516,3 @@ class SimulationLoop:
             probe.span("converge", t3, perf())
         state.r = r + 1
         state.done = converged_now or state.r >= state.end_round
-
-    def end(self, state: RunState) -> SimulationResult:
-        """Finish a run started by :meth:`begin`; return its result."""
-        driver = self.driver
-        driver.finish(state.r)
-        result = state.result
-        result.converged_round = state.converged_at
-        result.final_summary = imbalance_summary(driver.observed_loads())
-        self.recorder.finalize(result)
-        result.wall_time_s = time.perf_counter() - state.start
-        self.probe.finalize(result)
-        return result

@@ -120,9 +120,9 @@ def build_leaderboard(
                     coords.append((spec.scenario, engine, display, overrides))
 
     # batch_replicates groups each entrant's seed axis into one
-    # replicate-batched simulation (rounds cells only; other
-    # engines run solo). Bit-identical per seed, so every row, rank and
-    # the full payload are byte-identical to the unbatched build.
+    # replicate batch (events cells run solo). Bit-identical per seed,
+    # so every row, rank and the full payload are byte-identical to the
+    # unbatched build.
     outcomes = run_grid(specs, workers=workers, cache=cache, metrics=metrics,
                         batch_replicates=batch_replicates)
 

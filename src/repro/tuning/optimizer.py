@@ -267,10 +267,10 @@ def tune_scenario(
         of one pool per evaluation batch.
     batch_replicates:
         Forwarded to :func:`~repro.runner.run_grid`: groups each
-        candidate's ``eval_seeds`` repetitions into one replicate-
-        batched simulation (rounds engine only). Bit-identical per
-        replicate, so the winner, every score and the whole history are
-        unchanged — only the evaluation wall time drops.
+        candidate's ``eval_seeds`` repetitions into one replicate
+        batch, sharing one topology build (``events`` specs run solo).
+        Bit-identical per replicate, so the winner, every score and the
+        whole history are unchanged.
 
     Returns
     -------

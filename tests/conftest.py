@@ -135,9 +135,9 @@ def run_on(engine_cls, spec):
     """Run *spec*'s scenario and balancer on the task engine class
     *engine_cls*, whatever engine name the spec carries: the heap-driven
     :class:`~repro.sim.EventSimulator` oracle has no engine name."""
-    from repro.runner.worker import _task_simulator
+    from repro.runner.worker import _build_engine
 
-    return _task_simulator(spec, engine_cls).run(max_rounds=spec.max_rounds)
+    return _build_engine(spec, engine_cls=engine_cls).run(max_rounds=spec.max_rounds)
 
 
 def reference_balancer(algorithm, **kwargs):

@@ -18,12 +18,9 @@ boundary, and after every round it asserts:
 * for PPLB with µk > 0, the round's heat is >= 0, and a converged run
   ends with no particle in flight (Corollary 2).
 
-The round boundary of the event engines is ``play_round``. The
-synchronous engine's is its ``round_begin``/``round_apply`` pair, which
-its own ``play_round`` calls and which :class:`~repro.sim.BatchSimulator`
-drives directly, skipping ``round_apply`` on a lane whose step is a
-no-op. A skipped round is checked at the next ``round_begin``, or by
-:meth:`PhysicsChecker.finish` when it is the lane's last.
+The round boundary is the engine's ``play_round``, on every engine. A
+:class:`~repro.sim.BatchSimulator` lane is the solo engine, so a checker
+attached to each lane sees every round of the batch.
 
 It reads public state only: the task system, the topology, the fault
 model's up mask and the engine's ``link_capacity``, ``transfer_latency``,
@@ -43,7 +40,6 @@ import numpy as np
 from repro.core import ParticlePlaneBalancer
 from repro.exceptions import TopologyError
 from repro.sim import EventSimulator
-from repro.sim.kernel import RoundStats
 
 _TOL = 1e-9
 
@@ -67,7 +63,6 @@ class PhysicsChecker:
         self.round = -1  # the round being played (for messages)
         self.epoch = 0  # rounds ended so far: the link-budget window
         self.rounds_checked = 0
-        self._open = False  # a synchronous round begun and not yet checked
         #: task on the wire -> (source, epoch sent, due, up mask at send)
         self.wire: dict[int, tuple[int, int, float, np.ndarray | None]] = {}
         #: (epoch, edge id) -> hops started over that link in that epoch
@@ -84,8 +79,7 @@ class PhysicsChecker:
         return self.finish(self.sim.run(max_rounds=max_rounds))
 
     def finish(self, result):
-        """Check the last round, if still open, then Corollary 2."""
-        self._close_skipped()
+        """Check Corollary 2 on a finished run."""
         assert self.rounds_checked > 0, "physics check saw no round"
         if self.frictional and result.converged:
             if self.sim.balancer.in_flight:
@@ -108,8 +102,6 @@ class PhysicsChecker:
             system.add_task, system.add_tasks, system.remove_task,
         )
         play_round = sim.play_round
-        round_begin = getattr(sim, "round_begin", None)
-        round_apply = getattr(sim, "round_apply", None)
 
         def checked_move(tid, dest):
             self._hop(system.location_of(tid), dest, self.epoch, self._up())
@@ -150,40 +142,17 @@ class PhysicsChecker:
             self._end_round(stats)
             return stats
 
-        def checked_round_begin(round_index):
-            self._close_skipped()
-            self.round = round_index
-            self._open = True
-            return round_begin(round_index)
-
-        def checked_round_apply(migrations, up, round_index):
-            stats = round_apply(migrations, up, round_index)
-            self._open = False
-            self._end_round(stats)
-            return stats
-
         system.move = checked_move
         system.send_to_transit = checked_send
         system.deliver = checked_deliver
         system.add_task = checked_add_task
         system.add_tasks = checked_add_tasks
         system.remove_task = checked_remove
-        if round_begin is None:
-            sim.play_round = checked_play_round
-        else:
-            sim.round_begin = checked_round_begin
-            sim.round_apply = checked_round_apply
+        sim.play_round = checked_play_round
 
     def _end_round(self, stats) -> None:
         self._check_round(stats)
         self.epoch += 1
-
-    def _close_skipped(self) -> None:
-        """Check the synchronous round begun last if its step was skipped
-        (it applied nothing)."""
-        if self._open:
-            self._open = False
-            self._end_round(RoundStats())
 
     def _up(self) -> np.ndarray | None:
         """The fault model's current up mask (None: every link is up)."""

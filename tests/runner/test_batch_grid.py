@@ -1,12 +1,13 @@
 """Replicate batching through the runner: transparent seed grouping.
 
 ``run_grid(..., batch_replicates=N)`` — the one batching switch — must
-be *invisible* in every output the runner produces: per-spec outcomes in input order, cache entries byte-
-identical to serial execution (modulo the measured ``wall_time_s``
-inside the payload — the one execution-varying field), index sidecar
-lines that answer metric-level replays, and cache keys shared with
-plain ``rounds`` runs (the default engine) so batched and solo caches
-interoperate.
+be *invisible* in every output the runner produces: per-spec outcomes
+in input order, cache entries byte-identical to serial execution
+(modulo the measured ``wall_time_s`` and phase seconds inside the
+payload — the execution-varying fields), index sidecar lines that
+answer metric-level replays, and cache keys shared with solo runs so
+batched and solo caches interoperate. Any spec family identical up to
+``seed`` batches, under any probe; ``events`` specs still run solo.
 """
 
 import json
@@ -49,14 +50,19 @@ class _SpyBackend(SerialBackend):
 
 
 def _normalised_entries(cache: ResultCache) -> dict[str, str]:
-    """Every cache entry as canonical JSON with wall_time_s removed."""
+    """Every cache entry as canonical JSON, its result as ``get`` returns
+    it, with wall_time_s and the measured phase seconds removed."""
     out = {}
     for shard in sorted(cache.root.iterdir()):
         if not shard.is_dir():
             continue
         for path in sorted(shard.iterdir()):
             entry = json.loads(path.read_text())
-            entry["result"].pop("wall_time_s", None)
+            result = cache.get(path.stem)
+            result.pop("wall_time_s", None)
+            for phase in (result.get("telemetry") or {}).get("phases", {}).values():
+                phase.pop("total_s")
+            entry["result"] = result
             out[path.name] = json.dumps(entry, sort_keys=True)
     return out
 
@@ -106,12 +112,32 @@ class TestBatchedGrid:
 
     def test_only_eligible_specs_group(self):
         mixed = (
-            _specs(seeds=2)  # eligible
-            + _specs(seeds=2, engine="events")  # wrong engine
-            + _specs(seeds=2, probe="counters")  # probed
+            _specs(seeds=2)
+            + _specs(seeds=2, engine="events")  # runs solo
+            + _specs(seeds=2, probe="counters")  # its own family
+            + _specs(seeds=2, engine="fluid", algorithms=("fluid-diffusion",))
         )
         tasks = _replicate_tasks(mixed, range(len(mixed)), 4)
-        assert [len(t) for t in tasks] == [2, 1, 1, 1, 1]
+        assert [len(t) for t in tasks] == [2, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("engine, algorithm, probe", [
+        ("rounds", "pplb", "counters"),
+        ("events", "pplb", "null"),
+        ("events", "pplb", "counters"),
+        ("fluid", "fluid-diffusion", "null"),
+        ("fluid", "fluid-diffusion", "counters"),
+    ])
+    def test_every_engine_and_probe_keeps_cache_entries(self, tmp_path, engine,
+                                                        algorithm, probe):
+        specs = _specs(seeds=3, engine=engine, algorithms=(algorithm,),
+                       probe=probe)
+        solo_cache = ResultCache(tmp_path / "solo")
+        batch_cache = ResultCache(tmp_path / "batched")
+        run_grid(specs, cache=solo_cache)
+        run_grid(specs, cache=batch_cache, batch_replicates=3)
+        entries = _normalised_entries(batch_cache)
+        assert len(entries) == 3
+        assert entries == _normalised_entries(solo_cache)
 
     @pytest.mark.parametrize("engine", ["rounds", "rounds-fast"])
     def test_batch_replicates_batches_whole_cell(self, engine):
@@ -132,6 +158,12 @@ class TestBatchedGrid:
         tasks = _replicate_tasks(specs, range(len(specs)), batch_replicates)
         assert tasks == [[0], [1], [2]]
 
+    def test_negative_batch_replicates_rejected(self):
+        spy = _SpyBackend()
+        with pytest.raises(ConfigurationError, match="batch_replicates"):
+            run_grid(_specs(seeds=2), backend=spy, batch_replicates=-2)
+        assert spy.items == []
+
     def test_no_batching_without_request(self):
         specs = _specs(seeds=3)
         spy = _SpyBackend()
@@ -140,11 +172,16 @@ class TestBatchedGrid:
         assert not any(item.get("__batch__") for item in spy.items)
 
     def test_mixed_grid_executes_batched_and_solo_tasks(self):
-        specs = _specs(seeds=2) + _specs(seeds=2, engine="events")
+        specs = (
+            _specs(seeds=2)
+            + _specs(seeds=2, probe="counters")
+            + _specs(seeds=2, engine="events")
+            + _specs(seeds=1, scenarios=("torus-hotspot",))
+        )
         spy = _SpyBackend()
         outcomes = run_grid(specs, backend=spy, batch_replicates=2)
         assert [bool(item.get("__batch__")) for item in spy.items] == [
-            True, False, False,
+            True, True, False, False, False,
         ]
         assert all(o.result is not None for o in outcomes)
 

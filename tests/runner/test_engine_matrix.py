@@ -4,9 +4,9 @@ Each cell builds the scenario, runs 5 rounds under the ``summary``
 recorder and checks the result shape — so every component (placements,
 links, heterogeneity, dynamics) is exercised through the full
 spec → worker → engine → recorder stack on all three execution models.
-The task-engine cells also run replicate-batched and on the heap-driven
-event oracle, and each of those runs must reproduce its solo, runner-built
-counterpart exactly. Sizes are overridden down through the legacy
+Every engine's cells also run replicate-batched, the event cells also on
+the heap-driven oracle, and each of those runs must reproduce its solo,
+runner-built counterpart exactly. Sizes are overridden down through the legacy
 shared-kwargs path to keep the matrix cheap.
 """
 
@@ -38,17 +38,22 @@ def _first_lane(spec):
     return execute_batch([spec, dataclasses.replace(spec, seed=spec.seed + 1)])[0]
 
 
-#: every way a task-engine cell runs: (engine name, runner). Both task
-#: engines through the runner, the rounds engine replicate-batched, and
-#: the heap-driven event oracle by class (no engine name builds it).
-#: A run whose runner is not ``execute_spec`` must equal the
-#: ``execute_spec`` result of the same spec.
-TASK_RUNS = {
+#: every way a cell runs: (engine name, runner). Each engine through the
+#: runner and replicate-batched, and the heap-driven event oracle by
+#: class (no engine name builds it). A run whose runner is not
+#: ``execute_spec`` must equal the ``execute_spec`` result of the same
+#: spec.
+RUNS = {
     "rounds": ("rounds", execute_spec),
     "rounds-batched": ("rounds", _first_lane),
     "events": ("events", execute_spec),
+    "events-batched": ("events", _first_lane),
     "EventSimulator": ("events", functools.partial(run_on, EventSimulator)),
+    "fluid": ("fluid", execute_spec),
+    "fluid-batched": ("fluid", _first_lane),
 }
+TASK_RUNS = [run for run, (engine, _) in RUNS.items() if engine != "fluid"]
+FLUID_RUNS = [run for run, (engine, _) in RUNS.items() if engine == "fluid"]
 
 #: the genuinely new compositions the refactor ships (each must run
 #: under every task-engine run).
@@ -69,12 +74,9 @@ def _payload(result) -> dict:
 
 
 def run_spec(spec: RunSpec, run: str):
-    """Run *spec* the way *run* names (a :data:`TASK_RUNS` key, or
-    ``"fluid"``), checking an indirect run against the solo one."""
-    if run == "fluid":
-        return execute_spec(spec)
-    engine, execute = TASK_RUNS[run]
-    spec = dataclasses.replace(spec, engine=engine)
+    """Run *spec* the way *run* names (a :data:`RUNS` key), checking an
+    indirect run against the solo one."""
+    _, execute = RUNS[run]
     result = execute(spec)
     if execute is not execute_spec:
         assert _payload(result) == _payload(execute_spec(spec))
@@ -88,7 +90,7 @@ def run_cell(scenario: str, run: str, algorithm: str):
         seed=1,
         max_rounds=5,
         scenario_kwargs=small_kwargs(scenario),
-        engine="fluid" if run == "fluid" else "rounds",
+        engine=RUNS[run][0],
         recorder="summary",
     )
     result = run_spec(spec, run)
@@ -100,15 +102,16 @@ def run_cell(scenario: str, run: str, algorithm: str):
     return result
 
 
-@pytest.mark.parametrize("run", list(TASK_RUNS))
+@pytest.mark.parametrize("run", TASK_RUNS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_every_scenario_runs_on_every_task_engine(scenario, run):
     run_cell(scenario, run, "diffusion")
 
 
+@pytest.mark.parametrize("run", FLUID_RUNS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_every_scenario_runs_on_the_fluid_engine(scenario):
-    run_cell(scenario, "fluid", "fluid-diffusion")
+def test_every_scenario_runs_on_the_fluid_engine(scenario, run):
+    run_cell(scenario, run, "fluid-diffusion")
 
 
 def test_fluid_engine_is_a_projection_onto_the_initial_surface():
@@ -127,7 +130,7 @@ def test_fluid_engine_is_a_projection_onto_the_initial_surface():
     assert a == b
 
 
-@pytest.mark.parametrize("run", list(TASK_RUNS))
+@pytest.mark.parametrize("run", TASK_RUNS)
 @pytest.mark.parametrize("scenario", NEW_SCENARIOS)
 def test_new_compositions_balance_under_pplb(scenario, run):
     # The paper's own algorithm on each new composition, not just the
@@ -135,13 +138,12 @@ def test_new_compositions_balance_under_pplb(scenario, run):
     run_cell(scenario, run, "pplb")
 
 
-@pytest.mark.parametrize("run", [*TASK_RUNS, "fluid"])
+@pytest.mark.parametrize("run", list(RUNS))
 def test_fully_dressed_composed_string_runs_everywhere(run):
     scenario = "mesh:6x6+clustered+fault-storm+tiered+diurnal"
-    algorithm = "fluid-diffusion" if run == "fluid" else "pplb"
+    algorithm = "fluid-diffusion" if run in FLUID_RUNS else "pplb"
     spec = RunSpec(scenario=scenario, algorithm=algorithm, seed=2,
-                   max_rounds=5, engine="fluid" if run == "fluid" else "rounds",
-                   recorder="summary")
+                   max_rounds=5, engine=RUNS[run][0], recorder="summary")
     result = run_spec(spec, run)
     assert 1 <= result.n_rounds <= 5
 

@@ -1,17 +1,15 @@
-"""The replicate-batched ≡ solo synchronous-engine correctness anchor.
+"""The replicate-batched ≡ solo correctness anchor.
 
 :class:`~repro.sim.BatchSimulator` runs S seed replicates of one
-scenario as a single vectorised simulation. Its contract is the same
-one every fast path in this repo carries: pure evaluation-order
-optimisation, never a decision. Replicate *i* of a batch must therefore
-reproduce a solo :class:`~repro.sim.Simulator` run of seed *i*
+scenario on one shared topology build, each lane the solo engine.
+Replicate *i* of a batch must therefore reproduce a solo run of seed *i*
 exactly — identical per-round records (every float), identical
 convergence round, identical final load vector, and an identical
-*terminal RNG state* (the batch consumed exactly the draws the solo run
-would have). Covered here across the differential scenario matrix,
-under per-replicate fallback (friction jitter), under probes (decision
-counters included), on long steady-state horizons (the frozen-lane
-caches), and over fuzzed composed-grammar scenarios.
+*terminal RNG state*. Covered here across the differential scenario
+matrix on the synchronous engine, with friction jitter, under probes
+(the whole telemetry block), on long steady-state horizons, over fuzzed
+composed-grammar scenarios, and through ``execute_batch`` on all three
+engines.
 """
 
 from dataclasses import asdict
@@ -19,9 +17,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core.balancer import ParticlePlaneBalancer
 from repro.exceptions import ConfigurationError
+from repro.runner import RunSpec
 from repro.runner.registry import make_balancer
+from repro.runner.worker import execute_batch, execute_spec
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.workloads import build_scenario
@@ -82,7 +81,7 @@ def _batch_vs_solo(scenario_name, algorithm, seeds=SEEDS, rounds=60,
     batch_results = BatchSimulator(sims).run(max_rounds=rounds)
     for checker, result in zip(checkers, batch_results):
         checker.finish(result)
-        # Skipped and frozen rounds too, not only the stepped ones.
+        # Every round of every lane.
         assert checker.rounds_checked == result.n_rounds
     pairs = []
     for seed, sim, batch_result in zip(seeds, sims, batch_results):
@@ -97,6 +96,14 @@ def _batch_vs_solo(scenario_name, algorithm, seeds=SEEDS, rounds=60,
              solo.rng.bit_generator.state),
         ))
     return pairs
+
+
+def _untimed(telemetry):
+    """*telemetry* without the measured phase seconds."""
+    out = dict(telemetry)
+    out["phases"] = {name: phase["calls"]
+                     for name, phase in telemetry["phases"].items()}
+    return out
 
 
 def _assert_identical(batch, solo):
@@ -118,30 +125,29 @@ class TestBatchEquivalence:
         for batch, solo in _batch_vs_solo(scenario, algorithm):
             _assert_identical(batch, solo)
 
-    def test_replicates_drop_out_independently(self):
-        # Different seeds converge at different rounds; the active mask
-        # must retire each lane exactly when its solo run would stop.
+    def test_replicates_converge_independently(self):
+        # Different seeds converge at different rounds; each lane must
+        # stop exactly when its solo run would.
         pairs = _batch_vs_solo("mesh-hotspot", "pplb", seeds=list(range(6)),
                                rounds=200)
         converged = {p[0][0].converged_round for p in pairs}
-        assert len(converged) > 1, "seeds converged in lock-step; weak case"
+        assert len(converged) > 1, "every seed converged at one round; weak case"
         for batch, solo in pairs:
             _assert_identical(batch, solo)
 
-    def test_jittered_config_falls_back_per_replicate(self):
-        # friction_jitter != 0 draws RNG per evaluated candidate, so the
-        # batch cannot precompute — those lanes ride along unhinted and
-        # must still match their solo runs bit for bit.
+    def test_jittered_config_lanes_reproduce_solo_runs(self):
+        # friction_jitter != 0 draws RNG per evaluated candidate and
+        # sweeps every node; those lanes must match their solo runs bit
+        # for bit too.
         for batch, solo in _batch_vs_solo(
             "mesh-hotspot", "pplb",
             algorithm_kwargs={"friction_jitter": 0.05},
         ):
             _assert_identical(batch, solo)
 
-    def test_long_steady_horizon_with_frozen_lanes(self):
-        # A fixed horizon far past convergence: lanes freeze (cached
-        # screen + cached summary) and every later round must replay
-        # the exact skipped state the solo run keeps recomputing.
+    def test_long_steady_horizon(self):
+        # A fixed horizon far past convergence: every idle round of
+        # every lane must match the solo run's.
         no_exit = ConvergenceCriteria(quiet_rounds=10**9, min_rounds=0)
         for batch, solo in _batch_vs_solo(
             "mesh-hotspot", "pplb", seeds=[0, 1, 2], rounds=300,
@@ -149,50 +155,15 @@ class TestBatchEquivalence:
         ):
             _assert_identical(batch, solo)
 
-    def test_frozen_horizon_skips_balancer_steps(self, monkeypatch):
-        # The batch saves work only by skipping provably no-op steps, and
-        # the equivalence checks above stay green if skipping stops — so
-        # count the balancer steps on both sides of the same horizon.
-        calls = []
-        step = ParticlePlaneBalancer.step
-
-        def counting_step(self, ctx):
-            calls.append(ctx.round_index)
-            return step(self, ctx)
-
-        monkeypatch.setattr(ParticlePlaneBalancer, "step", counting_step)
-        no_exit = ConvergenceCriteria(quiet_rounds=10**9, min_rounds=0)
-        seeds, rounds = [0, 1, 2], 300
-        sims = []
-        for seed in seeds:
-            topology = sims[0].topology if sims else None
-            sims.append(_build_sim("mesh-hotspot", "pplb", seed,
-                                   topology=topology, criteria=no_exit))
-        BatchSimulator(sims).run(max_rounds=rounds)
-        batched = len(calls)
-        calls.clear()
-        for seed in seeds:
-            _build_sim("mesh-hotspot", "pplb", seed,
-                       criteria=no_exit).run(max_rounds=rounds)
-        assert len(calls) == len(seeds) * rounds
-        assert batched < len(calls)
-
     def test_probed_lanes_keep_identical_decision_counters(self):
         # Probes observe, never steer — in a batch too. Records and the
-        # structured decision counters must match the solo run; the
-        # batch.* counters are additive batch-only telemetry.
+        # whole telemetry block (counters, phase call counts) must match
+        # the solo run; only the measured phase seconds differ.
         for batch, solo in _batch_vs_solo(
             "mesh-hotspot", "pplb", seeds=[0, 1], probe="counters",
         ):
             _assert_identical(batch, solo)
-            b_counters = dict(batch[0].telemetry["counters"])
-            replicates = b_counters.pop("batch.replicates")
-            fill = b_counters.pop("batch.fill_ratio")
-            fallbacks = b_counters.pop("batch.fallbacks")
-            assert replicates == 2
-            assert 0.0 < fill <= 1.0
-            assert fallbacks == 0
-            assert b_counters == solo[0].telemetry["counters"]
+            assert _untimed(batch[0].telemetry) == _untimed(solo[0].telemetry)
 
     def test_singleton_batch(self):
         for batch, solo in _batch_vs_solo("torus-hotspot", "pplb", seeds=[7]):
@@ -211,8 +182,8 @@ class TestBatchEquivalence:
 
 class TestBatchPhysics:
     """Three-replicate batches over a static and a churning surface, for
-    a balancer whose lanes skip idle steps and one whose lanes never do
-    (every batch in this file is physics-checked by `_batch_vs_solo`)."""
+    PPLB and a baseline (every batch in this file is physics-checked by
+    `_batch_vs_solo`)."""
 
     @pytest.mark.parametrize("scenario", ["mesh-hotspot", "diurnal"])
     @pytest.mark.parametrize("algorithm", ["pplb", "diffusion"])
@@ -252,3 +223,47 @@ class TestComposedScenarioFuzz:
                 scenario, algorithm, seeds=seeds, rounds=50, size={},
             ):
                 _assert_identical(batch, solo)
+
+
+def _payload(result):
+    """*result*'s cache payload without its measured fields."""
+    payload = result.to_dict()
+    del payload["wall_time_s"]
+    if payload.get("telemetry") is not None:
+        payload["telemetry"] = _untimed(payload["telemetry"])
+    return payload
+
+
+class TestEveryEngineBatches:
+    """``execute_batch`` on each engine, probed or not: every lane's
+    payload equals its solo ``execute_spec`` payload."""
+
+    @pytest.mark.parametrize("probe", ["null", "counters"])
+    @pytest.mark.parametrize("engine, algorithm, scenario", [
+        ("rounds", "pplb", "mesh-faulty"),
+        ("events", "pplb", "straggler"),
+        ("events", "diffusion", "bursty-arrivals"),
+        ("fluid", "fluid-diffusion", "mesh-hotspot"),
+    ])
+    def test_lanes_match_solo_execute_spec(self, engine, algorithm, scenario,
+                                           probe):
+        specs = [
+            RunSpec(scenario=scenario, algorithm=algorithm, seed=seed,
+                    max_rounds=40, scenario_kwargs=dict(SIZE), engine=engine,
+                    probe=probe)
+            for seed in SEEDS
+        ]
+        batched = execute_batch(specs)
+        assert len(batched) == len(specs)
+        for spec, lane in zip(specs, batched):
+            assert _payload(lane) == _payload(execute_spec(spec))
+
+    def test_specs_beyond_seed_are_rejected(self):
+        # The lanes share the first spec's topology, so a second spec on
+        # another machine would silently run on the first one's mesh.
+        small = RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=0,
+                        max_rounds=40, scenario_kwargs={"side": 5})
+        large = RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=1,
+                        max_rounds=40, scenario_kwargs={"side": 6})
+        with pytest.raises(ConfigurationError, match="scenario_kwargs"):
+            execute_batch([small, large])

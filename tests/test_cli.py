@@ -74,6 +74,16 @@ class TestRunGrid:
         out = capsys.readouterr().out
         assert "8 specs: 0 executed, 8 from cache" in out
 
+    @pytest.mark.parametrize("command", ["run-grid", "tune", "leaderboard"])
+    def test_negative_batch_replicates_is_an_error(self, capsys, tmp_path,
+                                                   command):
+        argv = [command, "--batch-replicates", "-1",
+                "--cache-dir", str(tmp_path / "cache")]
+        if command == "tune":
+            argv += ["--registry", str(tmp_path / "tuned.json")]
+        assert main(argv) == 1
+        assert "batch_replicates must be >= 0, got -1" in capsys.readouterr().err
+
     def test_no_cache_flag(self, capsys, tmp_path):
         argv = ["run-grid", "--seeds", "2", "--rounds", "40", "--no-cache",
                 "--cache-dir", str(tmp_path / "cache")]
@@ -376,26 +386,22 @@ class TestProfileCommand:
         assert events and all(e["ph"] == "X" for e in events)
         assert {"play_round", "wake_wave"} <= {e["name"] for e in events}
 
-    def test_profile_batches_the_default_rounds_engine(self, capsys):
-        rc = main(["profile", "mesh:4x4+hotspot", "--rounds", "10",
-                   "--batch-replicates", "2"])
-        assert rc == 0
-        assert "batched, rounds engine" in capsys.readouterr().out
-        rc = main(["profile", "mesh:4x4+hotspot", "--rounds", "10",
-                   "--batch-replicates", "2", "--engine", "events"])
-        assert rc == 2
-        assert "rounds engine only" in capsys.readouterr().err
+    def test_profile_has_no_batch_flag(self):
+        # A batched lane is the solo engine, so its profile is the solo one.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["profile", "mesh:4x4+hotspot", "--batch-replicates", "2"]
+            )
 
-    @pytest.mark.parametrize("batch", [[], ["--batch-replicates", "2"]])
-    def test_profile_takes_algorithm_kwargs(self, capsys, tmp_path, batch):
+    def test_profile_takes_algorithm_kwargs(self, capsys, tmp_path):
         # A jittered PPLB is the one config that counts reference sweeps.
         rc = main(["profile", "mesh:5x5+hotspot", "--rounds", "10",
                    "--trace-out", str(tmp_path / "trace.json"),
-                   "--algorithm-kwargs", '{"friction_jitter": 0.05}', *batch])
+                   "--algorithm-kwargs", '{"friction_jitter": 0.05}'])
         assert rc == 0
         assert "balancer.reference_sweeps" in capsys.readouterr().out
         rc = main(["profile", "mesh:5x5+hotspot", "--rounds", "10",
-                   "--trace-out", str(tmp_path / "trace.json"), *batch])
+                   "--trace-out", str(tmp_path / "trace.json")])
         assert rc == 0
         assert "balancer.reference_sweeps" not in capsys.readouterr().out
 

@@ -26,8 +26,6 @@ TRACKED = {
     "probe_counters_rps@N=1024",
     "grid_dispatch_rps",
     "grid_dispatch_baseline_rps",
-    "batch_sps",
-    "batch_solo_sps",
     "events_scalar_eps",
     "events_fast_eps",
     "events_steady_scalar_eps",
@@ -52,26 +50,26 @@ def test_baseline_passes_its_own_gate(gate):
 
 
 def test_sections_missing_from_an_old_baseline_are_skipped(gate):
-    old = {k: v for k, v in BASELINE.items() if k not in ("grid_dispatch", "batch_throughput")}
+    old = {k: v for k, v in BASELINE.items() if k not in ("grid_dispatch", "events")}
     assert set(gate.tracked_rates(old)) == TRACKED - {
         "grid_dispatch_rps",
         "grid_dispatch_baseline_rps",
-        "batch_sps",
-        "batch_solo_sps",
+        "events_scalar_eps",
+        "events_fast_eps",
     }
 
 
 def test_rate_regression_fails(gate):
     fresh = copy.deepcopy(BASELINE)
-    fresh["batch_throughput"]["batch_sps"] *= 0.5
+    fresh["events"]["fast"]["events_per_sec"] *= 0.5
     [failure] = gate.check(BASELINE, fresh)
-    assert failure.startswith("batch_sps:")
+    assert failure.startswith("events_fast_eps:")
 
 
 def test_foreign_machine_class_gates_bounds_only(gate, capsys):
     fresh = copy.deepcopy(BASELINE)
     fresh["environment"] = {"ci": not BASELINE["environment"]["ci"]}
-    fresh["batch_throughput"]["batch_sps"] *= 0.5
+    fresh["events"]["fast"]["events_per_sec"] *= 0.5
     assert gate.check(BASELINE, fresh) == []
     assert "different machine class" in capsys.readouterr().out
 
@@ -85,7 +83,6 @@ def test_foreign_machine_class_gates_bounds_only(gate, capsys):
         ("record_throughput", "full_rps", 2.0, "summary/full recording rate"),
         ("probe_overhead", "overhead", 2.0, "counters-probe overhead"),
         ("grid_dispatch", "speedup", 0.1, "grid-dispatch speedup"),
-        ("batch_throughput", "speedup", 0.1, "replicate-batch speedup"),
         ("events_steady", "speedup", 0.1, "events_steady speedup"),
     ],
 )
