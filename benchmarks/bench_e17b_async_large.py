@@ -3,9 +3,9 @@
 Paper context: E17 established that asynchronous execution does not
 qualitatively break the algorithm ranking — on 64- and 256-node
 topologies. This extension pushes the async axis to a 64×64 mesh (4096
-nodes, the top of the scaling curve), which is only tractable through
-the ``events`` engine's columnar event buffers (the heap-driven
-:class:`~repro.sim.EventSimulator` oracle cannot touch it), and runs the
+nodes, the top of the scaling curve), which is tractable through
+the ``events`` engine's columnar event buffers
+(:class:`~repro.sim.EventSimulator`), and runs the
 grid through the persistent pool
 backend — the two specs (hotspot transient, uniform steady state)
 execute concurrently on warm workers.
@@ -22,7 +22,7 @@ runs), and the backend's spawn count pins the pool reuse.
 Expected shape: the balancer still flattens the 4096-node hotspot
 (CoV strictly decreasing from the initial placement) while the uniform
 workload stays balanced, and the events engine sustains a meaningful
-event rate at a node count the heap-driven driver cannot touch.
+event rate at 4096 nodes.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_e17b_async_large.py -s``
 """

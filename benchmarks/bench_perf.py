@@ -31,11 +31,12 @@ section is one entry here. The sections:
   (``keep_results=False``, answered from the cache's index sidecar),
   interleaved best-of-3. Bound: the indexed path ≥5× the JSON path.
 * **events** / **events_steady** — jittered clocks (so waves are
-  genuinely per-node): the heap-driven ``EventSimulator`` with PPLB's
-  reference sweep vs the columnar ``EventFastSimulator`` (the
-  ``events`` engine) with PPLB's screened sweep on the same 16×16
-  torus, in the decision-bound *hotspot transient* (rates tracked, no
-  bound) and the *steady-state serving* regime, where every wake is a
+  genuinely per-node): the heap-driven test oracle
+  (``tests/heap_events.py``) with PPLB's reference sweep vs
+  ``EventSimulator`` (the ``events`` engine, columnar event buffers)
+  with PPLB's screened sweep on the same 16×16 torus, in the
+  decision-bound *hotspot transient* (rates tracked, no bound) and the
+  *steady-state serving* regime, where every wake is a
   no-effect visit the screen rejects wholesale. Bound: columnar ≥10×
   heap events/sec at steady state.
 
@@ -60,6 +61,8 @@ from typing import Callable
 
 import json
 import os
+import pathlib
+import sys
 import tempfile
 import time
 
@@ -67,15 +70,15 @@ from repro.analysis import format_table
 from repro.core import ParticlePlaneBalancer
 from repro.runner import ResultCache, default_metrics, expand_grid, run_grid
 from repro.runner.registry import make_balancer
-from repro.sim import (
-    EventFastSimulator,
-    EventSimulator,
-    Simulator,
-)
+from repro.sim import EventSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.workloads import build_scenario
 
 from _harness import RESULTS_DIR, emit, once
+
+# the event pairs time the heap-driven oracle that lives with the tests
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.heap_events import HeapEventSimulator
 
 ALGORITHM = "pplb"
 SEED = 0
@@ -328,8 +331,8 @@ def _timed_event_pair(scenario_name: str, scenario_kwargs: dict,
         )
         return sim, sim.run(max_rounds=rounds)
 
-    scalar_sim, scalar = run(EventSimulator, _reference())
-    fast_sim, fast = run(EventFastSimulator, make_balancer(ALGORITHM))
+    scalar_sim, scalar = run(HeapEventSimulator, _reference())
+    fast_sim, fast = run(EventSimulator, make_balancer(ALGORITHM))
     assert _same_records(scalar, fast), (
         f"the columnar event driver diverged from the heap on {scenario_name}"
     )

@@ -47,8 +47,8 @@ anything runs).
 {rounds,events,fluid}``, one name per time model:
 ``rounds`` is the paper's synchronous protocol
 (:class:`repro.sim.Simulator`), ``events`` the discrete-event
-asynchronous engine (:class:`repro.sim.EventFastSimulator`, columnar
-event buffers) and ``fluid`` the divisible-load engine
+asynchronous engine (:class:`repro.sim.EventSimulator`) and ``fluid``
+the divisible-load engine
 (:class:`repro.sim.FluidSimulator`) over the scenario's initial
 per-node loads — it requires one of the fluid algorithms
 (``fluid-diffusion``, ``fluid-dimension-exchange``, ``fluid-sos``).
@@ -308,10 +308,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
         engine=args.engine,
         recorder=args.recorder,
         probe=args.probe,
-        # Explicit: the progress lines and the table below print specs
-        # in list order, so replicates of one cell stay adjacent (and
-        # replicate batching groups them without reordering anything).
-        order="scenario-major",
     )
     cache = _cache_from(args)
     metrics = RunnerMetrics()

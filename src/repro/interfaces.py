@@ -93,7 +93,7 @@ class BalanceContext:
         Per-node wake mask for this balancing wave, or None when every
         node is participating (always None under the synchronous
         engine). The asynchronous event engine
-        (:class:`repro.sim.events.EventSimulator`) refuses orders
+        (:class:`repro.sim.EventSimulator`) refuses orders
         between two sleeping nodes (an awake src is a push, an awake
         dst a pull), so async-aware balancers can consult this mask to
         avoid planning moves that will be dropped; async-oblivious

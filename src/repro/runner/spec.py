@@ -33,8 +33,8 @@ from repro.rng import seed_for
 
 #: execution models a spec may request, one per time model (see
 #: :mod:`repro.runner.worker`). Replicate batching is not an engine: it
-#: is an execution strategy the runner applies to ``rounds`` specs under
-#: ``run_grid(..., batch_replicates=N)``.
+#: is an execution strategy the runner applies to ``rounds`` and
+#: ``fluid`` specs under ``run_grid(..., batch_replicates=N)``.
 ENGINES = frozenset({"rounds", "events", "fluid"})
 
 #: older engine spellings -> the engine each names (the one place that
@@ -81,10 +81,8 @@ class RunSpec:
     engine:
         Which execution model runs the spec: ``"rounds"`` (the
         synchronous :class:`~repro.sim.Simulator`, the default),
-        ``"events"`` (the
-        asynchronous protocol through
-        :class:`~repro.sim.EventFastSimulator`'s columnar event
-        buffers) or ``"fluid"`` (the
+        ``"events"`` (the asynchronous
+        :class:`~repro.sim.EventSimulator`) or ``"fluid"`` (the
         divisible-load :class:`~repro.sim.FluidSimulator`; requires a
         fluid algorithm). The fluid engine is a *projection*: it
         simulates the scenario's initial per-node load surface in the
@@ -288,43 +286,24 @@ def expand_grid(
     engine: str = "rounds",
     recorder: str = "full",
     probe: str = "null",
-    order: str = "scenario-major",
 ) -> list[RunSpec]:
     """Cartesian (scenario × algorithm × seed) product.
 
-    The order is deterministic so serial and parallel executions of the
-    same grid agree on spec indices. ``order`` selects which axis is
-    the major (slowest-varying, outermost) one:
-
-    * ``"scenario-major"`` (the default, the historical order):
-      scenarios, then algorithms, then seeds — all replicates of one
-      (scenario, algorithm) cell are adjacent, which is the layout
-      replicate batching (``run_grid(..., batch_replicates=...)``)
-      groups most naturally (grouping is key-based, so any order is
-      *correct* — adjacency just keeps batches and progress output
-      aligned with the caller's reading order).
-    * ``"seed-major"``: seeds, then scenarios, then algorithms — one
-      complete replicate of the whole grid lands before the next seed
-      starts, so partial executions yield full (scenario × algorithm)
-      coverage early.
-
-    Either way the outcome list of :func:`~repro.runner.runner.run_grid`
-    matches the spec list index-for-index; callers that slice outcomes
-    positionally (rather than grouping by spec fields) must pass the
-    order explicitly instead of assuming one.
+    Scenarios, then algorithms, then seeds: the order is deterministic,
+    so serial and parallel executions of the same grid agree on spec
+    indices, and all replicates of one (scenario, algorithm) cell are
+    adjacent, which keeps replicate batches
+    (``run_grid(..., batch_replicates=...)``) and progress output in
+    the caller's reading order. The outcome list of
+    :func:`~repro.runner.runner.run_grid` matches the spec list
+    index-for-index.
     """
     if not scenarios or not algorithms or not seeds:
         raise ConfigurationError(
             "expand_grid needs at least one scenario, algorithm and seed"
         )
-    if order not in ("scenario-major", "seed-major"):
-        raise ConfigurationError(
-            f"unknown expand_grid order {order!r}; "
-            f"available: ['scenario-major', 'seed-major']"
-        )
-
-    def build(sc: str, alg: str, seed: int) -> RunSpec:
-        return RunSpec(
+    return [
+        RunSpec(
             scenario=sc,
             algorithm=alg,
             seed=int(seed),
@@ -336,16 +315,6 @@ def expand_grid(
             recorder=recorder,
             probe=probe,
         )
-
-    if order == "seed-major":
-        return [
-            build(sc, alg, seed)
-            for seed in seeds
-            for sc in scenarios
-            for alg in algorithms
-        ]
-    return [
-        build(sc, alg, seed)
         for sc in scenarios
         for alg in algorithms
         for seed in seeds

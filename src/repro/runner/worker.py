@@ -8,11 +8,10 @@ pure function of the spec's content (scenario construction, balancer
 config and the simulator RNG are all seeded from ``spec.seed``), which
 is what licenses the content-addressed cache.
 
-``spec.engine`` selects the execution model: ``"rounds"`` builds the
-synchronous :class:`~repro.sim.Simulator` and ``"events"`` the
-asynchronous :class:`~repro.sim.EventFastSimulator` (columnar event
-buffers; the heap-driven :class:`~repro.sim.EventSimulator` it is
-tested against has no engine name). The task engines receive
+``spec.engine`` selects the execution model through
+:data:`_ENGINE_CLASSES`: ``"rounds"`` builds the synchronous
+:class:`~repro.sim.Simulator` and ``"events"`` the asynchronous
+:class:`~repro.sim.EventSimulator`. The task engines receive
 whatever extras the scenario carries (per-node speeds, a churn process), so a
 scenario means the same workload under any of them. ``"fluid"`` builds
 the divisible-load :class:`~repro.sim.FluidSimulator` over the
@@ -44,7 +43,7 @@ from repro.runner.registry import make_balancer
 from repro.runner.spec import RunSpec
 from repro.sim import (
     BatchSimulator,
-    EventFastSimulator,
+    EventSimulator,
     FluidSimulator,
     SimulationResult,
     Simulator,
@@ -55,21 +54,19 @@ from repro.workloads import build_scenario
 #: spec.engine -> simulator class (validated upstream by RunSpec).
 _ENGINE_CLASSES = {
     "rounds": Simulator,
-    "events": EventFastSimulator,
+    "events": EventSimulator,
     "fluid": FluidSimulator,
 }
 
 
-def _build_engine(spec: RunSpec, topology=None, engine_cls=None) -> RoundDriver:
+def _build_engine(spec: RunSpec, topology=None) -> RoundDriver:
     """Build *spec*'s scenario and balancer into its engine, not yet run.
 
     Scenario-carried extras are defaults; explicit ``sim_kwargs`` win (a
     spec may legitimately override e.g. ``node_speeds`` or ``dynamic``).
-    A *topology* passed in is shared instead of rebuilt. *engine_cls*
-    overrides the class ``spec.engine`` names (the heap-driven
-    :class:`~repro.sim.EventSimulator` oracle has no engine name).
+    A *topology* passed in is shared instead of rebuilt.
     """
-    engine_cls = engine_cls or _ENGINE_CLASSES.get(spec.engine)
+    engine_cls = _ENGINE_CLASSES.get(spec.engine)
     if engine_cls is None:
         # RunSpec validates eagerly, but specs rebuilt from hand-edited
         # JSON (or a stale cache manifest) can still carry names this
@@ -87,7 +84,7 @@ def _build_engine(spec: RunSpec, topology=None, engine_cls=None) -> RoundDriver:
         "recorder": spec.recorder,
         "probe": spec.probe,
     }
-    if engine_cls is FluidSimulator:
+    if spec.engine == "fluid":
         state = scenario.system.node_loads
     else:
         state = scenario.system

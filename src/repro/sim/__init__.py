@@ -11,15 +11,13 @@ start; balancers observe the state and order one-hop migrations.
   sweep (the screened one whenever it is sound), so no engine carries
   a fast-path switch.
 * :class:`EventSimulator` — discrete-event *asynchronous* simulation in
-  continuous time: per-node clocks (heterogeneous speeds, jitter,
-  stragglers), latency-delayed transfers, results sampled at epoch
-  boundaries. Degenerates exactly to :class:`Simulator` under unit
-  clocks / zero latency / uniform cadence. No engine name builds it;
-  it is the heap-driven oracle the ``events`` engine is tested against.
-* :class:`EventFastSimulator` — the same asynchronous protocol on
-  columnar event buffers instead of a tuple heap
-  (``engine="events"``); differentially tested to reproduce
-  :class:`EventSimulator` bit for bit on every clock model.
+  continuous time (``engine="events"``): per-node clocks (heterogeneous
+  speeds, jitter, stragglers), latency-delayed transfers, results
+  sampled at epoch boundaries, pending events in columnar buffers
+  (:class:`WakeSchedule`, :class:`ArrivalBuffer`). Degenerates exactly
+  to :class:`Simulator` under unit clocks / zero latency / uniform
+  cadence; a heap-driven test oracle pins its schedule on every clock
+  model.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-
   family theory checks.
 * :class:`BatchSimulator` — S independent seed replicates of one
@@ -46,7 +44,7 @@ start; balancers observe the state and order one-hop migrations.
 from repro.sim.batch import BatchSimulator
 from repro.sim.engine import FluidSimulator, Simulator
 from repro.sim.event_buffers import ArrivalBuffer, WakeSchedule
-from repro.sim.events import EventFastSimulator, EventSimulator
+from repro.sim.events import EventSimulator
 from repro.sim.kernel import RoundDriver, RoundStats, SimulationLoop
 from repro.sim.metrics import (
     coefficient_of_variation,
@@ -75,7 +73,6 @@ from repro.sim.telemetry import (
 __all__ = [
     "Simulator",
     "EventSimulator",
-    "EventFastSimulator",
     "FluidSimulator",
     "BatchSimulator",
     "WakeSchedule",

@@ -34,7 +34,7 @@ class BatchSimulator:
     ----------
     sims:
         The replicate engines (any of ``Simulator``,
-        ``EventFastSimulator``, ``FluidSimulator``, ...). All must share
+        ``EventSimulator``, ``FluidSimulator``, ...). All must share
         one :class:`~repro.network.topology.Topology` *object*. Each
         keeps its own load state, RNG, links and churn — the batch never
         mixes replicate state.

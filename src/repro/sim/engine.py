@@ -25,6 +25,7 @@ max−min spread drops below ``spread_tol``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,9 +165,9 @@ class Simulator(TaskStateMixin, RoundDriver):
                     f"transfer_latency must be an int >= 0 or 'size', got "
                     f"{transfer_latency!r}"
                 )
-        elif transfer_latency < 0:
+        elif not (math.isfinite(transfer_latency) and transfer_latency >= 0):
             raise ConfigurationError(
-                f"transfer_latency must be >= 0, got {transfer_latency}"
+                f"transfer_latency must be >= 0 and finite, got {transfer_latency}"
             )
         self._init_task_engine(
             topology=topology,
@@ -328,8 +329,8 @@ class FluidSimulator(RoundDriver):
             raise ConfigurationError(
                 f"initial loads must have shape ({topology.n_nodes},), got {h.shape}"
             )
-        if (h < 0).any():
-            raise ConfigurationError("initial loads must be non-negative")
+        if not (np.isfinite(h) & (h >= 0)).all():
+            raise ConfigurationError("initial loads must be non-negative and finite")
         self.topology = topology
         self.h = h
         self.balancer = balancer

@@ -1,11 +1,11 @@
-"""Columnar event buffers for the vectorised event engine.
+"""Columnar event buffers for the event engine.
 
-The scalar :class:`~repro.sim.events.EventSimulator` keeps every
-pending event as a Python tuple on a ``heapq`` — one object per wake,
-arrival and epoch marker, compared element-wise on every push and pop.
-At large N the heap churn alone costs more than the balancing decisions
-it schedules. The ``events`` engine replaces that heap with two
-columnar stores in the spirit of the PR 4
+A textbook discrete-event loop keeps every pending event as a Python
+tuple on a binary heap — one object per wake, arrival and epoch marker,
+compared element-wise on every push and pop. At large N that heap churn
+alone costs more than the balancing decisions it schedules.
+:class:`~repro.sim.events.EventSimulator` (the ``events`` engine) keeps
+its pending events in two columnar stores instead, in the spirit of
 :class:`~repro.sim.results.RoundLog` (one preallocated, geometrically
 grown NumPy array per field, no per-event Python objects):
 
@@ -15,12 +15,12 @@ grown NumPy array per field, no per-event Python objects):
 * :class:`ArrivalBuffer` — in-flight transfers as parallel
   ``(when, rank, task_id, dest)`` columns with amortised-O(1) append.
 
-Both stores reproduce the heap's ordering contract exactly: events are
+Both stores keep the heap's ordering contract exactly: events are
 consumed in ``(time, insertion order)`` order, where the insertion
 *rank* is a monotone counter standing in for the heap's tie-breaking
-sequence number. That is what lets the ``events`` engine replay the scalar
-engine's schedule bit for bit (``tests/sim/
-test_events_fast_equivalence.py``).
+sequence number. ``tests/heap_events.py`` keeps the heap form as a test
+oracle, and ``tests/sim/test_events_fast_equivalence.py`` holds the
+engine to its schedule bit for bit.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ _NO_RANK = np.iinfo(np.int64).max
 class WakeSchedule:
     """Per-node next-wake times as one columnar array.
 
-    The scalar engine's invariant — exactly one pending wake per node —
+    The event engine's invariant — exactly one pending wake per node —
     makes the wake "heap" a fixed-width table: ``times[i]`` is node
     *i*'s next firing instant and ``ranks[i]`` the order it was
     scheduled in (the heap's sequence-number tie-break). A wave is
     every node whose time equals the minimum, in rank order — the same
-    batch the scalar loop assembles by popping equal-time entries.
+    batch a heap loop assembles by popping equal-time entries.
     """
 
     __slots__ = ("_times", "_ranks", "_counter")
@@ -55,7 +55,7 @@ class WakeSchedule:
 
     def schedule_all(self, when: float) -> None:
         """Schedule every node at *when*, ranked in node-id order (the
-        round-0 seeding: the scalar engine pushes node 0..n−1)."""
+        round-0 seeding: a heap loop pushes node 0..n−1)."""
         n = self._times.shape[0]
         self._times[:] = when
         self._ranks[:] = np.arange(n, dtype=np.int64)
@@ -69,7 +69,7 @@ class WakeSchedule:
 
     def pop_wave(self, when: float) -> np.ndarray:
         """Remove and return every node firing at *when*, in rank order
-        (= the order the scalar heap would pop them)."""
+        (= the order a heap would pop them)."""
         idx = np.nonzero(self._times == when)[0]
         if idx.shape[0] == 1:  # jittered clocks: almost every wave
             nodes = idx
@@ -81,7 +81,7 @@ class WakeSchedule:
 
     def schedule(self, nodes: np.ndarray, times: np.ndarray) -> None:
         """Schedule *nodes* at *times*, ranks assigned in array order
-        (the scalar engine re-pushes a wave's nodes in wave order)."""
+        (a wave's nodes are rescheduled in wave order)."""
         k = len(nodes)
         self._times[nodes] = times
         self._ranks[nodes] = np.arange(self._counter, self._counter + k, dtype=np.int64)

@@ -1,20 +1,21 @@
-"""The discrete-event asynchronous simulation engine.
+"""The discrete-event asynchronous simulation engine (``engine="events"``).
 
 :class:`EventSimulator` drops the synchronous-round assumption of
-:class:`repro.sim.engine.Simulator`: time is continuous, driven by a
-heap-based event queue, and every node has its *own* clock. A node
-wakes on its own balancing cadence (heterogeneous speed factors,
-per-wake jitter, optional straggler slowdowns), observes the system
-through the same :class:`~repro.interfaces.BalanceContext` snapshot,
-and issues the same one-hop :class:`~repro.interfaces.Migration`
-orders — so every registered :class:`~repro.interfaces.Balancer` runs
-unchanged on both engines.
+:class:`repro.sim.engine.Simulator`: time is continuous and every node
+has its *own* clock. A node wakes on its own balancing cadence
+(heterogeneous speed factors, per-wake jitter, optional straggler
+slowdowns), observes the system through the same
+:class:`~repro.interfaces.BalanceContext` snapshot, and issues the same
+one-hop :class:`~repro.interfaces.Migration` orders — so every
+registered :class:`~repro.interfaces.Balancer` runs unchanged on both
+engines.
 
 Like the synchronous engines, the event engine is a driver for the
 shared :class:`~repro.sim.kernel.SimulationLoop`: one *epoch* of
-continuous time is one kernel round, played by draining the event heap
-up to the epoch-end marker. Event types (ordered by a fixed priority at
-equal timestamps, so the schedule is deterministic):
+continuous time is one kernel round, played by consuming pending
+events in ``(time, priority, insertion)`` order up to the epoch-end
+marker. Event types (ordered by a fixed priority at equal timestamps,
+so the schedule is deterministic):
 
 1. **epoch-begin** — link fault/repair transitions are realised
    (:class:`~repro.network.faults.FaultModel.advance`), once per epoch.
@@ -44,6 +45,17 @@ equal timestamps, so the schedule is deterministic):
    recorder (full / thin / summary — see :mod:`repro.sim.recording`)
    and checks convergence.
 
+Pending events live in the columnar stores of
+:mod:`repro.sim.event_buffers`, not in per-event Python objects: a
+:class:`WakeSchedule` (one next-wake slot per node; a same-instant wave
+is one vectorised compare-and-gather) and an :class:`ArrivalBuffer`
+(in-flight transfers as parallel columns). The epoch markers are
+three local flags. ``tests/heap_events.py`` keeps the same schedule on
+a tuple heap as a test oracle; ``tests/sim/test_events_fast_equivalence.py``
+and its fuzz sibling hold the engine to it bit for bit — records, RNG
+state, final loads, event counts — on every clock model (jitter,
+stragglers, cadence, latency).
+
 Results are sampled at *epoch* boundaries (default epoch length 1.0, one
 epoch ⇔ one synchronous round), so they land in the existing
 :class:`~repro.sim.results.SimulationResult` shape and every downstream
@@ -57,26 +69,17 @@ degenerates to the synchronous protocol and :meth:`EventSimulator.run`
 reproduces :meth:`Simulator.run` exactly (same seed ⇒ identical
 per-round records). ``tests/sim/test_event_equivalence.py`` holds this
 as a property, not a hope.
-
-:class:`EventFastSimulator` (the ``events`` engine) is the same
-continuous-time protocol with the per-event Python object churn
-removed: wake scheduling and in-flight transfers live in columnar NumPy
-buffers (:mod:`repro.sim.event_buffers`) instead of a tuple heap. It
-reproduces the scalar event engine bit for bit — records, RNG state,
-final loads — across every clock model (jitter, stragglers, cadence,
-latency); ``tests/sim/test_events_fast_equivalence.py`` holds the full
-differential suite; no engine name builds its heap-driven oracle.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import time
 from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.interfaces import Balancer
 from repro.network.faults import FaultModel
 from repro.network.links import LinkAttributes
@@ -195,16 +198,18 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     f"transfer_latency must be a float >= 0 or 'size', got "
                     f"{transfer_latency!r}"
                 )
-        elif transfer_latency < 0:
+        elif not (math.isfinite(transfer_latency) and transfer_latency >= 0):
             raise ConfigurationError(
-                f"transfer_latency must be >= 0, got {transfer_latency}"
+                f"transfer_latency must be >= 0 and finite, got {transfer_latency}"
             )
-        if latency_scale < 0:
-            raise ConfigurationError(f"latency_scale must be >= 0, got {latency_scale}")
-        if cadence <= 0:
-            raise ConfigurationError(f"cadence must be positive, got {cadence}")
-        if epoch <= 0:
-            raise ConfigurationError(f"epoch must be positive, got {epoch}")
+        if not (math.isfinite(latency_scale) and latency_scale >= 0):
+            raise ConfigurationError(
+                f"latency_scale must be >= 0 and finite, got {latency_scale}"
+            )
+        if not (math.isfinite(cadence) and cadence > 0):
+            raise ConfigurationError(f"cadence must be positive and finite, got {cadence}")
+        if not (math.isfinite(epoch) and epoch > 0):
+            raise ConfigurationError(f"epoch must be positive and finite, got {epoch}")
         if not 0 <= wake_jitter < 1:
             raise ConfigurationError(
                 f"wake_jitter must be in [0, 1), got {wake_jitter}"
@@ -221,8 +226,8 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 raise ConfigurationError(
                     f"clock_speeds must have shape ({n},), got {clock_speeds.shape}"
                 )
-            if (clock_speeds <= 0).any():
-                raise ConfigurationError("clock speeds must be positive")
+            if not (np.isfinite(clock_speeds) & (clock_speeds > 0)).all():
+                raise ConfigurationError("clock speeds must be positive and finite")
         if stragglers:
             for node, factor in stragglers.items():
                 node = int(node)  # JSON object keys arrive as strings
@@ -231,10 +236,10 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                         f"straggler node {node} out of range [0, {n})"
                     )
                 factor = float(factor)
-                if factor < 1:
+                if not (math.isfinite(factor) and factor >= 1):
                     raise ConfigurationError(
-                        f"straggler slowdown must be >= 1, got {factor} "
-                        f"for node {node}"
+                        f"straggler slowdown must be >= 1 and finite, got "
+                        f"{factor} for node {node}"
                     )
                 clock_speeds[node] /= factor
 
@@ -290,7 +295,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         return float(self.transfer_latency)
 
     def _send(self, when: float, tid: int, dst: int) -> None:
-        self._push(when, _ARRIVAL, (tid, dst))
+        self._arrivals.push(when, tid, dst)
 
     def _next_period(self, node: int) -> float:
         base = self._periods[node]
@@ -298,10 +303,6 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             return base
         j = self.wake_jitter
         return base * float(self._clock_rng.uniform(1.0 - j, 1.0 + j))
-
-    def _push(self, when: float, priority: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, priority, self._seq, payload))
 
     # ------------------------------------------------------------------ #
 
@@ -346,111 +347,9 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         return 0
 
     def _reset_queues(self) -> None:
-        """Land anything still on the wire from a previous run (arrival
-        events left in the old heap) so a fresh run starts with every
-        task on a node, then start an empty heap."""
-        for when, priority, _seq, payload in sorted(getattr(self, "_heap", [])):
-            if priority == _ARRIVAL:
-                self._land(*payload)
-        self._heap: list[tuple] = []
-        self._seq = 0
-
-    def play_round(self, round_index: int) -> RoundStats:
-        """Drain the event heap through epoch *round_index*.
-
-        One epoch spans ``epoch`` simulation-time units; its boundary
-        events (begin/churn/end) are scheduled here, wakes and arrivals
-        re-schedule themselves. Returns when the epoch-end marker pops,
-        handing the epoch's accumulated counters to the kernel.
-        """
-        when = round_index * self.epoch
-        self._push(when, _EPOCH_BEGIN, round_index)
-        if self.dynamic is not None:
-            self._push(when, _CHURN, round_index)
-        self._push(when, _EPOCH_END, round_index)
-        if round_index == 0:
-            for node in range(self.topology.n_nodes):
-                self._push(0.0, _WAKE, node)
-
-        events0 = self.events_processed
-        heap = self._heap
-        while heap:
-            t, priority, _seq, payload = heapq.heappop(heap)
-            self.now = t
-            self.events_processed += 1
-
-            if priority == _WAKE:
-                # Batch every clock that fires at this exact instant
-                # into one wave (the degenerate config batches *all*
-                # nodes, reproducing the synchronous round).
-                nodes = [payload]
-                while heap and heap[0][0] == t and heap[0][1] == _WAKE:
-                    nodes.append(heapq.heappop(heap)[3])
-                    self.events_processed += 1
-                self._wave(t, nodes, self._up_mask)
-                for node in nodes:
-                    self._push(t + self._next_period(node), _WAKE, node)
-
-            elif priority == _ARRIVAL:
-                self._land(*payload)
-
-            elif priority == _EPOCH_BEGIN:
-                self._epoch_index = payload
-                if self.fault_model is not None:
-                    self.fault_model.advance(payload)
-                    self._up_mask = self.fault_model.up_mask()
-
-            elif priority == _CHURN:
-                self._churn()
-
-            else:  # _EPOCH_END — the kernel's observation point
-                if self.probe.enabled:
-                    self.probe.incr(
-                        "engine.heap_pops", self.events_processed - events0
-                    )
-                return self._epoch_stats()
-
-        raise SimulationError(
-            "event heap drained without reaching an epoch-end marker"
-        )  # pragma: no cover - wakes always re-schedule themselves
-
-    # ------------------------------------------------------------------ #
-
-    def run(self, max_rounds: int = 1000) -> SimulationResult:
-        """Simulate up to *max_rounds* epochs (early exit on convergence).
-
-        One epoch spans ``epoch`` simulation-time units and produces one
-        recorded round, so ``max_rounds`` plays the same budget role as
-        in the synchronous engine.
-        """
-        return self._loop.run(max_rounds)
-
-
-class EventFastSimulator(EventSimulator):
-    """The ``events`` engine: :class:`EventSimulator`, vectorised.
-
-    One change, a pure evaluation-order optimisation: the per-event
-    tuple heap is replaced by the columnar stores of
-    :mod:`repro.sim.event_buffers`, a :class:`WakeSchedule` (one
-    next-wake slot per node; a same-instant wave is one vectorised
-    compare-and-gather) and an :class:`ArrivalBuffer` (in-flight
-    transfers as parallel columns). Both consume events in the heap's
-    exact ``(time, priority, insertion)`` order, and jitter draws still
-    happen one per rescheduled wake in wave order, so the clock RNG
-    stream is untouched.
-
-    The engine therefore reproduces :class:`EventSimulator` bit for bit
-    on every configuration — records, RNG state, final loads, event
-    counts (``tests/sim/test_events_fast_equivalence.py`` is the
-    differential anchor).
-    """
-
-    def _send(self, when: float, tid: int, dst: int) -> None:
-        self._arrivals.push(when, tid, dst)
-
-    def _reset_queues(self) -> None:
-        """Land leftover in-flight transfers (the columnar analogue of
-        the scalar engine's heap drain), then start empty stores."""
+        """Land anything still on the wire from a previous run, in
+        arrival order, so a fresh run starts with every task on a node;
+        then start empty stores."""
         arrivals = getattr(self, "_arrivals", None)
         if arrivals is not None:
             for tid, dest in arrivals.drain_in_order():
@@ -458,18 +357,17 @@ class EventFastSimulator(EventSimulator):
         self._arrivals = ArrivalBuffer()
         self._wakes = WakeSchedule(self.topology.n_nodes)
 
-    # ------------------------- kernel driver hooks -------------------- #
-
     def play_round(self, round_index: int) -> RoundStats:
-        """Drain the columnar event stores through epoch *round_index*.
+        """Consume pending events through epoch *round_index*.
 
-        Identical schedule to the scalar :meth:`EventSimulator.play_round`:
-        each iteration consumes the lexicographically smallest
-        ``(time, priority)`` event among the pending wakes, arrivals and
-        this epoch's begin/churn/end markers. Priorities are distinct
-        per candidate class, so the minimum is unambiguous and equals
-        the heap's pop order; insertion ranks inside the stores
-        reproduce the heap's sequence-number tie-break.
+        One epoch spans ``epoch`` simulation-time units. Each iteration
+        takes the lexicographically smallest ``(time, priority)`` event
+        among the pending wakes, the pending arrivals and this epoch's
+        begin/churn/end markers. Priorities are distinct per event
+        class, so the minimum is unambiguous; the stores' insertion
+        ranks break ties inside a class. Returns when the epoch-end
+        marker is reached, handing the epoch's accumulated counters to
+        the kernel.
         """
         when = round_index * self.epoch
         if round_index == 0:
@@ -496,6 +394,9 @@ class EventFastSimulator(EventSimulator):
             self.now = t
 
             if priority == _WAKE:
+                # Every clock that fires at this exact instant is one
+                # wave (the degenerate config batches *all* nodes,
+                # reproducing the synchronous round).
                 wave = wakes.pop_wave(t)
                 nodes = [int(node) for node in wave]
                 self.events_processed += len(nodes)
@@ -503,8 +404,7 @@ class EventFastSimulator(EventSimulator):
                 if self._clock_rng is None:
                     wakes.schedule(wave, t + self._periods[wave])
                 else:
-                    # One jitter draw per rescheduled wake, in wave
-                    # order — the scalar re-push loop's RNG sequence.
+                    # One jitter draw per rescheduled wake, in wave order.
                     jittered = np.empty(len(nodes), dtype=np.float64)
                     for k, node in enumerate(nodes):
                         jittered[k] = t + self._next_period(node)
@@ -534,3 +434,28 @@ class EventFastSimulator(EventSimulator):
                         "engine.buffer_pops", self.events_processed - events0
                     )
                 return self._epoch_stats()
+
+    # ------------------------------------------------------------------ #
+
+    def run(self, max_rounds: int = 1000) -> SimulationResult:
+        """Simulate up to *max_rounds* epochs (early exit on convergence).
+
+        One epoch spans ``epoch`` simulation-time units and produces one
+        recorded round, so ``max_rounds`` plays the same budget role as
+        in the synchronous engine.
+        """
+        return self._loop.run(max_rounds)
+
+
+class EventFastSimulator(EventSimulator):
+    """The former name of the ``events`` engine, kept only because
+    ``perfbench/tracing.py`` lists its ``play_round`` among the callables
+    it wraps. Not exported; build :class:`EventSimulator`.
+
+    ``play_round`` is restated rather than inherited so that the class
+    ``__dict__`` holds it: a tracer that wraps both classes' attribute
+    then wraps two distinct slots, and an :class:`EventSimulator` run
+    records one span per epoch, not two.
+    """
+
+    play_round = EventSimulator.play_round

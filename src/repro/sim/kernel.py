@@ -149,7 +149,8 @@ class TaskStateMixin:
 
     @staticmethod
     def _checked_node_speeds(node_speeds, n: int) -> Optional[np.ndarray]:
-        """*node_speeds* as a float array, checked for shape and sign."""
+        """*node_speeds* as a float array, checked for shape, sign and
+        finiteness."""
         if node_speeds is None:
             return None
         node_speeds = np.asarray(node_speeds, dtype=np.float64)
@@ -157,8 +158,8 @@ class TaskStateMixin:
             raise ConfigurationError(
                 f"node_speeds must have shape ({n},), got {node_speeds.shape}"
             )
-        if (node_speeds <= 0).any():
-            raise ConfigurationError("node speeds must be positive")
+        if not (np.isfinite(node_speeds) & (node_speeds > 0)).all():
+            raise ConfigurationError("node speeds must be positive and finite")
         return node_speeds
 
     def _init_task_engine(

@@ -12,8 +12,8 @@ wake wave applies orders: jittered clocks with size-proportional
 latency split almost every epoch into several waves, so the asleep
 rule, the per-epoch link budget and the in-flight arrivals all shape
 the payload. That table runs both event drivers by class: the heap-driven
-:class:`~repro.sim.EventSimulator` oracle and the columnar
-:class:`~repro.sim.EventFastSimulator` the ``events`` engine builds.
+:class:`~tests.heap_events.HeapEventSimulator` oracle and the columnar
+:class:`~repro.sim.EventSimulator` the ``events`` engine builds.
 """
 
 import hashlib
@@ -23,8 +23,9 @@ import pytest
 
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_spec
-from repro.sim import EventFastSimulator, EventSimulator
+from repro.sim import EventSimulator
 from tests.conftest import run_on
+from tests.heap_events import HeapEventSimulator
 
 #: sha256 of ``to_dict()`` minus ``wall_time_s``: side=8, 40 rounds, seed 0.
 BASELINE_DIGESTS = {
@@ -91,7 +92,7 @@ class TestBaselineDigests:
         result = execute_spec(_spec(scenario, algorithm, engine))
         assert _digest(result) == BASELINE_DIGESTS[scenario, algorithm]
 
-    @pytest.mark.parametrize("engine_cls", [EventSimulator, EventFastSimulator],
+    @pytest.mark.parametrize("engine_cls", [HeapEventSimulator, EventSimulator],
                              ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("scenario,algorithm", list(DESYNC_DIGESTS))
     def test_desync_digest_is_frozen(self, scenario, algorithm, engine_cls):

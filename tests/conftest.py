@@ -132,12 +132,15 @@ def reference_floor(system, k):
 
 
 def run_on(engine_cls, spec):
-    """Run *spec*'s scenario and balancer on the task engine class
-    *engine_cls*, whatever engine name the spec carries: the heap-driven
-    :class:`~repro.sim.EventSimulator` oracle has no engine name."""
-    from repro.runner.worker import _build_engine
+    """Run *spec* through the runner's engine builder with *engine_cls*
+    standing in for the class ``spec.engine`` names: the heap-driven
+    oracle (``tests/heap_events.py``) has no engine name."""
+    from unittest import mock
 
-    return _build_engine(spec, engine_cls=engine_cls).run(max_rounds=spec.max_rounds)
+    from repro.runner import worker
+
+    with mock.patch.dict(worker._ENGINE_CLASSES, {spec.engine: engine_cls}):
+        return worker._build_engine(spec).run(max_rounds=spec.max_rounds)
 
 
 def reference_balancer(algorithm, **kwargs):

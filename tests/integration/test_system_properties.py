@@ -21,7 +21,7 @@ from repro.core import ParticlePlaneBalancer, PPLBConfig
 from repro.interfaces import Balancer
 from repro.network import FaultModel, LinkAttributes, mesh, ring, torus
 from repro.runner.registry import FACTORIES, make_balancer
-from repro.sim import EventFastSimulator, EventSimulator, Simulator
+from repro.sim import EventSimulator, Simulator
 from repro.tasks import TaskSystem
 from repro.workloads import (
     DynamicWorkload,
@@ -29,6 +29,7 @@ from repro.workloads import (
     single_hotspot,
     uniform_random,
 )
+from tests.heap_events import HeapEventSimulator
 from tests.physics_checker import PhysicsChecker
 
 _SETTINGS = dict(max_examples=15, deadline=None)
@@ -150,7 +151,7 @@ class FaultBlind(Balancer):
 
 
 @pytest.mark.parametrize(
-    "engine_cls", [Simulator, EventSimulator, EventFastSimulator],
+    "engine_cls", [Simulator, HeapEventSimulator, EventSimulator],
     ids=lambda cls: cls.__name__,
 )
 @pytest.mark.parametrize("algorithm", sorted(FACTORIES))

@@ -1,7 +1,7 @@
 """A per-round check of the paper's physical invariants on any task engine.
 
 :class:`PhysicsChecker` watches a task engine (:class:`~repro.sim.Simulator`,
-:class:`~repro.sim.EventSimulator`, :class:`~repro.sim.EventFastSimulator`)
+:class:`~repro.sim.EventSimulator` and the heap oracle of ``tests/heap_events.py``)
 from the outside. It logs the :class:`~repro.tasks.TaskSystem` mutators
 the engine calls (``move``, ``send_to_transit``, ``deliver``,
 ``add_task``, ``add_tasks``, ``remove_task``) and the round (or epoch)

@@ -193,28 +193,3 @@ class TestBatchingIsNotAnEngine:
         with pytest.raises(ConfigurationError, match="unknown engine"):
             RunSpec(scenario="mesh-hotspot", algorithm="pplb", seed=2,
                     max_rounds=50, engine="rounds-batch")
-
-
-class TestExpandGridOrder:
-    def test_seed_major_order(self):
-        specs = expand_grid(
-            ["mesh-hotspot", "torus-hotspot"], ["pplb", "diffusion"], [1, 2],
-            order="seed-major",
-        )
-        assert [(s.scenario, s.algorithm, s.seed) for s in specs[:4]] == [
-            ("mesh-hotspot", "pplb", 1),
-            ("mesh-hotspot", "diffusion", 1),
-            ("torus-hotspot", "pplb", 1),
-            ("torus-hotspot", "diffusion", 1),
-        ]
-        assert all(s.seed == 2 for s in specs[4:])
-
-    def test_orders_cover_the_same_grid(self):
-        a = expand_grid(["mesh-hotspot"], ["pplb"], [1, 2, 3])
-        b = expand_grid(["mesh-hotspot"], ["pplb"], [1, 2, 3],
-                        order="seed-major")
-        assert {s.key() for s in a} == {s.key() for s in b}
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ConfigurationError):
-            expand_grid(["mesh-hotspot"], ["pplb"], [1], order="algorithm")

@@ -17,9 +17,9 @@ import pytest
 
 from repro.runner import ENGINES, ResultCache, RunSpec, execute_spec, run_grid
 from repro.runner.worker import execute_batch
-from repro.sim import EventSimulator
 from repro.workloads import SCENARIOS
 from tests.conftest import run_on
+from tests.heap_events import HeapEventSimulator
 
 def small_kwargs(scenario: str) -> dict:
     """Tiny-machine overrides per scenario.
@@ -48,7 +48,7 @@ RUNS = {
     "rounds-batched": ("rounds", _first_lane),
     "events": ("events", execute_spec),
     "events-batched": ("events", _first_lane),
-    "EventSimulator": ("events", functools.partial(run_on, EventSimulator)),
+    "HeapEventSimulator": ("events", functools.partial(run_on, HeapEventSimulator)),
     "fluid": ("fluid", execute_spec),
     "fluid-batched": ("fluid", _first_lane),
 }

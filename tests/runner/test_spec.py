@@ -125,10 +125,10 @@ class TestRunSpec:
     def test_events_engine_matches_the_heap_oracle(self, monkeypatch):
         # Same anchor for the async engine: "events" runs the columnar
         # driver (it counts buffer pops, not heap pops) and reproduces
-        # the heap-driven EventSimulator (reference sweep) exactly.
+        # the heap-driven oracle (reference sweep) exactly.
         from repro.runner import execute_spec
-        from repro.sim import EventSimulator
         from tests.conftest import reference_balancer, run_on
+        from tests.heap_events import HeapEventSimulator
 
         spec = RunSpec(scenario="torus-hotspot", algorithm="pplb", seed=4,
                        max_rounds=40, scenario_kwargs={"side": 5, "n_tasks": 100},
@@ -140,7 +140,7 @@ class TestRunSpec:
         assert "engine.heap_pops" not in counters
         monkeypatch.setattr("repro.runner.worker.make_balancer",
                             reference_balancer)
-        a = run_on(EventSimulator, spec).to_dict()
+        a = run_on(HeapEventSimulator, spec).to_dict()
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b

@@ -1,16 +1,19 @@
 """Unit tests for repro.sim.engine.Simulator (task mode)."""
 
+from math import inf, nan
+
 import pytest
 
-from repro.baselines import NoBalancer
+from repro.baselines import FluidDiffusion, NoBalancer
 from repro.core import ParticlePlaneBalancer, PPLBConfig
 from repro.exceptions import ConfigurationError, SimulationError, TopologyError
 from repro.interfaces import Balancer, Migration
 from repro.network import FaultModel, LinkAttributes, mesh
-from repro.sim import EventFastSimulator, EventSimulator, Simulator
+from repro.sim import EventSimulator, FluidSimulator, Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.tasks import TaskSystem
 from repro.workloads import DynamicWorkload, single_hotspot
+from tests.heap_events import HeapEventSimulator
 
 
 class ScriptedBalancer(Balancer):
@@ -61,9 +64,9 @@ class TestValidationAndSetup:
              "cadence must be positive"),
             (EventSimulator, {"node_speeds": [1.0] * 5, "wake_jitter": 2},
              r"wake_jitter must be in \[0, 1\)"),
-            (EventFastSimulator, {"stragglers": {99: 2.0}, "links": "other"},
+            (EventSimulator, {"stragglers": {99: 2.0}, "links": "other"},
              r"straggler node 99 out of range \[0, 16\)"),
-            (EventFastSimulator, {"epoch": 0, "probe": "bogus"},
+            (EventSimulator, {"epoch": 0, "probe": "bogus"},
              "epoch must be positive"),
         ],
     )
@@ -73,6 +76,39 @@ class TestValidationAndSetup:
             kwargs = {**kwargs, "links": LinkAttributes.uniform(mesh(3, 3))}
         with pytest.raises(ConfigurationError, match=message):
             engine(mesh4, TaskSystem(mesh4), NoBalancer(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "engine, kwargs, message",
+        [
+            (EventSimulator, {"epoch": nan}, "epoch must be positive and finite"),
+            (EventSimulator, {"transfer_latency": nan},
+             "transfer_latency must be >= 0 and finite"),
+            (EventSimulator, {"transfer_latency": "size", "latency_scale": nan},
+             "latency_scale must be >= 0 and finite"),
+            (EventSimulator, {"cadence": nan}, "cadence must be positive and finite"),
+            (EventSimulator, {"cadence": inf}, "cadence must be positive and finite"),
+            (EventSimulator, {"clock_speeds": [1.0] * 15 + [nan]},
+             "clock speeds must be positive and finite"),
+            (EventSimulator, {"stragglers": {"3": inf}},
+             "straggler slowdown must be >= 1 and finite"),
+            (EventSimulator, {"node_speeds": [nan] + [1.0] * 15},
+             "node speeds must be positive and finite"),
+            (Simulator, {"node_speeds": [nan] + [1.0] * 15},
+             "node speeds must be positive and finite"),
+            (Simulator, {"transfer_latency": nan},
+             "transfer_latency must be >= 0 and finite"),
+            (FluidSimulator, {"initial_loads": [nan] + [1.0] * 15},
+             "initial loads must be non-negative and finite"),
+        ],
+    )
+    def test_non_finite_parameters_raise(self, mesh4, engine, kwargs, message):
+        """A NaN or infinite parameter fails at construction, not as a
+        run that quietly stalls, freezes wire load or reads CoV 0."""
+        with pytest.raises(ConfigurationError, match=message):
+            if engine is FluidSimulator:
+                engine(mesh4, kwargs["initial_loads"], FluidDiffusion())
+            else:
+                engine(mesh4, TaskSystem(mesh4), NoBalancer(), **kwargs)
 
     def test_criteria_validation(self):
         with pytest.raises(ConfigurationError):
@@ -85,8 +121,8 @@ class TestValidationAndSetup:
 #: three apply orders through one path
 TASK_ENGINES = {
     "Simulator": Simulator,
+    "HeapEventSimulator": HeapEventSimulator,
     "EventSimulator": EventSimulator,
-    "EventFastSimulator": EventFastSimulator,
 }
 
 #: clocks that make the event engines' t=1 wave partial: nodes 0 and 15
@@ -167,20 +203,20 @@ class TestOrderValidation:
         system = TaskSystem(mesh4)
         tid = system.add_task(1.0, 0)
         balancer = RecordingScript({round_index: [Migration(tid, 0, dst)]})
-        kwargs = {"stragglers": CORNER_STRAGGLERS} if engine.startswith("Event") else {}
+        kwargs = {"stragglers": CORNER_STRAGGLERS} if "Event" in engine else {}
         sim = TASK_ENGINES[engine](mesh4, system, balancer, **kwargs)
         with pytest.raises(
             TopologyError, match=f"^no edge between 0 and {dst} in topology 'mesh-4x4'$"
         ):
             sim.run(max_rounds=3)
         awake = balancer.awake[round_index]
-        if engine.startswith("Event") and round_index == 1:
+        if "Event" in engine and round_index == 1:
             assert not awake[0] and not awake[15] and awake[1:15].all()
         else:
             assert awake is None
 
 
-@pytest.mark.parametrize("engine", ["EventSimulator", "EventFastSimulator"])
+@pytest.mark.parametrize("engine", ["HeapEventSimulator", "EventSimulator"])
 def test_order_between_sleeping_nodes_is_dropped(mesh4, engine):
     system = TaskSystem(mesh4)
     tid = system.add_task(1.0, 0)

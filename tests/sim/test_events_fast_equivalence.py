@@ -1,10 +1,11 @@
 """The heap ≡ columnar event-driver bit-exactness anchor.
 
-:class:`~repro.sim.EventFastSimulator` replays the scalar event
-engine's schedule through batched wake waves and columnar event
-buffers. Each pair runs the scalar event engine with PPLB pinned to the
+:class:`~repro.sim.EventSimulator` replays the heap-driven oracle's
+(:class:`~tests.heap_events.HeapEventSimulator`) schedule through
+batched wake waves and columnar event buffers. Each pair runs the
+oracle with PPLB pinned to the
 reference Phase-B sweep (:class:`~tests.conftest.ReferencePPLB`)
-against :class:`~repro.sim.EventFastSimulator` (what the ``events``
+against :class:`~repro.sim.EventSimulator` (what the ``events``
 engine builds) with plain PPLB, which takes the screened
 sweep, so both evaluation-order changes are checked at once. Neither
 is allowed to show up in the results: same seed ⇒ identical per-round
@@ -24,9 +25,10 @@ import pytest
 
 from repro.core.balancer import ParticlePlaneBalancer
 from repro.runner.registry import make_balancer
-from repro.sim import EventFastSimulator, EventSimulator, Simulator
+from repro.sim import EventSimulator, Simulator
 from repro.workloads import build_scenario
 from tests.conftest import reference_balancer
+from tests.heap_events import HeapEventSimulator
 
 #: ≥6 scenarios covering churn (``bursty-arrivals``), heterogeneous
 #: clocks (``straggler``), link failure (``fault-storm``) and plain
@@ -73,11 +75,11 @@ def _run(engine_cls, scenario_name, algorithm, seed, balancer=None, **sim_kwargs
 
 def _assert_bit_identical(scenario, algorithm, seed=7, **sim_kwargs):
     s_res, s_loads, s_sim = _run(
-        EventSimulator, scenario, algorithm, seed,
+        HeapEventSimulator, scenario, algorithm, seed,
         balancer=reference_balancer(algorithm), **sim_kwargs
     )
     f_res, f_loads, f_sim = _run(
-        EventFastSimulator, scenario, algorithm, seed, **sim_kwargs
+        EventSimulator, scenario, algorithm, seed, **sim_kwargs
     )
     # Identical per-round records — every field, every float.
     assert [asdict(r) for r in s_res.records] == [asdict(r) for r in f_res.records]
@@ -117,14 +119,14 @@ class TestEventsFastEquivalence:
 
     def test_matches_sync_engine_under_unit_clocks(self):
         # Transitivity anchor: columnar ≡ heap ≡ synchronous in the
-        # degenerate configuration, so the fast engine inherits the
+        # degenerate configuration, so the columnar engine inherits the
         # sync ≡ async certificate too.
         sync_res, sync_loads, _ = _run(
             Simulator, "mesh-hotspot", "pplb", seed=11,
             balancer=reference_balancer("pplb"),
         )
         fast_res, fast_loads, _ = _run(
-            EventFastSimulator, "mesh-hotspot", "pplb", seed=11
+            EventSimulator, "mesh-hotspot", "pplb", seed=11
         )
         assert [asdict(r) for r in sync_res.records] == [
             asdict(r) for r in fast_res.records
@@ -140,11 +142,11 @@ class TestScalarFallback:
     def test_jittered_friction_stays_bit_exact(self):
         balancer_kwargs = {"friction_jitter": 0.05}
         s_res, s_loads, s_sim = _run(
-            EventSimulator, "torus-hotspot", "pplb", 7,
+            HeapEventSimulator, "torus-hotspot", "pplb", 7,
             balancer=make_balancer("pplb", **balancer_kwargs),
         )
         f_res, f_loads, f_sim = _run(
-            EventFastSimulator, "torus-hotspot", "pplb", 7,
+            EventSimulator, "torus-hotspot", "pplb", 7,
             balancer=make_balancer("pplb", **balancer_kwargs),
         )
         assert [asdict(r) for r in s_res.records] == [
@@ -162,9 +164,9 @@ class TestScalarFallback:
 
         monkeypatch.setattr(ParticlePlaneBalancer, "_phase_b_fast", _boom)
         result, _, _ = _run(
-            EventFastSimulator, "torus-hotspot", "pplb", 7,
+            EventSimulator, "torus-hotspot", "pplb", 7,
             balancer=make_balancer("pplb", friction_jitter=0.05),
         )
         assert result.records  # ran to completion on the reference sweep
         with pytest.raises(AssertionError, match="screened phase"):
-            _run(EventFastSimulator, "torus-hotspot", "pplb", 7)
+            _run(EventSimulator, "torus-hotspot", "pplb", 7)

@@ -1,9 +1,10 @@
 """Seeded fuzz: composed-grammar scenarios through three engines.
 
 Property: for *any* workload the composition grammar can express, the
-batched event engine reproduces the scalar event engine bit for bit —
-and under unit clocks both reproduce the synchronous engine. The scalar
-event engine runs PPLB pinned to the reference Phase-B sweep
+columnar event engine reproduces the heap-driven oracle
+(:class:`~tests.heap_events.HeapEventSimulator`) bit for bit — and
+under unit clocks both reproduce the synchronous engine. The oracle
+runs PPLB pinned to the reference Phase-B sweep
 (:class:`~tests.conftest.ReferencePPLB`), so every pair compared has one
 side that visits every node. The scenario pool is the
 :func:`repro.runner.spec.expand_component_grid` cross product over
@@ -22,9 +23,10 @@ import pytest
 
 from repro.runner.registry import make_balancer
 from repro.runner.spec import expand_component_grid, grid_seeds
-from repro.sim import EventFastSimulator, EventSimulator, Simulator
+from repro.sim import EventSimulator, Simulator
 from repro.workloads import build_scenario
 from tests.conftest import reference_balancer
+from tests.heap_events import HeapEventSimulator
 from tests.physics_checker import PhysicsChecker
 
 FUZZ_SEED = 20260807
@@ -90,16 +92,16 @@ def _run(engine_cls, spec, unit_clocks=False, reference=False, **sim_kwargs):
 @pytest.mark.parametrize("spec", SPECS, ids=[s.label() for s in SPECS])
 def test_three_engines_agree_under_unit_clocks(spec):
     rounds_res, rounds_loads, _ = _run(Simulator, spec)
-    ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, unit_clocks=True,
+    ev_res, ev_loads, ev_sim = _run(HeapEventSimulator, spec, unit_clocks=True,
                                     reference=True)
-    fast_res, fast_loads, fast_sim = _run(EventFastSimulator, spec, unit_clocks=True)
+    fast_res, fast_loads, fast_sim = _run(EventSimulator, spec, unit_clocks=True)
 
     rounds_records = [asdict(r) for r in rounds_res.records]
     ev_records = [asdict(r) for r in ev_res.records]
     fast_records = [asdict(r) for r in fast_res.records]
     # Unit clocks: the async engines degenerate to the sync protocol.
     assert rounds_records == ev_records
-    # And batched ≡ scalar events, down to the RNG stream.
+    # And columnar ≡ heap events, down to the RNG stream.
     assert ev_records == fast_records
     assert (ev_loads == fast_loads).all()
     assert (rounds_loads == ev_loads).all()
@@ -112,9 +114,9 @@ def test_event_engines_agree_under_jittered_clocks(spec):
     # Off the degenerate configuration the sync engine no longer
     # applies, but the columnar driver must still track the heap exactly.
     kwargs = {"wake_jitter": 0.3, "transfer_latency": 0.4}
-    ev_res, ev_loads, ev_sim = _run(EventSimulator, spec, reference=True,
+    ev_res, ev_loads, ev_sim = _run(HeapEventSimulator, spec, reference=True,
                                     **kwargs)
-    fast_res, fast_loads, fast_sim = _run(EventFastSimulator, spec, **kwargs)
+    fast_res, fast_loads, fast_sim = _run(EventSimulator, spec, **kwargs)
     assert [asdict(r) for r in ev_res.records] == [
         asdict(r) for r in fast_res.records
     ]

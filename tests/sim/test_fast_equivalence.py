@@ -29,10 +29,11 @@ from repro.network import builders
 from repro.runner.registry import make_balancer
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_batch, execute_spec
-from repro.sim import EventFastSimulator, EventSimulator, Simulator
+from repro.sim import EventSimulator, Simulator
 from repro.tasks import TaskSystem
 from repro.workloads import build_scenario
 from tests.conftest import ReferencePPLB, make_context, reference_balancer, run_on
+from tests.heap_events import HeapEventSimulator
 
 #: ≥4 scenarios × 4 algorithms as demanded by the acceptance criteria,
 #: plus faulted links (up-mask screening), heterogeneous speeds (the
@@ -49,7 +50,7 @@ ALGORITHMS = ["pplb", "pplb-greedy", "diffusion", "work-stealing"]
 SIZE = {"side": 6, "n_tasks": 180}
 #: the task engine classes, the heap-driven event oracle included;
 #: PPLB must pick the same sweep on each
-TASK_ENGINES = [Simulator, EventSimulator, EventFastSimulator]
+TASK_ENGINES = [Simulator, HeapEventSimulator, EventSimulator]
 
 
 def _run(balancer, scenario_name, seed, rounds=70, size=SIZE, **sim_kwargs):
@@ -288,7 +289,7 @@ HUB_RUNS = {
     "rounds": ("rounds", execute_spec),
     "rounds-batched": ("rounds", _first_lane),
     "events": ("events", execute_spec),
-    "EventSimulator": ("events", functools.partial(run_on, EventSimulator)),
+    "HeapEventSimulator": ("events", functools.partial(run_on, HeapEventSimulator)),
 }
 
 

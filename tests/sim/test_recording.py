@@ -18,7 +18,6 @@ from repro.baselines import FluidDiffusion
 from repro.exceptions import ConfigurationError
 from repro.runner.registry import make_balancer
 from repro.sim import (
-    EventFastSimulator,
     EventSimulator,
     FluidSimulator,
     FullRecorder,
@@ -32,6 +31,7 @@ from repro.sim import (
     recorder_tag,
 )
 from repro.workloads import build_scenario
+from tests.heap_events import HeapEventSimulator
 
 SIZE = {"side": 5, "n_tasks": 100}
 
@@ -152,7 +152,7 @@ def run_scenario(engine_cls, recorder, scenario="mesh-hotspot", seed=3,
     return sim.run(max_rounds=rounds)
 
 
-ENGINES = [Simulator, EventSimulator, EventFastSimulator]
+ENGINES = [Simulator, HeapEventSimulator, EventSimulator]
 
 
 class TestRecorderParity:

@@ -9,8 +9,8 @@ the counters a probe reports describe the decisions actually taken, so
 the decision-invariant subset must agree exactly between PPLB pinned to
 the reference Phase-B sweep and plain PPLB, which screens (on
 :class:`~repro.sim.Simulator`, and from the heap-driven
-:class:`~repro.sim.EventSimulator` to the ``events`` engine's
-:class:`~repro.sim.EventFastSimulator`), while the
+:class:`~tests.heap_events.HeapEventSimulator` to the ``events`` engine's
+:class:`~repro.sim.EventSimulator`), while the
 screen-effectiveness counters (``balancer.phase_b_nodes``,
 ``screen.*``) are exactly the ones allowed to differ.
 """
@@ -24,7 +24,6 @@ from repro.exceptions import ConfigurationError
 from repro.runner.registry import make_balancer
 from repro.sim import (
     CountersProbe,
-    EventFastSimulator,
     EventSimulator,
     NullProbe,
     Probe,
@@ -37,6 +36,7 @@ from repro.sim import (
 from repro.sim.telemetry import DEFAULT_TRACE_PATH, NULL_PROBE
 from repro.workloads import build_scenario
 from tests.conftest import reference_balancer
+from tests.heap_events import HeapEventSimulator
 
 SIZE = {"side": 6, "n_tasks": 180}
 
@@ -114,7 +114,7 @@ class TestNullProbePassivity:
     """The default probe provably changes nothing."""
 
     @pytest.mark.parametrize("engine_cls", [
-        Simulator, EventSimulator, EventFastSimulator,
+        Simulator, HeapEventSimulator, EventSimulator,
     ])
     def test_counters_probe_changes_no_records(self, engine_cls):
         base = _run(engine_cls)
@@ -201,8 +201,8 @@ class TestDifferentialCounters:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_events_vs_events_fast(self, seed):
-        heap = _run(EventSimulator, seed=seed, probe="counters", reference=True)
-        fast = _run(EventFastSimulator, seed=seed, probe="counters")
+        heap = _run(HeapEventSimulator, seed=seed, probe="counters", reference=True)
+        fast = _run(EventSimulator, seed=seed, probe="counters")
         assert _records(heap) == _records(fast)
         ch, cf = (r.telemetry["counters"] for r in (heap, fast))
         for name in DECISION_INVARIANT:
@@ -233,7 +233,7 @@ class TestTraceProbe:
 
     def test_wake_wave_spans_on_event_engines(self, tmp_path):
         path = tmp_path / "trace.json"
-        _run(EventFastSimulator, rounds=30, probe=f"trace:{path}")
+        _run(EventSimulator, rounds=30, probe=f"trace:{path}")
         names = {e["name"] for e in json.loads(path.read_text())["traceEvents"]}
         assert "wake_wave" in names
 
