@@ -11,8 +11,9 @@
 # cache (through the persistent pool backend), a 2-spec grid on the
 # asynchronous event engine, the same grid spelled with the legacy
 # events-fast engine name (it must replay from the events entries), a
-# 2-spec large-N grid (1024-node machines) on the rounds engine, a
-# 2-spec grid under the
+# 2-spec grid with tasks on the wire (transfer latency on the rounds and
+# events engines, then replayed from the cache), a 2-spec large-N grid
+# (1024-node machines) on the rounds engine, a 2-spec grid under the
 # O(1)-memory summary recorder (which must not share cache entries
 # with the full-recorded runs), replicate-batched 4-seed grids on the
 # rounds and events engines whose cache entries must replay unbatched
@@ -64,6 +65,41 @@ outcomes = run_grid(specs, cache=ResultCache(sys.argv[1]))
 print(f"{sum(o.cached for o in outcomes)} of {len(specs)} from cache")
 PY
 grep -q "2 of 2 from cache" "$CACHE_DIR/events_legacy.out"
+
+echo "==> tasks on the wire (transfer latency on both task engines)"
+# The CLI has no sim-kwargs flag, so the two latency-bearing specs are
+# built here: a rounds spec with a 2-round wire and an events spec with
+# size-proportional latency under jittered clocks. Each must trace a
+# different curve than its instantaneous twin, and a second pass must
+# replay both from the cache. Their own cache keeps the entry counts
+# checked at the end.
+cat > "$CACHE_DIR/wire.py" <<'PY'
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+from repro.runner import ResultCache, RunSpec, execute_spec, run_grid
+
+common = dict(scenario="power-law", algorithm="pplb", seed=0, max_rounds=60,
+              scenario_kwargs={"side": 8})
+specs = [
+    RunSpec(engine="rounds", sim_kwargs={"transfer_latency": 2}, **common),
+    RunSpec(engine="events", sim_kwargs={"transfer_latency": "size",
+                                         "wake_jitter": 0.3}, **common),
+]
+outcomes = run_grid(specs, cache=ResultCache(sys.argv[1]))
+for o in outcomes:
+    kwargs = {**o.spec.sim_kwargs, "transfer_latency": 0}
+    instant = execute_spec(replace(o.spec, sim_kwargs=kwargs))
+    assert not np.array_equal(o.result.series("cov"), instant.series("cov")), o.spec
+executed = sum(not o.cached for o in outcomes)
+print(f"wire: {executed} executed, {len(outcomes) - executed} from cache")
+PY
+python "$CACHE_DIR/wire.py" "$CACHE_DIR/wire-cache" | tee "$CACHE_DIR/wire.out"
+grep -q "wire: 2 executed, 0 from cache" "$CACHE_DIR/wire.out"
+python "$CACHE_DIR/wire.py" "$CACHE_DIR/wire-cache" | tee "$CACHE_DIR/wire_again.out"
+grep -q "wire: 0 executed, 2 from cache" "$CACHE_DIR/wire_again.out"
 
 echo "==> large-N grid (2 specs, 1024-node machines)"
 python -m repro.cli run-grid --scenarios torus-32x32 hotspot-scaled \

@@ -13,11 +13,10 @@ start; balancers observe the state and order one-hop migrations.
 * :class:`EventSimulator` — discrete-event *asynchronous* simulation in
   continuous time (``engine="events"``): per-node clocks (heterogeneous
   speeds, jitter, stragglers), latency-delayed transfers, results
-  sampled at epoch boundaries, pending events in columnar buffers
-  (:class:`WakeSchedule`, :class:`ArrivalBuffer`). Degenerates exactly
-  to :class:`Simulator` under unit clocks / zero latency / uniform
-  cadence; a heap-driven test oracle pins its schedule on every clock
-  model.
+  sampled at epoch boundaries, pending wakes in a columnar
+  :class:`WakeSchedule`. Degenerates exactly to :class:`Simulator`
+  under unit clocks / zero latency / uniform cadence; a heap-driven
+  test oracle pins its schedule on every clock model.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-
   family theory checks.
 * :class:`BatchSimulator` — S independent seed replicates of one
@@ -28,7 +27,10 @@ start; balancers observe the state and order one-hop migrations.
 * :mod:`kernel <repro.sim.kernel>` — the shared
   :class:`SimulationLoop`: every engine above is a thin driver
   supplying its round body, the kernel owns the lifecycle (observe,
-  record, convergence).
+  record, convergence). The two task engines also share its
+  :class:`~repro.sim.kernel.TaskStateMixin`: one order path and one
+  ``(when, seq)`` wire that a migrating task waits on until it lands,
+  so they differ only in their time model.
 * :mod:`recording <repro.sim.recording>` — pluggable recorders over a
   columnar :class:`RoundLog`: ``full`` (every round), ``thin:k``
   (every k-th + last, exact totals), ``summary`` (O(1) running
@@ -43,7 +45,7 @@ start; balancers observe the state and order one-hop migrations.
 
 from repro.sim.batch import BatchSimulator
 from repro.sim.engine import FluidSimulator, Simulator
-from repro.sim.event_buffers import ArrivalBuffer, WakeSchedule
+from repro.sim.event_buffers import WakeSchedule
 from repro.sim.events import EventSimulator
 from repro.sim.kernel import RoundDriver, RoundStats, SimulationLoop
 from repro.sim.metrics import (
@@ -76,7 +78,6 @@ __all__ = [
     "FluidSimulator",
     "BatchSimulator",
     "WakeSchedule",
-    "ArrivalBuffer",
     "SimulationLoop",
     "RoundDriver",
     "RoundStats",

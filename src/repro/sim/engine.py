@@ -25,7 +25,6 @@ max−min spread drops below ``spread_tol``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,11 +93,13 @@ class Simulator(TaskStateMixin, RoundDriver):
     dynamic:
         Optional workload churn applied at the start of each round.
     link_capacity:
-        Tasks per link per round (paper: 1).
+        Tasks per link per round (paper: 1), an int.
     transfer_latency:
         Rounds a migration spends on the wire before the task lands.
-        0 (default) = instantaneous (the classical model); an ``int``
-        applies uniformly; ``"size"`` computes ``ceil(load·d/bw)`` per
+        0 (default) = instantaneous (the classical model); a whole
+        number applies uniformly (a fractional value or a bool raises
+        :class:`~repro.exceptions.ConfigurationError` rather than being
+        rounded); ``"size"`` computes ``ceil(load·d/bw)`` per
         hop — the paper's §1 concern that migration "means the transfer
         of a considerable amount of data" made concrete. While in
         transit the task's load is on no node (the hill already shrank,
@@ -157,18 +158,7 @@ class Simulator(TaskStateMixin, RoundDriver):
         if system.topology is not topology:
             raise ConfigurationError("task system was built for a different topology")
         node_speeds = self._checked_node_speeds(node_speeds, topology.n_nodes)
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
-        if isinstance(transfer_latency, str):
-            if transfer_latency != "size":
-                raise ConfigurationError(
-                    f"transfer_latency must be an int >= 0 or 'size', got "
-                    f"{transfer_latency!r}"
-                )
-        elif not (math.isfinite(transfer_latency) and transfer_latency >= 0):
-            raise ConfigurationError(
-                f"transfer_latency must be >= 0 and finite, got {transfer_latency}"
-            )
+        self._check_wire_args(link_capacity, transfer_latency, whole_rounds=True)
         self._init_task_engine(
             topology=topology,
             system=system,
@@ -189,8 +179,6 @@ class Simulator(TaskStateMixin, RoundDriver):
             probe=probe,
         )
         self.track_journeys = track_journeys
-        # wire: arrival round -> list of (task id, destination node)
-        self._wire: dict[int, list[tuple[int, int]]] = {}
         # journey tracking: task id -> (origin node, hops so far)
         self.task_hops: dict[int, int] = {}
         self.task_origin: dict[int, int] = {}
@@ -207,16 +195,6 @@ class Simulator(TaskStateMixin, RoundDriver):
             return max(int(np.ceil(load * d / bw)), 1)
         return int(self.transfer_latency)
 
-    def _send(self, when: int, tid: int, dst: int) -> None:
-        self._wire.setdefault(when, []).append((tid, dst))
-
-    def _deliver_due(self, round_index: int) -> int:
-        """Land tasks whose transit completes at *round_index*."""
-        due = self._wire.pop(round_index, [])
-        for tid, dest in due:
-            self._land(tid, dest)
-        return len(due)
-
     # ------------------------- kernel driver hooks -------------------- #
 
     def prepare(self, reset: bool) -> int:
@@ -228,11 +206,7 @@ class Simulator(TaskStateMixin, RoundDriver):
             self._rounds_done = 0
             self.task_hops.clear()
             self.task_origin.clear()
-            # Land anything still on the wire from a previous run so the
-            # fresh run starts with every task on a node.
-            for due in sorted(self._wire):
-                self._deliver_due(due)
-            self._wire.clear()
+            self._land_wire()
         return self._rounds_done
 
     def round_apply(
@@ -255,7 +229,7 @@ class Simulator(TaskStateMixin, RoundDriver):
         else:
             up = self._all_up
 
-        self._deliver_due(round_index)  # in-transit tasks landing this round
+        self._land_due(round_index)  # in-transit tasks landing this round
 
         if self.dynamic is not None:
             self._churn()

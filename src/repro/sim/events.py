@@ -45,12 +45,13 @@ so the schedule is deterministic):
    recorder (full / thin / summary — see :mod:`repro.sim.recording`)
    and checks convergence.
 
-Pending events live in the columnar stores of
-:mod:`repro.sim.event_buffers`, not in per-event Python objects: a
-:class:`WakeSchedule` (one next-wake slot per node; a same-instant wave
-is one vectorised compare-and-gather) and an :class:`ArrivalBuffer`
-(in-flight transfers as parallel columns). The epoch markers are
-three local flags. ``tests/heap_events.py`` keeps the same schedule on
+Pending wakes live in a :class:`~repro.sim.event_buffers.WakeSchedule`
+(one next-wake slot per node; a same-instant wave is one vectorised
+compare-and-gather), not in per-event Python objects. In-flight
+transfers wait on the wire every task engine shares
+(:class:`~repro.sim.kernel.TaskStateMixin`): a ``(when, seq)`` heap
+whose head is the next arrival. The epoch markers are three local
+flags. ``tests/heap_events.py`` keeps the same schedule on
 a tuple heap as a test oracle; ``tests/sim/test_events_fast_equivalence.py``
 and its fuzz sibling hold the engine to it bit for bit — records, RNG
 state, final loads, event counts — on every clock model (jitter,
@@ -73,6 +74,7 @@ as a property, not a hope.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from typing import Mapping, Optional, Union
@@ -86,7 +88,7 @@ from repro.network.links import LinkAttributes
 from repro.network.topology import Topology
 from repro.rng import RngLike, derive
 from repro.sim.engine import ConvergenceCriteria
-from repro.sim.event_buffers import ArrivalBuffer, WakeSchedule
+from repro.sim.event_buffers import WakeSchedule
 from repro.sim.kernel import RoundDriver, RoundStats, TaskStateMixin
 from repro.sim.recording import RecorderSpec
 from repro.sim.results import SimulationResult
@@ -190,18 +192,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
     ):
         if system.topology is not topology:
             raise ConfigurationError("task system was built for a different topology")
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
-        if isinstance(transfer_latency, str):
-            if transfer_latency != "size":
-                raise ConfigurationError(
-                    f"transfer_latency must be a float >= 0 or 'size', got "
-                    f"{transfer_latency!r}"
-                )
-        elif not (math.isfinite(transfer_latency) and transfer_latency >= 0):
-            raise ConfigurationError(
-                f"transfer_latency must be >= 0 and finite, got {transfer_latency}"
-            )
+        self._check_wire_args(link_capacity, transfer_latency, whole_rounds=False)
         if not (math.isfinite(latency_scale) and latency_scale >= 0):
             raise ConfigurationError(
                 f"latency_scale must be >= 0 and finite, got {latency_scale}"
@@ -294,9 +285,6 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             return load * d / bw * self.latency_scale
         return float(self.transfer_latency)
 
-    def _send(self, when: float, tid: int, dst: int) -> None:
-        self._arrivals.push(when, tid, dst)
-
     def _next_period(self, node: int) -> float:
         base = self._periods[node]
         if self._clock_rng is None:
@@ -347,14 +335,9 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         return 0
 
     def _reset_queues(self) -> None:
-        """Land anything still on the wire from a previous run, in
-        arrival order, so a fresh run starts with every task on a node;
-        then start empty stores."""
-        arrivals = getattr(self, "_arrivals", None)
-        if arrivals is not None:
-            for tid, dest in arrivals.drain_in_order():
-                self._land(tid, dest)
-        self._arrivals = ArrivalBuffer()
+        """Land anything still on the wire from a previous run, then
+        start a fresh wake schedule."""
+        self._land_wire()
         self._wakes = WakeSchedule(self.topology.n_nodes)
 
     def play_round(self, round_index: int) -> RoundStats:
@@ -362,19 +345,19 @@ class EventSimulator(TaskStateMixin, RoundDriver):
 
         One epoch spans ``epoch`` simulation-time units. Each iteration
         takes the lexicographically smallest ``(time, priority)`` event
-        among the pending wakes, the pending arrivals and this epoch's
-        begin/churn/end markers. Priorities are distinct per event
-        class, so the minimum is unambiguous; the stores' insertion
-        ranks break ties inside a class. Returns when the epoch-end
-        marker is reached, handing the epoch's accumulated counters to
-        the kernel.
+        among the pending wakes, the wire's earliest arrival and this
+        epoch's begin/churn/end markers. Priorities are distinct per
+        event class, so the minimum is unambiguous; the wake ranks and
+        the wire's send order break ties inside a class. Returns when
+        the epoch-end marker is reached, handing the epoch's accumulated
+        counters to the kernel.
         """
         when = round_index * self.epoch
         if round_index == 0:
             self._wakes.schedule_all(0.0)
         events0 = self.events_processed
         wakes = self._wakes
-        arrivals = self._arrivals
+        wire = self._wire
         begin_pending = True
         churn_pending = self.dynamic is not None
 
@@ -382,7 +365,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             t, priority = when, _EPOCH_END
             if churn_pending:
                 t, priority = when, _CHURN
-            ta = arrivals.peek_time()
+            ta = wire[0][0] if wire else math.inf
             if (ta, _ARRIVAL) < (t, priority):
                 t, priority = ta, _ARRIVAL
             if begin_pending and (when, _EPOCH_BEGIN) < (t, priority):
@@ -412,7 +395,8 @@ class EventSimulator(TaskStateMixin, RoundDriver):
 
             elif priority == _ARRIVAL:
                 self.events_processed += 1
-                self._land(*arrivals.pop_earliest())
+                _when, _seq, tid, dest = heapq.heappop(wire)
+                self._land(tid, dest)
 
             elif priority == _EPOCH_BEGIN:
                 self.events_processed += 1

@@ -22,10 +22,10 @@ Per round, the kernel runs::
 so every engine gets identical convergence semantics, identical record
 fields, and any :class:`~repro.sim.recording.Recorder` for free. The
 task engines (synchronous and event) also share :class:`TaskStateMixin`:
-their shared constructor state, the balancer context and the one path that
-validates and applies a wave of orders. The
-kernel allocates no per-round Python objects: metrics flow to the
-recorder as scalars, and a columnar
+their shared constructor state, the balancer context, the one path that
+validates and applies a wave of orders, and the wire a migrating task
+waits on until it lands. The kernel allocates no per-round Python
+objects: metrics flow to the recorder as scalars, and a columnar
 :class:`~repro.sim.results.RoundLog` (or O(1) running aggregates)
 receives them.
 """
@@ -33,6 +33,9 @@ receives them.
 from __future__ import annotations
 
 import abc
+import heapq
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -137,11 +140,16 @@ class TaskStateMixin:
     """What the task engines (synchronous and event) share.
 
     The shared constructor state and checks (:meth:`_init_task_engine`,
-    :meth:`_checked_node_speeds`), the balancer context, the one order-application path
-    (:meth:`_apply_wave`), in-flight landing and the per-epoch counters
-    live here. Each engine supplies only two things of its own:
-    ``_latency_of(load, eid)``, a transfer's time on the wire, and
-    ``_send(when, tid, dst)``, where a task on the wire waits to land.
+    :meth:`_checked_node_speeds`, :meth:`_check_wire_args`), the
+    balancer context, the one order-application path
+    (:meth:`_apply_wave`), the wire and the per-epoch counters live
+    here. The wire is one heap of ``(when, seq, task id, dest)``
+    entries: a task sent at ``now`` waits on it for its latency and
+    lands in ``(due time, send order)`` order, whether the engine lands
+    it at the top of a round (:meth:`_land_due`) or as one event among
+    wakes (the event engine pops ``_wire`` itself). Each engine supplies
+    only one thing of its own: ``_latency_of(load, eid)``, a transfer's
+    time on the wire, in its time unit.
     """
 
     #: per-task journey tracking (the synchronous engine's option)
@@ -161,6 +169,40 @@ class TaskStateMixin:
         if not (np.isfinite(node_speeds) & (node_speeds > 0)).all():
             raise ConfigurationError("node speeds must be positive and finite")
         return node_speeds
+
+    @staticmethod
+    def _check_wire_args(link_capacity, transfer_latency, whole_rounds: bool) -> None:
+        """Check the link capacity and the transfer latency.
+
+        ``link_capacity`` is an int >= 1. ``transfer_latency`` is
+        ``"size"`` or a finite number >= 0, never a bool; with
+        *whole_rounds* (the synchronous engine, whose wire counts
+        rounds) it must also be a whole number, so no value is silently
+        rounded.
+        """
+        if isinstance(link_capacity, bool) or not isinstance(
+            link_capacity, numbers.Integral
+        ):
+            raise ConfigurationError(f"link_capacity must be an int, got {link_capacity!r}")
+        if link_capacity < 1:
+            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        if transfer_latency == "size":
+            return
+        if isinstance(transfer_latency, bool) or not isinstance(
+            transfer_latency, numbers.Real
+        ):
+            kind = "an int" if whole_rounds else "a float"
+            raise ConfigurationError(
+                f"transfer_latency must be {kind} >= 0 or 'size', got {transfer_latency!r}"
+            )
+        if not (math.isfinite(transfer_latency) and transfer_latency >= 0):
+            raise ConfigurationError(
+                f"transfer_latency must be >= 0 and finite, got {transfer_latency}"
+            )
+        if whole_rounds and transfer_latency != int(transfer_latency):
+            raise ConfigurationError(
+                f"transfer_latency must be a whole number of rounds, got {transfer_latency}"
+            )
 
     def _init_task_engine(
         self,
@@ -207,6 +249,8 @@ class TaskStateMixin:
         self.link_costs = link_costs(self.links, c1=c1, e0=e0)
         self._link_costs_l: list[float] = self.link_costs.tolist()
         self._all_up = np.ones(topology.n_edges, dtype=bool)
+        self._wire: list[tuple] = []  # heap of (when, seq, task id, dest)
+        self._wire_seq = 0
         self.probe = make_probe(probe)
         self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
 
@@ -322,10 +366,28 @@ class TaskStateMixin:
         self._ep_work = work
         self._ep_heat = heat
 
+    def _send(self, when, tid: int, dst: int) -> None:
+        """Put task *tid* on the wire, due to land on *dst* at *when*."""
+        self._wire_seq += 1
+        heapq.heappush(self._wire, (when, self._wire_seq, tid, dst))
+
     def _land(self, tid: int, dest: int) -> None:
         """Land an in-flight task, unless it completed on the wire."""
         if self.system.is_alive(tid):
             self.system.deliver(tid, dest)
+
+    def _land_due(self, until) -> None:
+        """Land every transfer due at or before *until*, earliest first,
+        send order breaking ties."""
+        wire = self._wire
+        while wire and wire[0][0] <= until:
+            _when, _seq, tid, dest = heapq.heappop(wire)
+            self._land(tid, dest)
+
+    def _land_wire(self) -> None:
+        """Land everything still on the wire, in order: a fresh run
+        starts with every task on a node."""
+        self._land_due(math.inf)
 
     def _reset_epoch(self) -> None:
         """Zero the epoch counters and the per-link epoch budget."""

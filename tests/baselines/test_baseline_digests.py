@@ -14,6 +14,13 @@ rule, the per-epoch link budget and the in-flight arrivals all shape
 the payload. That table runs both event drivers by class: the heap-driven
 :class:`~tests.heap_events.HeapEventSimulator` oracle and the columnar
 :class:`~repro.sim.EventSimulator` the ``events`` engine builds.
+
+The wire table pins the synchronous engine's in-flight landings: under a
+fixed and a size-proportional ``transfer_latency``, several tasks land
+on one node in one round, and the order they land in sets that node's
+load sum and its load-ordered task index. Heavy-tailed task sizes
+(``power-law``) and heterogeneous links (``mesh-faulty``) make the two
+latency settings disagree, so each digest pins its own landing schedule.
 """
 
 import hashlib
@@ -64,6 +71,26 @@ DESYNC_DIGESTS = {
         "b57ed88c87e248d194b8d8fef6f59667b058c776ccaacfa9599a22280fd38553",
 }
 
+#: Same digest recipe on the synchronous engine with tasks on the wire.
+WIRE_DIGESTS = {
+    ("power-law", "pplb", 2):
+        "4059ee2b0287bddd1b072060b126586f0c279314cae21de923264c403725c8cd",
+    ("power-law", "pplb", "size"):
+        "4d9c8e0e90ed6f78a1d720205c2bf70983430289ec95efc8a41470b5743423f7",
+    ("power-law", "diffusion", 2):
+        "59c45e9048080b67e061801b84f0248535da26ea5e365ea1fe6c6b66f34ac8bb",
+    ("power-law", "diffusion", "size"):
+        "e963053a0863a3bfe2dda92bd927181d584f2fc446ee859869ff90d0921a1afc",
+    ("mesh-faulty", "pplb", 2):
+        "01995a181910d36bb1c0eb41893e3dfe1a1403743136ef52ac3ceed2065f5d0d",
+    ("mesh-faulty", "pplb", "size"):
+        "5a026761da0ab60c2d50570a056ab81adcdda682d1095446873c9b0d65a60b43",
+    ("mesh-faulty", "diffusion", 2):
+        "97d8cec29f0c0452f5c97e2818036ad12edb5a0c0aee4e6125713791796e5b18",
+    ("mesh-faulty", "diffusion", "size"):
+        "a0dc1071b98718488d5ea3286ec99b4f6caf91a2fce56c3a50cc6c1ba8349207",
+}
+
 
 def _spec(scenario, algorithm, engine="rounds", sim_kwargs=None):
     return RunSpec(
@@ -99,6 +126,12 @@ class TestBaselineDigests:
         result = run_on(engine_cls, _spec(scenario, algorithm, "events",
                                           DESYNC_KWARGS))
         assert _digest(result) == DESYNC_DIGESTS[scenario, algorithm]
+
+    @pytest.mark.parametrize("scenario,algorithm,latency", list(WIRE_DIGESTS))
+    def test_wire_digest_is_frozen(self, scenario, algorithm, latency):
+        result = execute_spec(_spec(scenario, algorithm, "rounds",
+                                    {"transfer_latency": latency}))
+        assert _digest(result) == WIRE_DIGESTS[scenario, algorithm, latency]
 
     @pytest.mark.parametrize("scenario,algorithm", list(BASELINE_DIGESTS))
     def test_runs_migrate_tasks(self, scenario, algorithm):

@@ -2,12 +2,15 @@
 
 :class:`HeapEventSimulator` plays the ``events`` engine's protocol with
 the textbook discrete-event loop: every pending wake, arrival and epoch
-marker is a ``(time, priority, seq, payload)`` tuple on a ``heapq``,
+marker is a ``(time, priority, seq, payload)`` tuple on one ``heapq``,
 popped one at a time, with ``seq`` (an insertion counter) breaking
-ties. :class:`~repro.sim.EventSimulator` keeps the same schedule in
-columnar stores (:mod:`repro.sim.event_buffers`) and three epoch-marker
-flags. Everything else — clocks, jitter draws, the wave body, order
-validation, landing — is inherited, so a pairing of the two compares
+ties. :class:`~repro.sim.EventSimulator` keeps the same schedule as a
+columnar :class:`~repro.sim.event_buffers.WakeSchedule`, the shared
+task-engine wire (``TaskStateMixin._wire``, its own heap of arrivals)
+and three epoch-marker flags; the oracle's ``_send`` puts arrivals on
+its one heap instead, so that wire stays empty. Everything else —
+clocks, jitter draws, the wave body, order validation, landing — is
+inherited, so a pairing of the two compares
 exactly the schedule: records, RNG state, final loads and
 ``events_processed`` must all agree.
 
